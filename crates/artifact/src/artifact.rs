@@ -161,13 +161,19 @@ impl Artifact {
         self.data.is_mapped()
     }
 
-    /// Borrowed payload of section `id`, if present.
+    /// Byte range of section `id` within [`Self::bytes`], if present.
     #[must_use]
-    pub fn section(&self, id: u32) -> Option<&[u8]> {
+    pub fn section_range(&self, id: u32) -> Option<std::ops::Range<usize>> {
         self.sections
             .iter()
             .find(|s| s.id == id)
-            .map(|s| &self.bytes()[s.offset as usize..(s.offset + s.len) as usize])
+            .map(|s| s.offset as usize..(s.offset + s.len) as usize)
+    }
+
+    /// Borrowed payload of section `id`, if present.
+    #[must_use]
+    pub fn section(&self, id: u32) -> Option<&[u8]> {
+        self.section_range(id).map(|range| &self.bytes()[range])
     }
 
     /// Payload of a section this model kind requires.

@@ -1,15 +1,17 @@
 //! Model-level readers: structural validation of a mapped artifact and
 //! zero-copy inference through the shared `bolt-core` kernel views.
 
-use crate::artifact::Artifact;
+use crate::artifact::{section_name, Artifact};
 use crate::cast::{cast_f64, cast_u32, cast_u64};
 use crate::format::{self, section};
 use crate::ArtifactError;
 use bolt_bitpack::Mask;
 use bolt_core::{
-    simd, Aggregation, BatchScratch, BloomView, DictView, ForestView, TableView, EMPTY_SLOT_ENTRY,
+    simd, Aggregation, BatchScratch, BloomView, BoltScratch, DictView, EntryIndex, ForestView,
+    TableView, EMPTY_SLOT_ENTRY,
 };
 use bolt_forest::PredicateUniverse;
+use std::ops::Range;
 use std::path::Path;
 
 /// Parsed `META` section: the fixed-size scalars describing a model's shape.
@@ -105,9 +107,8 @@ fn rebuild_universe(
     Ok(universe)
 }
 
-/// Typed borrows of every kernel section. Construction is O(1) pointer
-/// casts; [`validate`] proves the structural invariants once at load so the
-/// per-call `view()` rebuild can safely `expect`.
+/// Typed borrows of every kernel section; [`validate`] proves their
+/// structural invariants once at load.
 struct RawSections<'a> {
     mask_words: &'a [u64],
     key_words: &'a [u64],
@@ -125,43 +126,86 @@ struct RawSections<'a> {
     bloom_words: Option<&'a [u64]>,
 }
 
-fn raw_sections(artifact: &Artifact) -> Result<RawSections<'_>, ArtifactError> {
-    let has_bloom = artifact.header().flags & format::FLAG_HAS_BLOOM != 0;
-    let bloom_section = artifact.section(section::BLOOM);
-    if has_bloom != bloom_section.is_some() {
-        return Err(invalid("bloom flag and BLOOM section presence disagree"));
-    }
-    let blk = match (
-        artifact.section(section::DICT_MASK_BLK),
-        artifact.section(section::DICT_KEY_BLK),
-    ) {
-        (Some(mask), Some(key)) => Some((
-            cast_u64(mask, "DICT_MASK_BLK")?,
-            cast_u64(key, "DICT_KEY_BLK")?,
-        )),
-        (None, None) => None,
-        _ => {
-            return Err(invalid(
-                "DICT_MASK_BLK and DICT_KEY_BLK must be present together",
-            ))
+/// Byte ranges of every kernel section within the artifact, resolved from
+/// the section table once at load so the per-call `view()` rebuild is a
+/// handful of slice casts, not a table search.
+struct SectionRanges {
+    mask_words: Range<usize>,
+    key_words: Range<usize>,
+    blk: Option<(Range<usize>, Range<usize>)>,
+    uncommon_flat: Range<usize>,
+    uncommon_offsets: Range<usize>,
+    slot_entries: Range<usize>,
+    slot_addrs: Range<usize>,
+    vote_offsets: Range<usize>,
+    vote_classes: Range<usize>,
+    vote_weights: Range<usize>,
+    bloom_words: Option<Range<usize>>,
+}
+
+impl SectionRanges {
+    fn locate(artifact: &Artifact) -> Result<Self, ArtifactError> {
+        let range = |id: u32| artifact.section_range(id);
+        let require = |id: u32| {
+            range(id).ok_or_else(|| invalid(format!("missing section {}", section_name(id))))
+        };
+        let has_bloom = artifact.header().flags & format::FLAG_HAS_BLOOM != 0;
+        let bloom_words = range(section::BLOOM);
+        if has_bloom != bloom_words.is_some() {
+            return Err(invalid("bloom flag and BLOOM section presence disagree"));
         }
-    };
-    Ok(RawSections {
-        mask_words: cast_u64(artifact.require(section::DICT_MASK)?, "DICT_MASK")?,
-        key_words: cast_u64(artifact.require(section::DICT_KEY)?, "DICT_KEY")?,
-        blk,
-        uncommon_flat: cast_u32(artifact.require(section::DICT_UNCOMMON)?, "DICT_UNCOMMON")?,
-        uncommon_offsets: cast_u32(artifact.require(section::DICT_OFFSETS)?, "DICT_OFFSETS")?,
-        slot_entries: cast_u32(artifact.require(section::TBL_SLOT_ENTRY)?, "TBL_SLOT_ENTRY")?,
-        slot_addrs: cast_u64(artifact.require(section::TBL_SLOT_ADDR)?, "TBL_SLOT_ADDR")?,
-        vote_offsets: cast_u32(artifact.require(section::TBL_VOTE_OFF)?, "TBL_VOTE_OFF")?,
-        vote_classes: cast_u32(artifact.require(section::TBL_VOTE_CLASS)?, "TBL_VOTE_CLASS")?,
-        vote_weights: cast_f64(
-            artifact.require(section::TBL_VOTE_WEIGHT)?,
-            "TBL_VOTE_WEIGHT",
-        )?,
-        bloom_words: bloom_section.map(|b| cast_u64(b, "BLOOM")).transpose()?,
-    })
+        let blk = match (range(section::DICT_MASK_BLK), range(section::DICT_KEY_BLK)) {
+            (Some(mask), Some(key)) => Some((mask, key)),
+            (None, None) => None,
+            _ => {
+                return Err(invalid(
+                    "DICT_MASK_BLK and DICT_KEY_BLK must be present together",
+                ))
+            }
+        };
+        Ok(Self {
+            mask_words: require(section::DICT_MASK)?,
+            key_words: require(section::DICT_KEY)?,
+            blk,
+            uncommon_flat: require(section::DICT_UNCOMMON)?,
+            uncommon_offsets: require(section::DICT_OFFSETS)?,
+            slot_entries: require(section::TBL_SLOT_ENTRY)?,
+            slot_addrs: require(section::TBL_SLOT_ADDR)?,
+            vote_offsets: require(section::TBL_VOTE_OFF)?,
+            vote_classes: require(section::TBL_VOTE_CLASS)?,
+            vote_weights: require(section::TBL_VOTE_WEIGHT)?,
+            bloom_words,
+        })
+    }
+
+    /// Casts every range of `bytes` (the artifact these ranges were located
+    /// in) to its typed slice, checking alignment and length.
+    fn typed<'a>(&self, bytes: &'a [u8]) -> Result<RawSections<'a>, ArtifactError> {
+        let at = |range: &Range<usize>| &bytes[range.clone()];
+        Ok(RawSections {
+            mask_words: cast_u64(at(&self.mask_words), "DICT_MASK")?,
+            key_words: cast_u64(at(&self.key_words), "DICT_KEY")?,
+            blk: match &self.blk {
+                Some((mask, key)) => Some((
+                    cast_u64(at(mask), "DICT_MASK_BLK")?,
+                    cast_u64(at(key), "DICT_KEY_BLK")?,
+                )),
+                None => None,
+            },
+            uncommon_flat: cast_u32(at(&self.uncommon_flat), "DICT_UNCOMMON")?,
+            uncommon_offsets: cast_u32(at(&self.uncommon_offsets), "DICT_OFFSETS")?,
+            slot_entries: cast_u32(at(&self.slot_entries), "TBL_SLOT_ENTRY")?,
+            slot_addrs: cast_u64(at(&self.slot_addrs), "TBL_SLOT_ADDR")?,
+            vote_offsets: cast_u32(at(&self.vote_offsets), "TBL_VOTE_OFF")?,
+            vote_classes: cast_u32(at(&self.vote_classes), "TBL_VOTE_CLASS")?,
+            vote_weights: cast_f64(at(&self.vote_weights), "TBL_VOTE_WEIGHT")?,
+            bloom_words: self
+                .bloom_words
+                .as_ref()
+                .map(|range| cast_u64(at(range), "BLOOM"))
+                .transpose()?,
+        })
+    }
 }
 
 /// Structural validation of everything the scan kernels assume, so the views
@@ -305,23 +349,55 @@ fn validate(raw: &RawSections<'_>, meta: &ModelMeta) -> Result<(), ArtifactError
     Ok(())
 }
 
-/// Builds the kernel views over validated sections. Infallible after
-/// [`validate`]; the `TableView`/`DictView` constructors re-assert the O(1)
-/// shape facts.
-fn build_views<'a>(
-    raw: &RawSections<'a>,
-    meta: &ModelMeta,
-) -> (DictView<'a>, TableView<'a>, Option<BloomView<'a>>) {
-    let mut dict = DictView::new(
+/// Everything a mapped model derives from its artifact at load: the
+/// predicate universe, where the kernel sections lie, and the entry-bitmap
+/// index built over the validated dictionary arrays (derived data — the
+/// file carries none of it, so there is nothing new to trust).
+struct Derived {
+    universe: PredicateUniverse,
+    ranges: SectionRanges,
+    index: EntryIndex,
+}
+
+fn derive(artifact: &Artifact, meta: &ModelMeta) -> Result<Derived, ArtifactError> {
+    let universe = rebuild_universe(artifact, meta)?;
+    let ranges = SectionRanges::locate(artifact)?;
+    let raw = ranges.typed(artifact.bytes())?;
+    validate(&raw, meta)?;
+    let index = EntryIndex::build(dict_view(&raw, meta), &universe);
+    Ok(Derived {
+        universe,
+        ranges,
+        index,
+    })
+}
+
+fn dict_view<'a>(raw: &RawSections<'a>, meta: &ModelMeta) -> DictView<'a> {
+    let dict = DictView::new(
         meta.width as usize,
         raw.mask_words,
         raw.key_words,
         raw.uncommon_flat,
         raw.uncommon_offsets,
     );
-    if let Some((blk_mask, blk_key)) = raw.blk {
-        dict = dict.with_blocked(blk_mask, blk_key);
+    match raw.blk {
+        Some((blk_mask, blk_key)) => dict.with_blocked(blk_mask, blk_key),
+        None => dict,
     }
+}
+
+/// Builds the kernel view over sections [`derive`] validated. The
+/// `TableView`/`DictView` constructors re-assert the O(1) shape facts.
+fn forest_view<'a>(
+    artifact: &'a Artifact,
+    derived: &'a Derived,
+    meta: &ModelMeta,
+    constant_votes: &'a [(u32, f64)],
+) -> ForestView<'a> {
+    let raw = derived
+        .ranges
+        .typed(artifact.bytes())
+        .expect("sections validated at load");
     let table = TableView::new(
         (raw.slot_entries.len() - 1) as u64,
         raw.slot_entries,
@@ -333,18 +409,25 @@ fn build_views<'a>(
     let bloom = raw
         .bloom_words
         .map(|words| BloomView::new(words, words.len() as u64 * 64 - 1, meta.bloom_n_hashes));
-    (dict, table, bloom)
+    ForestView::new(
+        dict_view(&raw, meta),
+        derived.index.view(),
+        table,
+        bloom,
+        constant_votes,
+        meta.n_classes as usize,
+    )
 }
 
 /// A classification forest served directly from a mapped `BLT1` artifact.
 ///
-/// Only the predicate universe (needed for input encoding) and the constant
-/// votes are materialized on the heap; the dictionary, table, and bloom
-/// filter are borrowed from the mapped file on every [`Self::view`] call —
-/// no full-model heap copy ever happens.
+/// Only the predicate universe (needed for input encoding), the derived
+/// entry-bitmap index and the constant votes are materialized on the heap;
+/// the dictionary, table, and bloom filter are borrowed from the mapped file
+/// on every [`Self::view`] call — no full-model heap copy ever happens.
 pub struct MappedForest {
     artifact: Artifact,
-    universe: PredicateUniverse,
+    derived: Derived,
     constant_votes: Vec<(u32, f64)>,
     meta: ModelMeta,
 }
@@ -364,13 +447,11 @@ impl MappedForest {
         if meta.n_classes == 0 {
             return Err(invalid("classifier must have at least one class"));
         }
-        let universe = rebuild_universe(&artifact, &meta)?;
-        let raw = raw_sections(&artifact)?;
-        validate(&raw, &meta)?;
+        let derived = derive(&artifact, &meta)?;
         let constant_votes = parse_constant_votes(&artifact, &meta)?;
         Ok(Self {
             artifact,
-            universe,
+            derived,
             constant_votes,
             meta,
         })
@@ -381,39 +462,61 @@ impl MappedForest {
     /// downstream scan is shared code and bit-identical.
     #[must_use]
     pub fn view(&self) -> ForestView<'_> {
-        let raw = raw_sections(&self.artifact).expect("sections validated at load");
-        let (dict, table, bloom) = build_views(&raw, &self.meta);
-        ForestView::new(
-            dict,
-            table,
-            bloom,
+        forest_view(
+            &self.artifact,
+            &self.derived,
+            &self.meta,
             &self.constant_votes,
-            self.meta.n_classes as usize,
         )
     }
 
     /// Encodes a sample into predicate space.
     #[must_use]
     pub fn encode(&self, sample: &[f32]) -> Mask {
-        self.universe.evaluate(sample)
+        self.derived.universe.evaluate(sample)
     }
 
-    /// Classifies one sample.
+    /// Classifies one sample, allocating a scratch for the call; serving
+    /// loops use [`Self::classify_with`].
     #[must_use]
     pub fn classify(&self, sample: &[f32]) -> u32 {
-        let bits = self.encode(sample);
-        let mut votes = Vec::new();
-        self.view().classify_bits_into(&bits, &mut votes)
+        self.classify_with(sample, &mut BoltScratch::default())
+    }
+
+    /// Allocation-free classification through the caller's scratch — the
+    /// same index-matched body as
+    /// [`BoltForest::classify_with`](bolt_core::BoltForest::classify_with),
+    /// run over the mapped bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample is shorter than the model's feature count.
+    #[must_use]
+    pub fn classify_with(&self, sample: &[f32], scratch: &mut BoltScratch) -> u32 {
+        self.view()
+            .classify_with(&self.derived.universe, sample, scratch)
     }
 
     /// Per-class vote totals for one sample (bit-identical to the owned
     /// engine's).
     #[must_use]
     pub fn votes(&self, sample: &[f32]) -> Vec<f64> {
-        let bits = self.encode(sample);
-        let mut votes = vec![0.0; self.meta.n_classes as usize];
-        self.view().scan_votes_into(&bits, &mut votes, None);
-        votes
+        self.view()
+            .votes_with(
+                &self.derived.universe,
+                sample,
+                &mut BoltScratch::default(),
+                None,
+            )
+            .to_vec()
+    }
+
+    /// Heap bytes this model holds beyond the mapped file: the derived
+    /// entry-bitmap index (a residency ledger charges them with the file
+    /// length).
+    #[must_use]
+    pub fn index_bytes(&self) -> usize {
+        self.derived.index.heap_bytes()
     }
 
     /// Classifies a batch through the entry-major kernel.
@@ -422,7 +525,7 @@ impl MappedForest {
         let mut scratch =
             BatchScratch::for_shape(self.meta.width as usize, self.meta.n_classes as usize);
         self.view()
-            .batch_votes_into(&self.universe, samples, &mut scratch);
+            .batch_votes_into(&self.derived.universe, samples, &mut scratch);
         (0..samples.len()).map(|b| scratch.class(b)).collect()
     }
 
@@ -441,7 +544,7 @@ impl MappedForest {
         scratch: &mut BatchScratch,
     ) {
         self.view()
-            .batch_votes_into_with_kernel(&self.universe, samples, kernel, scratch);
+            .batch_votes_into_with_kernel(&self.derived.universe, samples, kernel, scratch);
     }
 
     /// A batch scratch shaped for this model (see
@@ -493,7 +596,7 @@ impl MappedForest {
     /// The reconstructed predicate universe.
     #[must_use]
     pub fn universe(&self) -> &PredicateUniverse {
-        &self.universe
+        &self.derived.universe
     }
 
     /// The underlying validated artifact.
@@ -535,7 +638,7 @@ fn parse_constant_votes(
 /// A regression forest served directly from a mapped `BLT1` artifact.
 pub struct MappedRegressor {
     artifact: Artifact,
-    universe: PredicateUniverse,
+    derived: Derived,
     constant_sum: f64,
     base: f64,
     aggregation: Aggregation,
@@ -554,9 +657,7 @@ impl MappedRegressor {
             return Err(invalid("artifact is not a regressor"));
         }
         let meta = parse_meta(&artifact)?;
-        let universe = rebuild_universe(&artifact, &meta)?;
-        let raw = raw_sections(&artifact)?;
-        validate(&raw, &meta)?;
+        let derived = derive(&artifact, &meta)?;
         let aggregation = match meta.aggregation {
             0 => Aggregation::Mean,
             1 => Aggregation::Sum,
@@ -579,7 +680,7 @@ impl MappedRegressor {
         }
         Ok(Self {
             artifact,
-            universe,
+            derived,
             constant_sum,
             base,
             aggregation,
@@ -591,9 +692,7 @@ impl MappedRegressor {
     /// votes, zero classes).
     #[must_use]
     pub fn view(&self) -> ForestView<'_> {
-        let raw = raw_sections(&self.artifact).expect("sections validated at load");
-        let (dict, table, bloom) = build_views(&raw, &self.meta);
-        ForestView::new(dict, table, bloom, &[], 0)
+        forest_view(&self.artifact, &self.derived, &self.meta, &[])
     }
 
     /// Predicts from an encoded input, replicating
@@ -601,17 +700,28 @@ impl MappedRegressor {
     /// exactly (same accumulation order, same final cast).
     #[must_use]
     pub fn predict_bits(&self, bits: &Mask) -> f32 {
-        let sum = self.view().accumulate_weights(bits, self.constant_sum);
+        self.aggregate(self.view().accumulate_weights(bits, self.constant_sum))
+    }
+
+    /// Predicts the target value for one sample, replicating
+    /// [`BoltRegressor::predict`](bolt_core::BoltRegressor::predict)
+    /// exactly (index match, same accumulation order, same final cast).
+    #[must_use]
+    pub fn predict(&self, sample: &[f32]) -> f32 {
+        let mut scratch = BoltScratch::default();
+        self.aggregate(self.view().weight_sum_with(
+            &self.derived.universe,
+            sample,
+            &mut scratch,
+            self.constant_sum,
+        ))
+    }
+
+    fn aggregate(&self, sum: f64) -> f32 {
         match self.aggregation {
             Aggregation::Mean => (sum / self.meta.n_trees as f64) as f32,
             Aggregation::Sum => (self.base + sum) as f32,
         }
-    }
-
-    /// Predicts the target value for one sample.
-    #[must_use]
-    pub fn predict(&self, sample: &[f32]) -> f32 {
-        self.predict_bits(&self.universe.evaluate(sample))
     }
 
     /// The model-shape metadata from the `META` section.

@@ -6,7 +6,7 @@
 
 use bolt_artifact::{Artifact, ArtifactWriter, MappedForest, MappedRegressor};
 use bolt_core::oracle::{self, OracleRng};
-use bolt_core::{BoltConfig, BoltForest, BoltRegressor, Kernel};
+use bolt_core::{BoltConfig, BoltForest, BoltRegressor, BoltScratch, Kernel};
 use bolt_forest::{RegressionConfig, RegressionDataset, RegressionForest};
 
 /// The mapped artifact's blocked scan must report exactly the entries the
@@ -31,6 +31,37 @@ fn assert_mapped_kernels_match(bolt: &BoltForest, mapped: &MappedForest, sample:
             "mapped {kernel} scan diverges from owned scalar"
         );
     }
+}
+
+/// The index a mapped model builds at open (from the mapped flat arrays and
+/// the `PRED` section) must match exactly the entries the owned model's
+/// scalar scan matches, in the same order — the artifact leg of the index
+/// differential — and the scratch-based serving entry point must classify
+/// as the owned model does.
+fn assert_mapped_index_matches(
+    bolt: &BoltForest,
+    mapped: &MappedForest,
+    sample: &[f32],
+    scratch: &mut BoltScratch,
+) {
+    let universe = mapped.universe();
+    let mut bits = bolt_bitpack::Mask::zeros(universe.len());
+    let mut starts = vec![0u32; universe.n_groups()];
+    universe.evaluate_into_with_starts(sample, &mut bits, &mut starts);
+    let mut reference = Vec::new();
+    bolt.view()
+        .dict()
+        .scan_with_kernel(&bits, Kernel::Scalar, |id| reference.push(id));
+    let index = mapped.view().index();
+    let mut acc = vec![0u64; index.words()];
+    let mut got = Vec::new();
+    index.for_each_match(&starts, &mut acc, |id| got.push(id));
+    assert_eq!(got, reference, "mapped index diverges from owned scalar");
+    assert_eq!(
+        mapped.classify_with(sample, scratch),
+        bolt.classify_bits(&bits),
+        "mapped classify_with diverges from the owned scan"
+    );
 }
 
 /// The mapped artifact's *batched* path must produce vote vectors
@@ -79,6 +110,7 @@ fn classifier_round_trip_is_bit_identical_across_config_matrix() {
                 "seed {seed} config {i}"
             );
             let mut refs = Vec::with_capacity(case.inputs.len());
+            let mut scratch = BoltScratch::default();
             for sample in &case.inputs {
                 let expected = bolt.classify(sample);
                 refs.push(expected);
@@ -92,6 +124,7 @@ fn classifier_round_trip_is_bit_identical_across_config_matrix() {
                 let via_map: Vec<u64> = mapped.votes(sample).iter().map(|v| v.to_bits()).collect();
                 assert_eq!(via_map, owned, "seed {seed} config {i}: vote bits diverge");
                 assert_mapped_kernels_match(&bolt, &mapped, sample);
+                assert_mapped_index_matches(&bolt, &mapped, sample, &mut scratch);
             }
             // The blocked SIMD mirror survives the round trip whenever the
             // owned dictionary carries one.
@@ -162,6 +195,12 @@ fn regressor_round_trip_is_bit_identical() {
                     mapped.predict(row).to_bits(),
                     bolt.predict(row).to_bits(),
                     "threshold {threshold} bloom {bloom_bits}: prediction bits diverge"
+                );
+                // Mapped index match vs owned dictionary scan.
+                assert_eq!(
+                    mapped.predict(row).to_bits(),
+                    bolt.predict_bits(&bolt.encode(row)).to_bits(),
+                    "threshold {threshold} bloom {bloom_bits}: mapped index diverges from owned scan"
                 );
             }
             std::fs::remove_file(&path).ok();

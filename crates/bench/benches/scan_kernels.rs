@@ -10,6 +10,10 @@
 //! Throughput is reported in dictionary entries tested per second; the
 //! tentpole target is ≥1.5× scalar for the best native kernel on the
 //! cache-resident forest.
+//!
+//! The `index_vs_scan` group sets the feature-level single-sample path's
+//! two matchers side by side — the dispatched scan and the entry-bitmap
+//! index — on the three model shapes the repo benchmark serves.
 
 use bolt_bench::{train_workload, TrainedWorkload};
 use bolt_core::{BoltConfig, BoltForest, Kernel};
@@ -72,6 +76,52 @@ fn bench_batch_group(c: &mut Criterion, name: &str, trained: &TrainedWorkload, b
     group.finish();
 }
 
+/// Feature-level single-sample classification two ways on one model: the
+/// dictionary scan (encode, then `classify_bits_into` under the dispatched
+/// kernel — what `classify_with` ran before the entry-bitmap index) against
+/// the index match `classify_with` runs now. Samples per second.
+fn bench_index_vs_scan(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    model: &str,
+    trained: &TrainedWorkload,
+    bolt: &BoltForest,
+) {
+    let samples: Vec<&[f32]> = (0..trained.test.len())
+        .map(|i| trained.test.sample(i))
+        .collect();
+    println!(
+        "index_vs_scan/{model}: {} entries, {} predicates in {} groups, index {} KiB",
+        bolt.dictionary().len(),
+        bolt.universe().len(),
+        bolt.universe().n_groups(),
+        bolt.index().heap_bytes() / 1024,
+    );
+    group.throughput(Throughput::Elements(samples.len() as u64));
+    group.bench_function(BenchmarkId::new("scan", model), |b| {
+        let (view, universe) = (bolt.view(), bolt.universe());
+        let mut bits = bolt_bitpack::Mask::zeros(universe.len());
+        let mut votes = Vec::new();
+        b.iter(|| {
+            let mut last = 0u32;
+            for s in &samples {
+                universe.evaluate_into(black_box(s), &mut bits);
+                last = view.classify_bits_into(&bits, &mut votes);
+            }
+            black_box(last)
+        });
+    });
+    group.bench_function(BenchmarkId::new("index", model), |b| {
+        let mut scratch = bolt.scratch();
+        b.iter(|| {
+            let mut last = 0u32;
+            for s in &samples {
+                last = bolt.classify_with(black_box(s), &mut scratch);
+            }
+            black_box(last)
+        });
+    });
+}
+
 fn compile_deep(trained: &TrainedWorkload) -> BoltForest {
     BoltForest::compile(
         &trained.forest,
@@ -120,6 +170,25 @@ fn bench_scan_kernels(c: &mut Criterion) {
             black_box(last)
         });
     });
+    group.finish();
+
+    // The three shapes the repo benchmark serves: a 784-feature forest
+    // with a tiny dictionary, the tuned service forest, and the deep
+    // scan-bound one.
+    let mut group = c.benchmark_group("index_vs_scan");
+    for (model, workload, trees, height, threshold, train) in [
+        ("wide", Workload::MnistLike, 10, 4, 4, 2000),
+        ("svc", Workload::LstwLike, 16, 6, 4, 4000),
+        ("deep", Workload::LstwLike, 20, 8, 0, 4000),
+    ] {
+        let trained = train_workload(workload, trees, height, train, 256);
+        let bolt = BoltForest::compile(
+            &trained.forest,
+            &BoltConfig::default().with_cluster_threshold(threshold),
+        )
+        .expect("benchmark-shaped forests compile");
+        bench_index_vs_scan(&mut group, model, &trained, &bolt);
+    }
     group.finish();
 }
 

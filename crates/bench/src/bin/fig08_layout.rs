@@ -60,6 +60,11 @@ fn main() {
         ],
     );
 
+    println!(
+        "entry-bitmap index (single-sample match; no verbose counterpart): {} bytes per dictionary entry",
+        report.index_per_entry
+    );
+
     // Prove the packed layout is executable, not just accounting.
     let packed = PackedBolt::from_bolt(&bolt);
     let mut agree = 0usize;

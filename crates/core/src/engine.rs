@@ -3,6 +3,7 @@
 use crate::cluster::Clustering;
 use crate::dictionary::{DictView, Dictionary};
 use crate::filter::{table_key, BloomFilter, BloomView};
+use crate::index::{EntryIndex, IndexView};
 use crate::paths::SortedPaths;
 use crate::table::{RecombinedTable, TableView, Votes};
 use crate::BoltError;
@@ -73,8 +74,13 @@ impl Default for BoltConfig {
 /// and by Phase-2 tuning.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InferenceStats {
-    /// Dictionary entries scanned (always the full dictionary).
+    /// Dictionary entries considered (always the full dictionary, whether
+    /// the scan compared each one or the entry-bitmap index covered them
+    /// all with one row per feature group).
     pub entries_scanned: usize,
+    /// Entry-bitmap index rows read (one per feature group on the
+    /// feature-level paths; 0 on the raw-bits scan paths).
+    pub index_rows_read: usize,
     /// Entries whose common-feature mask matched the input.
     pub entries_matched: usize,
     /// Lookups skipped by the bloom filter.
@@ -87,23 +93,56 @@ pub struct InferenceStats {
 }
 
 /// Reusable per-thread buffers for allocation-free inference
-/// ([`BoltForest::classify_with`]).
+/// ([`BoltForest::classify_with`]). The inference body sizes them to the
+/// model it runs — on first use, and again whenever a model of another
+/// shape comes by — so one scratch per thread serves every model.
 #[derive(Clone, Debug)]
 pub struct BoltScratch {
     bits: Mask,
+    /// Per feature group, where the input's run of true bits starts.
+    run_starts: Vec<u32>,
+    /// Index-row accumulator: one bit per dictionary entry.
+    matched: Vec<u64>,
     votes: Vec<f64>,
 }
 
+impl Default for BoltScratch {
+    /// An empty scratch; the first inference through it sizes it.
+    fn default() -> Self {
+        Self {
+            bits: Mask::zeros(0),
+            run_starts: Vec::new(),
+            matched: Vec::new(),
+            votes: Vec::new(),
+        }
+    }
+}
+
+impl BoltScratch {
+    /// Sizes every buffer to the model about to run; a no-op when the
+    /// scratch last served a model of the same shape.
+    fn fit(&mut self, universe: &PredicateUniverse, view: &ForestView<'_>) {
+        if self.bits.width() != universe.len() {
+            self.bits = Mask::zeros(universe.len());
+        }
+        self.run_starts.resize(universe.n_groups(), 0);
+        self.matched.resize(view.index.words(), 0);
+        self.votes.resize(view.n_classes, 0.0);
+    }
+}
+
 /// A borrowed view of a compiled model's inference structures: dictionary,
-/// table, optional bloom filter, constant votes, and the class count.
+/// its entry-bitmap index, table, optional bloom filter, constant votes, and
+/// the class count.
 ///
 /// Every inference path — per-sample, batched, owned or memory-mapped —
 /// funnels through this one view, so an mmap-backed `BLT1` artifact runs
-/// literally the same scan/lookup/accumulate code as an in-memory
+/// literally the same match/lookup/accumulate code as an in-memory
 /// [`BoltForest`], and vote vectors are bit-identical by construction.
 #[derive(Clone, Copy, Debug)]
 pub struct ForestView<'a> {
     dict: DictView<'a>,
+    index: IndexView<'a>,
     table: TableView<'a>,
     bloom: Option<BloomView<'a>>,
     constant_votes: &'a [(u32, f64)],
@@ -111,13 +150,15 @@ pub struct ForestView<'a> {
 }
 
 impl<'a> ForestView<'a> {
-    /// Assembles a view from component views. For regressors (which carry
-    /// no per-class votes) pass an empty `constant_votes` and
-    /// `n_classes = 0`; only [`Self::accumulate_weights`] is meaningful
-    /// then.
+    /// Assembles a view from component views; `index` must have been built
+    /// from `dict` ([`EntryIndex::build`]). For regressors (which carry no
+    /// per-class votes) pass an empty `constant_votes` and `n_classes = 0`;
+    /// only [`Self::accumulate_weights`] and [`Self::weight_sum_with`] are
+    /// meaningful then.
     #[must_use]
     pub fn new(
         dict: DictView<'a>,
+        index: IndexView<'a>,
         table: TableView<'a>,
         bloom: Option<BloomView<'a>>,
         constant_votes: &'a [(u32, f64)],
@@ -125,6 +166,7 @@ impl<'a> ForestView<'a> {
     ) -> Self {
         Self {
             dict,
+            index,
             table,
             bloom,
             constant_votes,
@@ -136,6 +178,12 @@ impl<'a> ForestView<'a> {
     #[must_use]
     pub fn dict(&self) -> DictView<'a> {
         self.dict
+    }
+
+    /// The entry-bitmap index over [`Self::dict`].
+    #[must_use]
+    pub fn index(&self) -> IndexView<'a> {
+        self.index
     }
 
     /// The table view.
@@ -162,9 +210,11 @@ impl<'a> ForestView<'a> {
         self.n_classes
     }
 
-    /// The single shared scan body behind every inference path: constant
-    /// votes, dictionary scan, bloom filtering, verified table lookups, and
-    /// vote accumulation — counted into `stats` when provided. Votes must
+    /// The shared body of the raw-bits paths: constant votes, dictionary
+    /// scan, bloom filtering, verified table lookups, and vote accumulation
+    /// — counted into `stats` when provided. This is the reference
+    /// semantics the entry-bitmap index is pinned against, and the only
+    /// correct path for bits that need not be thermometer-coded. Votes must
     /// be zeroed by the caller (`entries_scanned` is also the caller's).
     pub fn scan_votes_into(
         &self,
@@ -176,17 +226,85 @@ impl<'a> ForestView<'a> {
             votes[class as usize] += weight;
         }
         self.dict.scan(bits, |entry_id| {
-            if let Some(stats) = stats.as_deref_mut() {
-                stats.entries_matched += 1;
-            }
-            // Address gather through the contiguous `uncommon_flat` mirror
-            // (no per-entry heap hop).
-            let address = self.dict.address_of(entry_id, bits);
-            // Pull the table line toward L1 while the bloom check runs;
-            // pure latency hiding, no effect on results.
-            self.table.prefetch(entry_id, address);
-            self.accumulate_entry_votes(entry_id, address, votes, stats.as_deref_mut());
+            self.matched_entry_votes(entry_id, bits, votes, stats.as_deref_mut());
         });
+    }
+
+    /// The shared body of the feature-level single-sample paths: encodes
+    /// `sample` (bits and per-group run starts in one pass), matches the
+    /// dictionary through the entry-bitmap index, and runs the same back
+    /// half as [`Self::scan_votes_into`] over the matches in ascending entry
+    /// order, so the votes left in `scratch` are bit-identical to scanning
+    /// the encoded bits. Every counter of `stats` is filled when provided.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample` is shorter than the universe's feature count or
+    /// `universe` is not the one this view's model encodes with.
+    pub fn votes_with<'s>(
+        &self,
+        universe: &PredicateUniverse,
+        sample: &[f32],
+        scratch: &'s mut BoltScratch,
+        mut stats: Option<&mut InferenceStats>,
+    ) -> &'s [f64] {
+        scratch.fit(universe, self);
+        let BoltScratch {
+            bits,
+            run_starts,
+            matched,
+            votes,
+        } = scratch;
+        universe.evaluate_into_with_starts(sample, bits, run_starts);
+        votes.fill(0.0);
+        for &(class, weight) in self.constant_votes {
+            votes[class as usize] += weight;
+        }
+        if let Some(stats) = stats.as_deref_mut() {
+            stats.entries_scanned += self.dict.len();
+            stats.index_rows_read += self.index.n_groups();
+        }
+        self.index.for_each_match(run_starts, matched, |entry_id| {
+            self.matched_entry_votes(entry_id, bits, votes, stats.as_deref_mut());
+        });
+        votes
+    }
+
+    /// Feature-level classification: the argmax of [`Self::votes_with`].
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`Self::votes_with`].
+    #[must_use]
+    pub fn classify_with(
+        &self,
+        universe: &PredicateUniverse,
+        sample: &[f32],
+        scratch: &mut BoltScratch,
+    ) -> u32 {
+        argmax(self.votes_with(universe, sample, scratch, None))
+    }
+
+    /// What every matcher does with a matched entry: count it, gather its
+    /// table address, then bloom-filter, look up and accumulate.
+    #[inline]
+    fn matched_entry_votes(
+        &self,
+        entry_id: u32,
+        bits: &Mask,
+        votes: &mut [f64],
+        mut stats: Option<&mut InferenceStats>,
+    ) {
+        if let Some(stats) = stats.as_deref_mut() {
+            stats.entries_matched += 1;
+        }
+        // Address gather through the contiguous `uncommon_flat` mirror
+        // (no per-entry heap hop).
+        let address = self.dict.address_of(entry_id, bits);
+        // Pull the table line toward L1 while the bloom check runs;
+        // pure latency hiding, no effect on results.
+        self.table.prefetch(entry_id, address);
+        self.accumulate_entry_votes(entry_id, address, votes, stats);
     }
 
     /// Back half of the shared scan body, from a matched entry's gathered
@@ -264,25 +382,60 @@ impl<'a> ForestView<'a> {
         argmax(votes)
     }
 
-    /// Regression scan: folds every surviving vote weight into `init`
-    /// (start it at the model's constant sum) in the exact per-sample
-    /// order, and returns the accumulated sum.
+    /// Regression scan over raw bits: folds every surviving vote weight
+    /// into `init` (start it at the model's constant sum) in ascending
+    /// entry order, and returns the accumulated sum.
     #[must_use]
     pub fn accumulate_weights(&self, bits: &Mask, init: f64) -> f64 {
         let mut sum = init;
         self.dict.scan(bits, |entry_id| {
-            let address = self.dict.address_of(entry_id, bits);
-            self.table.prefetch(entry_id, address);
-            if let Some(bloom) = &self.bloom {
-                if !bloom.contains(table_key(entry_id, address)) {
-                    return;
-                }
-            }
-            for &value in self.table.lookup(entry_id, address).weights() {
-                sum += value;
-            }
+            self.matched_entry_weights(entry_id, bits, &mut sum);
         });
         sum
+    }
+
+    /// Feature-level regression: [`Self::accumulate_weights`] with the
+    /// dictionary matched through the entry-bitmap index — same entries,
+    /// same order, bit-identical sum.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`Self::votes_with`].
+    #[must_use]
+    pub fn weight_sum_with(
+        &self,
+        universe: &PredicateUniverse,
+        sample: &[f32],
+        scratch: &mut BoltScratch,
+        init: f64,
+    ) -> f64 {
+        scratch.fit(universe, self);
+        let BoltScratch {
+            bits,
+            run_starts,
+            matched,
+            ..
+        } = scratch;
+        universe.evaluate_into_with_starts(sample, bits, run_starts);
+        let mut sum = init;
+        self.index.for_each_match(run_starts, matched, |entry_id| {
+            self.matched_entry_weights(entry_id, bits, &mut sum);
+        });
+        sum
+    }
+
+    #[inline]
+    fn matched_entry_weights(&self, entry_id: u32, bits: &Mask, sum: &mut f64) {
+        let address = self.dict.address_of(entry_id, bits);
+        self.table.prefetch(entry_id, address);
+        if let Some(bloom) = &self.bloom {
+            if !bloom.contains(table_key(entry_id, address)) {
+                return;
+            }
+        }
+        for &value in self.table.lookup(entry_id, address).weights() {
+            *sum += value;
+        }
     }
 }
 
@@ -302,6 +455,11 @@ pub struct BoltForest {
     universe: PredicateUniverse,
     dictionary: Dictionary,
     table: RecombinedTable,
+    /// Entry-bitmap index over `dictionary` (see [`crate::index`]).
+    /// Derived data, rebuilt rather than serialized, like the dictionary's
+    /// blocked mirror.
+    #[serde(skip)]
+    index: EntryIndex,
     bloom: Option<BloomFilter>,
     /// Votes from single-leaf trees whose (empty) path matches every input.
     constant_votes: Vec<(u32, f64)>,
@@ -391,9 +549,11 @@ impl BoltForest {
         };
         let bloom = (config.bloom_bits_per_key > 0)
             .then(|| BloomFilter::from_keys(table.keys(), config.bloom_bits_per_key));
+        let index = EntryIndex::build(dictionary.view(), &universe);
         Ok(Self {
             universe,
             dictionary,
+            index,
             table,
             bloom,
             constant_votes,
@@ -440,6 +600,7 @@ impl BoltForest {
     pub fn view(&self) -> ForestView<'_> {
         ForestView {
             dict: self.dictionary.view(),
+            index: self.index.view(),
             table: self.table.view(),
             bloom: self.bloom.as_ref().map(BloomFilter::view),
             constant_votes: &self.constant_votes,
@@ -466,24 +627,23 @@ impl BoltForest {
         argmax(&self.votes_for_bits(bits))
     }
 
-    /// Classifies a raw sample (encode + scan + lookups + aggregate).
+    /// Classifies a raw sample (encode + index match + lookups +
+    /// aggregate), allocating a scratch for the call; serving loops use
+    /// [`Self::classify_with`].
     ///
     /// # Panics
     ///
     /// Panics if the sample is shorter than the universe's feature count.
     #[must_use]
     pub fn classify(&self, sample: &[f32]) -> u32 {
-        self.classify_bits(&self.encode(sample))
+        self.classify_with(sample, &mut self.scratch())
     }
 
     /// Creates a reusable scratch buffer for allocation-free inference via
-    /// [`Self::classify_with`].
+    /// [`Self::classify_with`] (sized by its first use).
     #[must_use]
     pub fn scratch(&self) -> BoltScratch {
-        BoltScratch {
-            bits: Mask::zeros(self.universe.len()),
-            votes: vec![0.0; self.n_classes],
-        }
+        BoltScratch::default()
     }
 
     /// Allocation-free classification: encodes into and aggregates through
@@ -492,30 +652,31 @@ impl BoltForest {
     ///
     /// # Panics
     ///
-    /// Panics if the sample is shorter than the universe's feature count or
-    /// the scratch came from a differently-shaped forest.
+    /// Panics if the sample is shorter than the universe's feature count.
     #[must_use]
     pub fn classify_with(&self, sample: &[f32], scratch: &mut BoltScratch) -> u32 {
-        self.universe.evaluate_into(sample, &mut scratch.bits);
-        let votes = &mut scratch.votes;
-        assert_eq!(votes.len(), self.n_classes, "scratch from another forest");
-        votes.iter_mut().for_each(|v| *v = 0.0);
-        self.scan_votes_into(&scratch.bits, votes, None);
-        argmax(votes)
+        self.view().classify_with(&self.universe, sample, scratch)
     }
 
-    /// Classifies and returns the inference counters.
+    /// Classifies and returns the inference counters — through the same
+    /// body as [`Self::classify_with`], so the counters describe exactly
+    /// what the hot path does.
     #[must_use]
     pub fn classify_with_stats(&self, sample: &[f32]) -> (u32, InferenceStats) {
-        let (votes, stats) = self.votes_with_stats(&self.encode(sample));
-        (argmax(&votes), stats)
+        let mut stats = InferenceStats::default();
+        let mut scratch = self.scratch();
+        let votes = self
+            .view()
+            .votes_with(&self.universe, sample, &mut scratch, Some(&mut stats));
+        (argmax(votes), stats)
     }
 
     /// Per-class vote fractions; for an unweighted forest this is bit-exact
     /// with [`RandomForest::predict_proba`].
     #[must_use]
     pub fn predict_proba(&self, sample: &[f32]) -> Vec<f32> {
-        self.votes_for_bits(&self.encode(sample))
+        self.view()
+            .votes_with(&self.universe, sample, &mut self.scratch(), None)
             .iter()
             .map(|&v| (v as f32) / (self.total_weight as f32))
             .collect()
@@ -541,6 +702,12 @@ impl BoltForest {
     #[must_use]
     pub fn dictionary(&self) -> &Dictionary {
         &self.dictionary
+    }
+
+    /// The entry-bitmap index over the dictionary.
+    #[must_use]
+    pub fn index(&self) -> &EntryIndex {
+        &self.index
     }
 
     /// The recombined lookup table.
@@ -586,11 +753,13 @@ impl BoltForest {
     }
 
     /// Restores derived structures after deserialization (the predicate
-    /// universe's lookup index, feature groups, and the dictionary's
-    /// entry-blocked SIMD mirror are not serialized).
+    /// universe's lookup index, feature groups, the dictionary's
+    /// entry-blocked SIMD mirror, and the entry-bitmap index are not
+    /// serialized).
     pub fn rebuild(&mut self) {
         self.universe.rebuild_index();
         self.dictionary.rebuild_blocked();
+        self.index = EntryIndex::build(self.dictionary.view(), &self.universe);
     }
 
     /// Checks the paper's safety property against the source forest on a
@@ -627,12 +796,13 @@ impl BoltForest {
     }
 
     /// Approximate resident bytes of the inference-time structures: the
-    /// dictionary scan arrays, the table's hot-path slots (16 bytes each),
-    /// and the bloom filter. This is the quantity §4.6's capacity-planning
-    /// diagnosis weighs against LLC capacity.
+    /// dictionary scan arrays, the entry-bitmap index, the table's hot-path
+    /// slots (16 bytes each), and the bloom filter. This is the quantity
+    /// §4.6's capacity-planning diagnosis weighs against LLC capacity.
     #[must_use]
     pub fn approx_resident_bytes(&self) -> usize {
         self.dictionary.scan_bytes()
+            + self.index.heap_bytes()
             + self.table.capacity() * 16
             + self.bloom.as_ref().map_or(0, BloomFilter::size_bytes)
     }
@@ -767,8 +937,19 @@ mod tests {
         let forest =
             RandomForest::train(&data, &ForestConfig::new(5).with_max_height(4).with_seed(8));
         let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles");
-        let (_, stats) = bolt.classify_with_stats(data.sample(0));
+        let (class, stats) = bolt.classify_with_stats(data.sample(0));
+        assert_eq!(class, bolt.classify(data.sample(0)));
         assert_eq!(stats.entries_scanned, bolt.dictionary().len());
+        assert_eq!(stats.index_rows_read, bolt.universe().n_groups());
+        // The raw-bits path counts the same matches and reads no index row.
+        let (_, scan_stats) = bolt.votes_with_stats(&bolt.encode(data.sample(0)));
+        assert_eq!(
+            scan_stats,
+            InferenceStats {
+                index_rows_read: 0,
+                ..stats
+            }
+        );
         assert_eq!(
             stats.entries_matched,
             stats.bloom_rejects + stats.table_hits + stats.table_misses
@@ -883,13 +1064,46 @@ mod tests {
         let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles");
         let json = serde_json::to_string(&bolt).expect("serializes");
         let mut restored: BoltForest = serde_json::from_str(&json).expect("deserializes");
+        assert_eq!(
+            restored.index(),
+            &EntryIndex::default(),
+            "index is not serialized"
+        );
         restored.rebuild();
+        assert_eq!(
+            restored.index(),
+            bolt.index(),
+            "rebuild() restores the index"
+        );
         let mut scratch = restored.scratch();
         for (sample, _) in data.iter().take(40) {
             assert_eq!(restored.classify(sample), forest.predict(sample));
             assert_eq!(
                 restored.classify_with(sample, &mut scratch),
                 forest.predict(sample)
+            );
+        }
+    }
+
+    #[test]
+    fn one_scratch_serves_models_of_different_shapes() {
+        let data = dataset();
+        let small =
+            RandomForest::train(&data, &ForestConfig::new(3).with_max_height(2).with_seed(1));
+        let large =
+            RandomForest::train(&data, &ForestConfig::new(9).with_max_height(5).with_seed(2));
+        let small_bolt = BoltForest::compile(&small, &BoltConfig::default()).expect("compiles");
+        let large_bolt = BoltForest::compile(&large, &BoltConfig::default()).expect("compiles");
+        assert_ne!(small_bolt.universe().len(), large_bolt.universe().len());
+        let mut scratch = BoltScratch::default();
+        for (sample, _) in data.iter().take(30) {
+            assert_eq!(
+                small_bolt.classify_with(sample, &mut scratch),
+                small.predict(sample)
+            );
+            assert_eq!(
+                large_bolt.classify_with(sample, &mut scratch),
+                large.predict(sample)
             );
         }
     }
@@ -915,6 +1129,17 @@ mod tests {
                 .expect("compiles");
         assert!(with_bloom.approx_resident_bytes() > without.approx_resident_bytes());
         assert!(without.approx_resident_bytes() >= without.table().capacity() * 16);
+        assert_eq!(
+            without.approx_resident_bytes(),
+            without.dictionary().scan_bytes()
+                + without.index().heap_bytes()
+                + without.table().capacity() * 16
+        );
+        let universe = without.universe();
+        assert_eq!(
+            without.index().heap_bytes(),
+            (universe.len() + universe.n_groups()) * without.dictionary().len().div_ceil(64) * 8
+        );
     }
 
     #[test]

@@ -54,6 +54,12 @@ pub struct LayoutReport {
     pub results: SectionBytes,
     /// Stored dictionary entry ID, bytes per table entry.
     pub entry_id: SectionBytes,
+    /// Entry-bitmap index, bytes per dictionary entry
+    /// (`(n_preds + n_groups) / 8`, rounded up): memory the single-sample
+    /// paths hold on top of Fig. 8's packed layout. It has no verbose
+    /// counterpart, so it is not a [`SectionBytes`] and stays out of the
+    /// dictionary totals.
+    pub index_per_entry: usize,
 }
 
 impl LayoutReport {
@@ -111,6 +117,10 @@ impl LayoutReport {
             features,
             results,
             entry_id,
+            index_per_entry: bolt
+                .index()
+                .heap_bytes()
+                .div_ceil(bolt.dictionary().len().max(1)),
         }
     }
 
@@ -409,6 +419,19 @@ mod tests {
         assert!(report.entry_id.compressed < report.entry_id.decompressed);
         assert!(report.dictionary_compressed() < report.dictionary_decompressed());
         assert!(report.table_compressed() < report.table_decompressed());
+    }
+
+    #[test]
+    fn index_is_charged_per_entry() {
+        let (_, _, bolt) = fixture();
+        let report = LayoutReport::for_forest(&bolt);
+        let rows = bolt.universe().len() + bolt.universe().n_groups();
+        // One bit per row per entry, padded to the 64-entry word.
+        assert!(report.index_per_entry >= rows.div_ceil(8));
+        assert_eq!(
+            report.index_per_entry,
+            bolt.index().heap_bytes().div_ceil(bolt.dictionary().len())
+        );
     }
 
     #[test]

@@ -26,7 +26,10 @@
 //! [`PredicateUniverse`](bolt_forest::PredicateUniverse). Inference is a
 //! linear scan of the dictionary using word-wide masked compares followed by
 //! at most one verified table access per matching entry — no pointer chasing
-//! and no per-node branching. When many samples arrive together, the
+//! and no per-node branching. The single-sample paths that start from raw
+//! features match the dictionary through a derived entry-bitmap [`index`]
+//! instead — one bitset row per feature, ANDed — and reach the same entries
+//! in the same order as the scan. When many samples arrive together, the
 //! batched engine ([`BoltForest::classify_batch_with`]) inverts the
 //! scan loop entry-major, amortizing each entry's mask/key loads across the
 //! whole batch, and [`BoltForest::classify_batch_sharded`] splits a batch
@@ -66,6 +69,7 @@ mod engine;
 mod error;
 pub mod explain;
 pub mod filter;
+pub mod index;
 pub mod layout;
 pub mod oracle;
 pub mod parallel;
@@ -84,6 +88,7 @@ pub use engine::{BoltConfig, BoltForest, BoltScratch, ForestView, InferenceStats
 pub use error::BoltError;
 pub use explain::Explanation;
 pub use filter::{BloomFilter, BloomView};
+pub use index::{EntryIndex, IndexView};
 pub use layout::{LayoutReport, SectionBytes};
 pub use parallel::{PartitionPlan, PartitionedBolt};
 pub use regress::{Aggregation, BoltRegressor};

@@ -574,6 +574,60 @@ pub fn check_kernels(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, S
     Ok(checked)
 }
 
+/// Pins the entry-bitmap index to the scalar dictionary scan on the given
+/// samples: the matched entries must be the same, in the same ascending
+/// order, and the feature-level path's vote vector and counters
+/// ([`ForestView::votes_with`](crate::ForestView::votes_with)) must equal
+/// the raw-bits scan path's ([`BoltForest::votes_with_stats`]) bit for bit
+/// and count for count. Returns the number of samples checked.
+///
+/// # Errors
+///
+/// Returns a description of the first divergence.
+pub fn check_index(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, String> {
+    use crate::simd::Kernel;
+    let (view, universe) = (bolt.view(), bolt.universe());
+    let (dict, index) = (view.dict(), view.index());
+    let mut bits = bolt_bitpack::Mask::zeros(universe.len());
+    let mut starts = vec![0u32; universe.n_groups()];
+    let mut acc = vec![0u64; index.words()];
+    let mut scratch = bolt.scratch();
+    for sample in samples {
+        universe.evaluate_into_with_starts(sample, &mut bits, &mut starts);
+        let mut scanned = Vec::new();
+        dict.scan_with_kernel(&bits, Kernel::Scalar, |id| scanned.push(id));
+        let mut indexed = Vec::new();
+        index.for_each_match(&starts, &mut acc, |id| indexed.push(id));
+        if indexed != scanned {
+            return Err(format!(
+                "index matched {indexed:?}, scalar scan {scanned:?} on sample {sample:?}"
+            ));
+        }
+        let (scan_votes, scan_stats) = bolt.votes_with_stats(&bits);
+        let mut stats = crate::InferenceStats::default();
+        let votes = view.votes_with(universe, sample, &mut scratch, Some(&mut stats));
+        if votes
+            .iter()
+            .map(|v| v.to_bits())
+            .ne(scan_votes.iter().map(|v| v.to_bits()))
+        {
+            return Err(format!(
+                "index votes {votes:?} diverge from scan votes {scan_votes:?} on sample {sample:?}"
+            ));
+        }
+        let expected = crate::InferenceStats {
+            index_rows_read: universe.n_groups(),
+            ..scan_stats
+        };
+        if stats != expected {
+            return Err(format!(
+                "index counters {stats:?} diverge from scan counters {expected:?} on sample {sample:?}"
+            ));
+        }
+    }
+    Ok(samples.len())
+}
+
 /// Pins every *batched* SIMD kernel the host supports to the forced-scalar
 /// batched engine: for batch slices of sizes 1, 5, and the full set, the
 /// per-sample vote vectors under each kernel must be **bit-identical** to

@@ -288,18 +288,22 @@ impl PartitionedBolt {
     }
 
     /// Models the single-sample latency of this plan on the given hardware:
-    /// the slowest core's scan+lookup time plus the aggregation overhead
-    /// that grows with core count (§4.2: "the overhead of aggregating
-    /// results must be considered").
+    /// the slowest core's match+filter+lookup time plus the aggregation
+    /// overhead that grows with core count (§4.2: "the overhead of
+    /// aggregating results must be considered"). A core matches its
+    /// dictionary partition through its slice of the entry-bitmap index, as
+    /// the feature-level engine does.
     #[must_use]
     pub fn estimate_latency_ns(&self, bits: &Mask, model: &CostModel) -> f64 {
         let table_bytes_per_part =
             (self.bolt.table().capacity() * 16).div_ceil(self.plan.table_parts);
+        let groups = self.bolt.universe().n_groups();
         let per_core: Vec<f64> = self
             .work_profile(bits)
             .iter()
             .map(|work| {
-                model.scan_cost_ns(work.entries_scanned, self.bolt.dictionary().stride())
+                model.index_match_cost_ns(work.entries_scanned, groups)
+                    + model.matched_cost_ns(work.entries_matched)
                     + work.lookups_performed as f64 * model.lookup_cost_ns(table_bytes_per_part)
             })
             .collect();

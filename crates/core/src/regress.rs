@@ -8,8 +8,9 @@
 
 use crate::cluster::Clustering;
 use crate::dictionary::Dictionary;
-use crate::engine::{BoltConfig, ForestView};
+use crate::engine::{BoltConfig, BoltScratch, ForestView};
 use crate::filter::BloomFilter;
+use crate::index::EntryIndex;
 use crate::paths::SortedPaths;
 use crate::table::RecombinedTable;
 use crate::BoltError;
@@ -49,6 +50,10 @@ pub enum Aggregation {
 pub struct BoltRegressor {
     universe: PredicateUniverse,
     dictionary: Dictionary,
+    /// Entry-bitmap index over `dictionary`; derived, rebuilt by
+    /// [`Self::rebuild`].
+    #[serde(skip)]
+    index: EntryIndex,
     table: RecombinedTable,
     bloom: Option<BloomFilter>,
     /// Leaf values of single-leaf trees, always added to the sum.
@@ -132,9 +137,11 @@ impl BoltRegressor {
         };
         let bloom = (config.bloom_bits_per_key > 0)
             .then(|| BloomFilter::from_keys(table.keys(), config.bloom_bits_per_key));
+        let index = EntryIndex::build(dictionary.view(), &universe);
         Ok(Self {
             universe,
             dictionary,
+            index,
             table,
             bloom,
             constant_sum,
@@ -160,6 +167,7 @@ impl BoltRegressor {
     pub fn view(&self) -> ForestView<'_> {
         ForestView::new(
             self.dictionary.view(),
+            self.index.view(),
             self.table.view(),
             self.bloom.as_ref().map(BloomFilter::view),
             &[],
@@ -167,25 +175,35 @@ impl BoltRegressor {
         )
     }
 
-    /// Predicts from an encoded input: the mean of matched leaf values
-    /// (`mean(results)`, Fig. 7).
+    /// Predicts from an encoded input (dictionary scan): the mean of
+    /// matched leaf values (`mean(results)`, Fig. 7).
     #[must_use]
     pub fn predict_bits(&self, bits: &Mask) -> f32 {
-        let sum = self.view().accumulate_weights(bits, self.constant_sum);
-        match self.aggregation {
-            Aggregation::Mean => (sum / self.n_trees as f64) as f32,
-            Aggregation::Sum => (self.base + sum) as f32,
-        }
+        self.aggregate(self.view().accumulate_weights(bits, self.constant_sum))
     }
 
-    /// Predicts one raw sample.
+    /// Predicts one raw sample (entry-bitmap index match; bit-identical to
+    /// [`Self::predict_bits`] on the encoded sample).
     ///
     /// # Panics
     ///
     /// Panics if the sample is shorter than the universe's feature count.
     #[must_use]
     pub fn predict(&self, sample: &[f32]) -> f32 {
-        self.predict_bits(&self.encode(sample))
+        let mut scratch = BoltScratch::default();
+        self.aggregate(self.view().weight_sum_with(
+            &self.universe,
+            sample,
+            &mut scratch,
+            self.constant_sum,
+        ))
+    }
+
+    fn aggregate(&self, sum: f64) -> f32 {
+        match self.aggregation {
+            Aggregation::Mean => (sum / self.n_trees as f64) as f32,
+            Aggregation::Sum => (self.base + sum) as f32,
+        }
     }
 
     /// Mean squared error over a regression dataset.
@@ -249,11 +267,12 @@ impl BoltRegressor {
     }
 
     /// Restores derived structures after deserialization: the predicate
-    /// universe's lookup index and the dictionary's entry-blocked SIMD
-    /// mirror.
+    /// universe's lookup index, the dictionary's entry-blocked SIMD mirror,
+    /// and the entry-bitmap index.
     pub fn rebuild(&mut self) {
         self.universe.rebuild_index();
         self.dictionary.rebuild_blocked();
+        self.index = EntryIndex::build(self.dictionary.view(), &self.universe);
     }
 }
 

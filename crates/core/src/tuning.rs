@@ -39,11 +39,35 @@ pub struct CostModel {
 
 impl CostModel {
     /// Cost of scanning `entries` dictionary entries of `stride` words each:
-    /// a couple of fused ALU ops per word at the core's clock rate.
+    /// a couple of fused ALU ops per word at the core's clock rate. This
+    /// prices the raw-bits paths; feature-level single-sample inference
+    /// matches through the entry-bitmap index
+    /// ([`Self::index_match_cost_ns`]).
     #[must_use]
     pub fn scan_cost_ns(&self, entries: usize, stride: usize) -> f64 {
         let ops = entries as f64 * (2.0 * stride as f64 + 2.0);
         ops / self.freq_ghz
+    }
+
+    /// Cost of matching `entries` dictionary entries through the
+    /// entry-bitmap index of a universe with `groups` feature groups: one
+    /// load-and-AND per group per 64-entry word, plus one pass over the
+    /// result words to pull out the matches.
+    #[must_use]
+    pub fn index_match_cost_ns(&self, entries: usize, groups: usize) -> f64 {
+        let ops = (groups + 1) as f64 * entries.div_ceil(64) as f64;
+        ops / self.freq_ghz
+    }
+
+    /// Cost of carrying `matched` entries from the match to the table: each
+    /// gathers its address bits and probes the bloom filter — about twenty
+    /// ALU ops and one cache access. With the scan's `entries × stride`
+    /// term gone this is what separates clustering thresholds: a higher
+    /// threshold leaves fewer common pairs per entry, so more entries match
+    /// every input.
+    #[must_use]
+    pub fn matched_cost_ns(&self, matched: usize) -> f64 {
+        matched as f64 * (20.0 / self.freq_ghz + self.cache_latency_ns)
     }
 
     /// Cost of one table lookup given the table's resident bytes: an LLC hit
@@ -271,18 +295,20 @@ impl ParameterSearch {
                     .with_cluster_threshold(threshold)
                     .with_bloom_bits_per_key(bloom_bits);
                 let bolt = Arc::new(BoltForest::compile(forest, &config)?);
-                // Wall-clock measurement of the single-core engine.
-                let encoded: Vec<_> = (0..n).map(|i| bolt.encode(calibration.sample(i))).collect();
+                // Wall-clock measurement of the single-core engine on the
+                // feature-level path serving runs.
+                let mut scratch = bolt.scratch();
                 let start = Instant::now();
                 let mut sink = 0u32;
-                for bits in &encoded {
-                    sink = sink.wrapping_add(bolt.classify_bits(bits));
+                for i in 0..n {
+                    sink =
+                        sink.wrapping_add(bolt.classify_with(calibration.sample(i), &mut scratch));
                 }
                 let measured_ns = start.elapsed().as_nanos() as f64 / n as f64;
                 std::hint::black_box(sink);
 
                 let table_bytes = bolt.table().capacity() * 16;
-                let sample_bits = &encoded[0];
+                let sample_bits = &bolt.encode(calibration.sample(0));
                 for cores in 1..=self.max_cores {
                     for plan in PartitionPlan::plans_for_cores(cores) {
                         let Ok(partitioned) = PartitionedBolt::new(Arc::clone(&bolt), plan) else {
@@ -465,5 +491,84 @@ mod tests {
         assert_eq!(model.aggregation_cost_ns(1), 0.0);
         assert!(model.aggregation_cost_ns(8) > 0.0);
         assert!(model.scan_cost_ns(100, 2) > model.scan_cost_ns(10, 2));
+        // The index prices 64 entries per word-op: far below the scan, and
+        // flat within a word.
+        assert!(model.index_match_cost_ns(3555, 11) * 50.0 < model.scan_cost_ns(3555, 17));
+        assert_eq!(
+            model.index_match_cost_ns(65, 11),
+            model.index_match_cost_ns(128, 11)
+        );
+        assert!(model.matched_cost_ns(80) > model.matched_cost_ns(16));
+    }
+
+    /// The model must rank clustering thresholds of the service forest (the
+    /// benchmark's `svc`: LSTW-like, 16 trees of height 6) the way the
+    /// feature-level engine measures them. Priced as a scan
+    /// (`entries × stride`) the model preferred high thresholds — few
+    /// entries — while through the index those are the slow ones: their
+    /// entries carry fewer common pairs, so five times as many match.
+    #[test]
+    fn predicted_threshold_ordering_matches_measured_on_the_service_forest() {
+        let data = bolt_data::generate(bolt_data::Workload::LstwLike, 4000, 0xB017);
+        let forest = RandomForest::train(
+            &data,
+            &bolt_forest::ForestConfig::new(16)
+                .with_max_height(6)
+                .with_seed(0xB017),
+        );
+        let model = CostModel::default();
+        const SAMPLES: usize = 512;
+        let rows: Vec<(usize, f64, f64)> = [0usize, 4, 8]
+            .into_iter()
+            .map(|threshold| {
+                let config = BoltConfig::default().with_cluster_threshold(threshold);
+                let bolt = Arc::new(BoltForest::compile(&forest, &config).expect("compiles"));
+                // Best of several passes: the floor is what the host's
+                // noise cannot lower.
+                let mut scratch = bolt.scratch();
+                let mut measured = f64::INFINITY;
+                for _ in 0..7 {
+                    let start = Instant::now();
+                    let mut sink = 0u32;
+                    for i in 0..SAMPLES {
+                        sink = sink.wrapping_add(bolt.classify_with(data.sample(i), &mut scratch));
+                    }
+                    std::hint::black_box(sink);
+                    measured = measured.min(start.elapsed().as_nanos() as f64 / SAMPLES as f64);
+                }
+                let plan = PartitionedBolt::new(Arc::clone(&bolt), PartitionPlan::default())
+                    .expect("1x1 plan");
+                let modeled = (0..64)
+                    .map(|i| plan.estimate_latency_ns(&bolt.encode(data.sample(i)), &model))
+                    .sum::<f64>()
+                    / 64.0;
+                (threshold, measured, modeled)
+            })
+            .collect();
+        let mut compared = 0;
+        for (i, a) in rows.iter().enumerate() {
+            for b in &rows[i + 1..] {
+                // Only pairs the measurement separates clearly.
+                if a.1.max(b.1) < 1.3 * a.1.min(b.1) {
+                    continue;
+                }
+                compared += 1;
+                assert_eq!(
+                    a.1 < b.1,
+                    a.2 < b.2,
+                    "thresholds {} and {}: measured {:.0} vs {:.0} ns, modeled {:.0} vs {:.0} ns",
+                    a.0,
+                    b.0,
+                    a.1,
+                    b.1,
+                    a.2,
+                    b.2
+                );
+            }
+        }
+        assert!(
+            compared >= 2,
+            "thresholds 0/4/8 differ by 1.7x and more: {rows:?}"
+        );
     }
 }

@@ -71,6 +71,13 @@ fn random_forests_match_reference_across_config_matrix() {
                 .unwrap_or_else(|m| panic!("seed {seed}, config {config:?}, batched kernels: {m}"));
             combinations += batch_kernel_checked;
 
+            // Index leg: the entry-bitmap index must match exactly the
+            // entries the scalar scan matches, and the feature-level path
+            // must leave bit-identical votes and identical counters.
+            let index_checked = oracle::check_index(&bolt, &inputs)
+                .unwrap_or_else(|m| panic!("seed {seed}, config {config:?}, index: {m}"));
+            combinations += index_checked;
+
             // Every 4th configuration also goes through serialize →
             // deserialize → rebuild, so the persisted artifact is held to
             // the same standard as the freshly compiled one.
@@ -83,6 +90,14 @@ fn random_forests_match_reference_across_config_matrix() {
                         panic!("seed {seed}, config {config:?} after round-trip: {m}")
                     });
                 combinations += checked;
+                assert_eq!(
+                    revived.index(),
+                    bolt.index(),
+                    "seed {seed}, config {config:?}: rebuild() must restore the index"
+                );
+                oracle::check_index(&revived, &inputs).unwrap_or_else(|m| {
+                    panic!("seed {seed}, config {config:?}, index after round-trip: {m}")
+                });
             }
         }
     }
@@ -125,6 +140,8 @@ fn trained_forests_match_reference_on_adversarial_inputs() {
             oracle::check_batch_kernels(&bolt, &inputs).unwrap_or_else(|m| {
                 panic!("trained seed {seed}, config {config:?}, batched kernels: {m}")
             });
+            oracle::check_index(&bolt, &inputs)
+                .unwrap_or_else(|m| panic!("trained seed {seed}, config {config:?}, index: {m}"));
         }
     }
 }
@@ -149,6 +166,9 @@ fn boosted_forests_match_reference() {
                     .unwrap_or_else(|m| panic!("boosted seed {seed}, config {config:?}: {m}"));
                 oracle::check_batch(&bolt, &inputs).unwrap_or_else(|m| {
                     panic!("boosted seed {seed}, config {config:?}, batched: {m}")
+                });
+                oracle::check_index(&bolt, &inputs).unwrap_or_else(|m| {
+                    panic!("boosted seed {seed}, config {config:?}, index: {m}")
                 });
             }
         }
@@ -178,6 +198,8 @@ fn degenerate_forests_match_reference() {
             .unwrap_or_else(|m| panic!("all-leaf forest, config {config:?}: {m}"));
         oracle::check_batch(&bolt, &inputs)
             .unwrap_or_else(|m| panic!("all-leaf forest, config {config:?}, batched: {m}"));
+        oracle::check_index(&bolt, &inputs)
+            .unwrap_or_else(|m| panic!("all-leaf forest, config {config:?}, index: {m}"));
     }
 
     // Single stump: one tree, one split.
@@ -205,6 +227,8 @@ fn degenerate_forests_match_reference() {
             .unwrap_or_else(|m| panic!("stump, config {config:?}: {m}"));
         oracle::check_batch(&bolt, &inputs)
             .unwrap_or_else(|m| panic!("stump, config {config:?}, batched: {m}"));
+        oracle::check_index(&bolt, &inputs)
+            .unwrap_or_else(|m| panic!("stump, config {config:?}, index: {m}"));
     }
 }
 
@@ -318,6 +342,59 @@ fn bloom_never_suppresses_a_true_lookup() {
                 stats_on.entries_matched,
                 "seed {seed}: probe accounting does not balance on {sample:?}"
             );
+        }
+    }
+}
+
+/// Regressor leg of the index differential: `BoltRegressor::predict`
+/// (index match) must return the bit pattern `predict_bits` (dictionary
+/// scan) returns on the encoded sample, for bagged and boosted regressors,
+/// every threshold 1..=8, bloom on and off, on adversarial inputs.
+#[test]
+fn regressors_predict_identically_through_index_and_scan() {
+    use bolt_core::BoltRegressor;
+    use bolt_forest::{
+        GbtConfig, GradientBoostedRegressor, RegressionConfig, RegressionDataset, RegressionForest,
+    };
+    for seed in 600..603u64 {
+        let mut rng = OracleRng::new(seed);
+        let rows: Vec<Vec<f32>> = (0..120)
+            .map(|_| (0..4).map(|_| rng.uniform(-4.0, 4.0)).collect())
+            .collect();
+        let targets: Vec<f32> = rows
+            .iter()
+            .map(|r| r[0] * 2.0 - r[1] + r[2] * r[3])
+            .collect();
+        let data = RegressionDataset::from_rows(rows, targets).expect("valid dataset");
+        let forest = RegressionForest::train(
+            &data,
+            &RegressionConfig::new(5).with_max_height(4).with_seed(seed),
+        );
+        let boosted = GradientBoostedRegressor::train(&data, &GbtConfig::new(6).with_seed(seed));
+        for threshold in 1..=8usize {
+            for bloom in [0usize, 8] {
+                let config = BoltConfig::default()
+                    .with_cluster_threshold(threshold)
+                    .with_bloom_bits_per_key(bloom);
+                for reg in [
+                    BoltRegressor::compile(&forest, &config).expect("compiles"),
+                    BoltRegressor::compile_boosted(&boosted, &config).expect("compiles"),
+                ] {
+                    let universe = reg.universe();
+                    let thresholds: Vec<(u32, f32)> = (0..universe.len())
+                        .map(|p| universe.predicate(p as u32))
+                        .map(|p| (p.feature, p.threshold))
+                        .collect();
+                    let inputs = oracle::adversarial_inputs(4, &thresholds, &mut rng, 20);
+                    for sample in &inputs {
+                        assert_eq!(
+                            reg.predict(sample).to_bits(),
+                            reg.predict_bits(&reg.encode(sample)).to_bits(),
+                            "seed {seed}, config {config:?}: index and scan diverge on {sample:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -123,6 +123,43 @@ proptest! {
         }
     }
 
+    /// The entry-bitmap index matches exactly what the scalar dictionary
+    /// scan matches, and leaves bit-identical votes and identical counters,
+    /// on random trained forests at random thresholds and random samples
+    /// (in-distribution, off-grid, NaN-poisoned and infinite).
+    #[test]
+    fn index_agrees_with_scan(
+        n_features in 1usize..6,
+        n_trees in 1usize..8,
+        max_height in 1usize..6,
+        threshold in 0usize..10,
+        bloom in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let data = make_dataset(n_features, 3, 80, seed);
+        let forest = RandomForest::train(
+            &data,
+            &ForestConfig::new(n_trees)
+                .with_max_height(max_height)
+                .with_seed(seed ^ 0x1DE5),
+        );
+        let config = BoltConfig::default()
+            .with_cluster_threshold(threshold)
+            .with_bloom_bits_per_key(if bloom { 8 } else { 0 });
+        let bolt = BoltForest::compile(&forest, &config).expect("compiles");
+        let mut rng = bolt_core::oracle::OracleRng::new(seed);
+        let mut samples: Vec<Vec<f32>> = data.iter().take(30).map(|(s, _)| s.to_vec()).collect();
+        samples.extend(bolt_core::oracle::adversarial_inputs(
+            n_features,
+            &bolt_core::oracle::forest_thresholds(&forest),
+            &mut rng,
+            30,
+        ));
+        if let Err(divergence) = bolt_core::oracle::check_index(&bolt, &samples) {
+            return Err(TestCaseError::fail(divergence));
+        }
+    }
+
     /// Vote totals always equal the tree count (each tree votes once).
     #[test]
     fn vote_conservation(seed in any::<u64>(), n_trees in 1usize..10) {

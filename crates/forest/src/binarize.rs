@@ -197,6 +197,44 @@ impl PredicateUniverse {
     /// Panics if `sample` is shorter than [`Self::n_features`] or `out` was
     /// not sized to [`Self::len`] bits.
     pub fn evaluate_into(&self, sample: &[f32], out: &mut Mask) {
+        self.evaluate_groups(sample, out, |_, _| {});
+    }
+
+    /// [`Self::evaluate_into`] that also reports, per feature group, where
+    /// the run of true bits starts: `run_starts[g]` is the predicate ID of
+    /// group `g`'s first true bit, or the group's end when none is true
+    /// (a NaN feature, or a value above every threshold). Bits of the group
+    /// before that ID are false and bits from it on are true, so the one
+    /// number fixes the group's whole outcome — the bucket an entry-bitmap
+    /// index selects its row by.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`Self::evaluate_into`], and `run_starts` must be
+    /// [`Self::n_groups`] long.
+    pub fn evaluate_into_with_starts(
+        &self,
+        sample: &[f32],
+        out: &mut Mask,
+        run_starts: &mut [u32],
+    ) {
+        assert_eq!(
+            run_starts.len(),
+            self.n_groups(),
+            "run-start buffer length mismatch"
+        );
+        self.evaluate_groups(sample, out, |group, start| run_starts[group] = start);
+    }
+
+    /// The one encode loop behind both entry points; `on_group` receives
+    /// each group's index and run start.
+    #[inline]
+    fn evaluate_groups(
+        &self,
+        sample: &[f32],
+        out: &mut Mask,
+        mut on_group: impl FnMut(usize, u32),
+    ) {
         assert!(
             sample.len() >= self.n_features,
             "sample has {} features, universe expects {}",
@@ -213,16 +251,18 @@ impl PredicateUniverse {
         let g = &self.groups;
         for gi in 0..g.features.len() {
             let v = sample[g.features[gi] as usize];
-            if v.is_nan() {
-                continue; // NaN <= t is false for every threshold
-            }
             let (lo, hi) = (g.offsets[gi] as usize, g.offsets[gi + 1] as usize);
+            if v.is_nan() {
+                on_group(gi, hi as u32); // NaN <= t is false for every threshold
+                continue;
+            }
             // First threshold with t >= v: predicates from there on are
             // true. Groups are tiny, so a forward scan beats binary search.
             let mut pos = lo;
             while pos < hi && g.thresholds[pos] < v {
                 pos += 1;
             }
+            on_group(gi, pos as u32);
             // Inline word-wise run set over bits [pos, hi).
             let (mut bit, end) = (pos, hi);
             while bit < end {
@@ -237,6 +277,20 @@ impl PredicateUniverse {
                 bit += span;
             }
         }
+    }
+
+    /// Number of feature groups: distinct features some predicate tests.
+    #[must_use]
+    pub fn n_groups(&self) -> usize {
+        self.groups.features.len()
+    }
+
+    /// Predicate-ID boundaries of the feature groups: group `g` owns IDs
+    /// `group_offsets()[g]..group_offsets()[g + 1]`, thresholds ascending.
+    /// [`Self::n_groups`]` + 1` long.
+    #[must_use]
+    pub fn group_offsets(&self) -> &[u32] {
+        &self.groups.offsets
     }
 
     /// Rebuilds the internal lookup index and feature groups (needed after
@@ -418,6 +472,36 @@ mod tests {
                 naive(&sample),
                 "sample {sample:?}"
             );
+        }
+    }
+
+    #[test]
+    fn run_starts_locate_the_first_true_bit_of_each_group() {
+        let (data, _, universe) = trained();
+        let offsets = universe.group_offsets();
+        assert_eq!(offsets.len(), universe.n_groups() + 1);
+        assert_eq!(*offsets.last().expect("sentinel") as usize, universe.len());
+        let mut samples: Vec<Vec<f32>> = (0..20).map(|i| data.sample(i).to_vec()).collect();
+        samples.push(vec![f32::NAN, f32::INFINITY]);
+        samples.push(vec![f32::NEG_INFINITY, f32::NAN]);
+        // Exactly on the first group's first threshold.
+        samples.push(vec![universe.predicate(0).threshold, 0.0]);
+        let mut bits = Mask::zeros(universe.len());
+        let mut starts = vec![0u32; universe.n_groups()];
+        for sample in samples {
+            universe.evaluate_into_with_starts(&sample, &mut bits, &mut starts);
+            assert_eq!(bits, universe.evaluate(&sample), "same bits as evaluate");
+            for (g, &start) in starts.iter().enumerate() {
+                let (lo, hi) = (offsets[g], offsets[g + 1]);
+                assert!((lo..=hi).contains(&start), "start inside group {g}");
+                for p in lo..hi {
+                    assert_eq!(
+                        bits.get(p as usize),
+                        p >= start,
+                        "group {g} is false below its run start and true from it on ({sample:?})"
+                    );
+                }
+            }
         }
     }
 

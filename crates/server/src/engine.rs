@@ -2,8 +2,16 @@
 
 use bolt_artifact::MappedForest;
 use bolt_baselines::InferenceEngine;
-use bolt_core::BoltForest;
+use bolt_core::{BoltForest, BoltScratch};
+use std::cell::RefCell;
 use std::sync::Arc;
+
+thread_local! {
+    /// One scratch per serving thread, shared by every engine the thread
+    /// runs: a request allocates nothing, and a scratch that last served a
+    /// model of another shape is resized by the inference body itself.
+    static SCRATCH: RefCell<BoltScratch> = RefCell::new(BoltScratch::default());
+}
 
 /// Adapts a compiled [`BoltForest`] to the [`InferenceEngine`] interface so
 /// the front-end can host Bolt and the baselines interchangeably (§4.5:
@@ -39,7 +47,7 @@ impl InferenceEngine for BoltEngine {
     }
 
     fn classify(&self, sample: &[f32]) -> u32 {
-        self.bolt.classify(sample)
+        SCRATCH.with_borrow_mut(|scratch| self.bolt.classify_with(sample, scratch))
     }
 
     fn classify_batch(&self, samples: &[&[f32]]) -> Vec<u32> {
@@ -83,7 +91,7 @@ impl InferenceEngine for ArtifactEngine {
     }
 
     fn classify(&self, sample: &[f32]) -> u32 {
-        self.model.classify(sample)
+        SCRATCH.with_borrow_mut(|scratch| self.model.classify_with(sample, scratch))
     }
 
     fn classify_batch(&self, samples: &[&[f32]]) -> Vec<u32> {

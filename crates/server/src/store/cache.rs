@@ -1,7 +1,8 @@
 //! Resident-bytes accounting and LRU victim selection for mapped
 //! artifacts.
 //!
-//! The store maps artifacts lazily and must keep the total mapped bytes
+//! The store maps artifacts lazily and must keep the total resident bytes
+//! (each mapped file plus the index built on the heap when it was opened)
 //! under the operator's `--resident-bytes` budget. This module is pure
 //! bookkeeping — names and byte sizes in, eviction victims out — so the
 //! policy is unit-testable without touching files or the registry. The
@@ -19,7 +20,7 @@ use std::collections::BTreeMap;
 pub(crate) struct ResidentCache {
     /// `None` = unbounded (no `--resident-bytes` flag).
     budget: Option<u64>,
-    /// name → mapped bytes.
+    /// name → resident bytes.
     resident: BTreeMap<String, u64>,
 }
 
@@ -48,7 +49,7 @@ impl ResidentCache {
         self.resident.get(name).copied()
     }
 
-    /// Total mapped bytes right now.
+    /// Total resident bytes right now.
     pub(crate) fn total_bytes(&self) -> u64 {
         self.resident
             .values()

@@ -6,7 +6,8 @@
 //! * a **model directory** (`--model-dir`) of `NAME@VERSION.blt`
 //!   artifacts, scanned at startup and **mapped lazily** — an artifact
 //!   costs nothing until the first request names it;
-//! * an **LRU eviction** policy keeping total mapped bytes under a
+//! * an **LRU eviction** policy keeping total resident bytes (mapped
+//!   file plus the entry-bitmap index built at open) under a
 //!   `--resident-bytes` budget ([`cache`]); mmap makes eviction a
 //!   pointer drop, and in-flight requests keep their `Arc` engine alive
 //!   so eviction never races inference;
@@ -141,9 +142,10 @@ pub struct StoreMetrics {
     /// rising rate means the resident-bytes budget is too tight for the
     /// working set.
     pub thrash_reloads: u64,
-    /// Mapped artifact bytes right now.
+    /// Resident bytes right now: each mapped artifact's file length plus
+    /// the entry-bitmap index built on the heap when it was opened.
     pub resident_bytes: u64,
-    /// High-water mark of mapped artifact bytes since startup.
+    /// High-water mark of resident bytes since startup.
     pub resident_bytes_hwm: u64,
     /// Directory artifacts mapped right now.
     pub resident_models: u64,
@@ -223,8 +225,8 @@ impl ModelStore {
     /// the scan (truncating a torn tail), and seeds the name bloom
     /// filter. No artifact is mapped yet — first request does that.
     ///
-    /// `resident_budget` bounds total mapped bytes (`None` =
-    /// unbounded); `keep_versions` is the per-name retention for
+    /// `resident_budget` bounds total resident bytes — mapped files plus
+    /// their heap-side indexes (`None` = unbounded); `keep_versions` is the per-name retention for
     /// [`compact`](Self::compact) (0 = keep every version).
     ///
     /// # Errors
@@ -517,7 +519,10 @@ impl ModelStore {
             .expect("serving version is on disk");
         let engine = ArtifactEngine::open(path)
             .map_err(|e| RouteError::LoadFailed(format!("{miss}@{version}: {e}")))?;
-        let bytes = engine.model().artifact().bytes().len() as u64;
+        // Resident cost: the mapped file plus the entry-bitmap index built
+        // on the heap at open.
+        let model = engine.model();
+        let bytes = (model.artifact().bytes().len() + model.index_bytes()) as u64;
         self.registry.insert_resident(miss, Arc::new(engine));
         if inner.evicted.remove(miss) {
             inner.thrash_reloads += 1;
@@ -846,6 +851,28 @@ mod tests {
         let listed = store.list();
         assert_eq!(listed.len(), 1);
         assert!(listed[0].resident);
+    }
+
+    #[test]
+    fn resident_ledger_charges_the_index_with_the_file() {
+        let dir = std::env::temp_dir().join(format!("bolt-store-ledger-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let bolt = bolt_core::BoltForest::compile(&forest(), &bolt_core::BoltConfig::default())
+            .expect("compiles");
+        let path = dir.join("m@1.blt");
+        bolt_artifact::ArtifactWriter::write_forest(&bolt, &path).expect("writes");
+        let file_len = std::fs::metadata(&path).expect("meta").len();
+        let index_bytes = bolt.index().heap_bytes() as u64;
+        assert!(index_bytes > 0);
+
+        let store = ModelStore::open(ModelRegistry::new(), &dir, None, 0).expect("opens");
+        assert_eq!(store.list()[0].bytes, file_len, "cold: the file on disk");
+        store.resolve(Some("m")).expect("maps");
+        assert_eq!(store.resident_bytes(), file_len + index_bytes);
+        assert_eq!(store.list()[0].bytes, file_len + index_bytes);
+        assert_eq!(store.metrics().resident_bytes_hwm, file_len + index_bytes);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
