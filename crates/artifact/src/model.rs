@@ -519,39 +519,35 @@ impl MappedForest {
         self.derived.index.heap_bytes()
     }
 
-    /// Classifies a batch through the entry-major kernel.
+    /// Classifies a batch through the shared batched body
+    /// ([`ForestView::batch_votes_into`]) with a fresh scratch; serving
+    /// loops use [`Self::classify_batch_with`].
     #[must_use]
     pub fn classify_batch(&self, samples: &[&[f32]]) -> Vec<u32> {
-        let mut scratch =
-            BatchScratch::for_shape(self.meta.width as usize, self.meta.n_classes as usize);
-        self.view()
-            .batch_votes_into(&self.derived.universe, samples, &mut scratch);
-        (0..samples.len()).map(|b| scratch.class(b)).collect()
+        let mut out = Vec::with_capacity(samples.len());
+        self.classify_batch_with(samples, &mut BatchScratch::default(), &mut out);
+        out
     }
 
-    /// Batched vote vectors pinned to an explicit kernel, left in the
-    /// scratch arena — the differential harness's hook for sweeping every
-    /// batched SIMD backend over mapped bytes regardless of `BOLT_KERNEL`.
+    /// Allocation-free batched classification through the caller's
+    /// scratch: classes are written into `out` (cleared first),
+    /// index-for-index with `samples`, and every sample's vote vector stays
+    /// in `scratch` ([`BatchScratch::votes`]) — bit-identical to the owned
+    /// engine's.
     ///
     /// # Panics
     ///
-    /// Panics if any sample is shorter than the universe's feature count or
-    /// the scratch came from a differently-shaped model.
-    pub fn batch_votes_with_kernel(
+    /// Panics if any sample is shorter than the model's feature count.
+    pub fn classify_batch_with(
         &self,
         samples: &[&[f32]],
-        kernel: simd::Kernel,
         scratch: &mut BatchScratch,
+        out: &mut Vec<u32>,
     ) {
         self.view()
-            .batch_votes_into_with_kernel(&self.derived.universe, samples, kernel, scratch);
-    }
-
-    /// A batch scratch shaped for this model (see
-    /// [`BatchScratch::for_shape`]).
-    #[must_use]
-    pub fn batch_scratch(&self) -> BatchScratch {
-        BatchScratch::for_shape(self.meta.width as usize, self.meta.n_classes as usize)
+            .batch_votes_into(&self.derived.universe, samples, scratch);
+        out.clear();
+        out.extend((0..samples.len()).map(|b| scratch.class(b)));
     }
 
     /// Sharded batched classification across scoped threads; results are

@@ -6,7 +6,7 @@
 
 use bolt_artifact::{Artifact, ArtifactWriter, MappedForest, MappedRegressor};
 use bolt_core::oracle::{self, OracleRng};
-use bolt_core::{BoltConfig, BoltForest, BoltRegressor, BoltScratch, Kernel};
+use bolt_core::{BatchScratch, BoltConfig, BoltForest, BoltRegressor, BoltScratch, Kernel};
 use bolt_forest::{RegressionConfig, RegressionDataset, RegressionForest};
 
 /// The mapped artifact's blocked scan must report exactly the entries the
@@ -64,23 +64,27 @@ fn assert_mapped_index_matches(
     );
 }
 
-/// The mapped artifact's *batched* path must produce vote vectors
-/// bit-identical to the owned model's forced-scalar batched engine under
-/// every batched kernel the host supports — the artifact leg of the
-/// batched-kernel differential.
-fn assert_mapped_batch_kernels_match(bolt: &BoltForest, mapped: &MappedForest, slices: &[&[f32]]) {
-    let mut owned_scratch = bolt.batch_scratch();
-    bolt.batch_votes_with_kernel(slices, Kernel::Scalar, &mut owned_scratch);
-    let mut mapped_scratch = mapped.batch_scratch();
-    for kernel in Kernel::all_supported() {
-        mapped.batch_votes_with_kernel(slices, kernel, &mut mapped_scratch);
-        for b in 0..slices.len() {
-            assert_eq!(
-                mapped_scratch.votes(b),
-                owned_scratch.votes(b),
-                "mapped batched {kernel} votes diverge from owned scalar on sample {b}"
-            );
-        }
+/// The mapped artifact's batched path must leave vote vectors bit-identical
+/// to the owned model's batched engine (which the core harness pins to the
+/// scalar raw-bits reference), through one caller-owned scratch each.
+fn assert_mapped_batch_matches(
+    bolt: &BoltForest,
+    mapped: &MappedForest,
+    slices: &[&[f32]],
+    owned_scratch: &mut BatchScratch,
+    mapped_scratch: &mut BatchScratch,
+) {
+    bolt.batch_votes_with(slices, owned_scratch);
+    let mut classes = Vec::new();
+    mapped.classify_batch_with(slices, mapped_scratch, &mut classes);
+    assert_eq!(mapped_scratch.len(), slices.len());
+    for (b, &class) in classes.iter().enumerate() {
+        assert_eq!(
+            mapped_scratch.votes(b),
+            owned_scratch.votes(b),
+            "mapped batched votes diverge from owned on sample {b}"
+        );
+        assert_eq!(class, owned_scratch.class(b));
     }
 }
 
@@ -95,6 +99,9 @@ fn temp_blt(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn classifier_round_trip_is_bit_identical_across_config_matrix() {
+    // One batch scratch per side across every seed and configuration: the
+    // models differ in shape, so each run after the first is a refit.
+    let (mut owned_batch, mut mapped_batch) = (BatchScratch::default(), BatchScratch::default());
     for seed in [11u64, 427] {
         let case = oracle::served_case(seed, 40);
         for (i, config) in oracle::config_matrix().iter().enumerate() {
@@ -144,7 +151,13 @@ fn classifier_round_trip_is_bit_identical_across_config_matrix() {
                 refs,
                 "sharded, seed {seed} config {i}"
             );
-            assert_mapped_batch_kernels_match(&bolt, &mapped, &slices);
+            assert_mapped_batch_matches(
+                &bolt,
+                &mapped,
+                &slices,
+                &mut owned_batch,
+                &mut mapped_batch,
+            );
         }
     }
 }

@@ -69,9 +69,8 @@ pub trait InferenceEngine: Send + Sync {
     /// order.
     ///
     /// The default loops over [`classify`](Self::classify); engines with a
-    /// genuinely batched kernel (Bolt's entry-major scan, Ranger's
-    /// tree-major sweep) override this to amortize per-structure costs
-    /// across the whole batch.
+    /// genuinely batched path (Bolt's batch encode, Ranger's tree-major
+    /// sweep) override this to share work across the whole batch.
     ///
     /// # Panics
     ///

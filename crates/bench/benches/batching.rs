@@ -1,91 +1,57 @@
-//! Criterion micro-benchmarks of the batched entry-major kernel: per-sample
-//! scan vs entry-major batch vs thread-sharded batch across batch sizes.
+//! Criterion micro-benchmarks of batched inference: the per-sample
+//! `classify_with` loop vs the batched body (group-major batch encode +
+//! entry-bitmap index match per sample) vs the thread-sharded batch, at
+//! batch sizes 8/64/512 on the three model shapes the repo benchmark serves.
 //!
 //! Times are per *batch*, so divide by the batch size for per-sample cost;
 //! `extra_batching` prints that amortized table directly.
 
-use bolt_bench::{train_workload, Platforms};
-use bolt_core::{BoltConfig, BoltForest, Kernel};
-use bolt_data::Workload;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use bolt_bench::benchmark_models;
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-const BATCH_SIZES: [usize; 4] = [1, 8, 64, 512];
+const BATCH_SIZES: [usize; 3] = [8, 64, 512];
 
-fn bench_forest(c: &mut Criterion, group_name: &str, bolt: &BoltForest, samples: &[&[f32]]) {
-    let mut group = c.benchmark_group(group_name);
-    for &batch in &BATCH_SIZES {
-        let slice = &samples[..batch];
+fn bench_batch_index(c: &mut Criterion) {
+    for (model, trained, bolt) in benchmark_models(512) {
+        let samples: Vec<&[f32]> = (0..trained.test.len())
+            .map(|i| trained.test.sample(i))
+            .collect();
+        let mut group = c.benchmark_group(format!("batch_index_{model}"));
+        for &batch in &BATCH_SIZES {
+            let slice = &samples[..batch];
+            group.throughput(Throughput::Elements(batch as u64));
 
-        group.bench_with_input(BenchmarkId::new("per_sample", batch), &batch, |b, _| {
-            let mut scratch = bolt.scratch();
-            let mut out = Vec::with_capacity(batch);
-            b.iter(|| {
-                out.clear();
-                for s in slice {
-                    out.push(bolt.classify_with(black_box(s), &mut scratch));
-                }
-                black_box(out.last().copied())
+            group.bench_with_input(BenchmarkId::new("per_sample", batch), &batch, |b, _| {
+                let mut scratch = bolt.scratch();
+                b.iter(|| {
+                    let mut last = 0u32;
+                    for s in slice {
+                        last = bolt.classify_with(black_box(s), &mut scratch);
+                    }
+                    black_box(last)
+                });
             });
-        });
 
-        group.bench_with_input(BenchmarkId::new("entry_major", batch), &batch, |b, _| {
-            let mut scratch = bolt.batch_scratch();
-            let mut out = Vec::with_capacity(batch);
-            b.iter(|| {
-                bolt.classify_batch_with(black_box(slice), &mut scratch, &mut out);
-                black_box(out.last().copied())
+            group.bench_with_input(BenchmarkId::new("batched", batch), &batch, |b, _| {
+                let mut scratch = bolt.batch_scratch();
+                b.iter(|| {
+                    bolt.batch_votes_with(black_box(slice), &mut scratch);
+                    black_box(scratch.class(batch - 1))
+                });
             });
-        });
 
-        // The fused batch kernels, pinned per ISA — the dispatched run
-        // above already uses the best of these; the forced legs expose
-        // where each ISA's width stops paying.
-        for kernel in Kernel::all_supported() {
-            group.bench_with_input(
-                BenchmarkId::new(format!("entry_major_{kernel}"), batch),
-                &batch,
-                |b, _| {
-                    let mut scratch = bolt.batch_scratch();
-                    b.iter(|| {
-                        bolt.batch_votes_with_kernel(black_box(slice), kernel, &mut scratch);
-                        black_box(scratch.votes(batch - 1)[0])
-                    });
-                },
-            );
+            group.bench_with_input(BenchmarkId::new("sharded_4", batch), &batch, |b, _| {
+                b.iter(|| black_box(bolt.classify_batch_sharded(black_box(slice), 4)));
+            });
         }
-
-        group.bench_with_input(BenchmarkId::new("sharded_4", batch), &batch, |b, _| {
-            b.iter(|| black_box(bolt.classify_batch_sharded(black_box(slice), 4)));
-        });
+        group.finish();
     }
-    group.finish();
-}
-
-fn bench_batch_kernels(c: &mut Criterion) {
-    // A service-tuned forest (shallow trees, clustered dictionary) and a
-    // deep scan-bound forest (threshold 0: one entry per path), where the
-    // entry-major inversion has the most mask/key traffic to amortize.
-    let trained = train_workload(Workload::MnistLike, 20, 4, 1500, 512);
-    let platforms = Platforms::build(&trained, 2);
-    let samples: Vec<&[f32]> = (0..trained.test.len())
-        .map(|i| trained.test.sample(i))
-        .collect();
-    bench_forest(c, "batching_mnist_20trees_h4", &platforms.bolt, &samples);
-
-    let deep = train_workload(Workload::LstwLike, 20, 8, 2000, 512);
-    let deep_bolt = BoltForest::compile(
-        &deep.forest,
-        &BoltConfig::default().with_cluster_threshold(0),
-    )
-    .expect("threshold-0 forest compiles");
-    let deep_samples: Vec<&[f32]> = (0..deep.test.len()).map(|i| deep.test.sample(i)).collect();
-    bench_forest(c, "batching_lstw_20trees_h8_th0", &deep_bolt, &deep_samples);
 }
 
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_batch_kernels
+    targets = bench_batch_index
 );
 criterion_main!(benches);

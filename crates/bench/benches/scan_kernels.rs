@@ -13,9 +13,10 @@
 //!
 //! The `index_vs_scan` group sets the feature-level single-sample path's
 //! two matchers side by side — the dispatched scan and the entry-bitmap
-//! index — on the three model shapes the repo benchmark serves.
+//! index — on the three model shapes the repo benchmark serves. (Batches
+//! have no kernel: `benches/batching.rs` measures the batched index path.)
 
-use bolt_bench::{train_workload, TrainedWorkload};
+use bolt_bench::{benchmark_models, train_workload, TrainedWorkload};
 use bolt_core::{BoltConfig, BoltForest, Kernel};
 use bolt_data::Workload;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -45,31 +46,6 @@ fn bench_scan_group(c: &mut Criterion, name: &str, trained: &TrainedWorkload, bo
                     dict.scan_with_kernel(black_box(bits), k, |id| acc = acc.wrapping_add(id));
                 }
                 black_box(acc)
-            });
-        });
-    }
-    group.finish();
-}
-
-/// The fused batched kernels: full `batch_votes` pipeline (lane
-/// transposition + blocked lane scan + gathered addresses + keyed
-/// probes + vote arena) per forced ISA, at a kernel-sized batch.
-/// Same throughput unit as the single-sample groups: entries tested
-/// per second (entries × batch per iteration).
-fn bench_batch_group(c: &mut Criterion, name: &str, trained: &TrainedWorkload, bolt: &BoltForest) {
-    const BATCH: usize = 64;
-    let dict_len = bolt.view().dict().len();
-    let samples: Vec<&[f32]> = (0..trained.test.len().min(BATCH))
-        .map(|i| trained.test.sample(i))
-        .collect();
-    let mut group = c.benchmark_group(name);
-    group.throughput(Throughput::Elements((dict_len * samples.len()) as u64));
-    for kernel in Kernel::all_supported() {
-        group.bench_with_input(BenchmarkId::from_parameter(kernel), &kernel, |b, &k| {
-            let mut scratch = bolt.batch_scratch();
-            b.iter(|| {
-                bolt.batch_votes_with_kernel(black_box(&samples), k, &mut scratch);
-                black_box(scratch.votes(samples.len() - 1)[0])
             });
         });
     }
@@ -146,14 +122,6 @@ fn bench_scan_kernels(c: &mut Criterion) {
     let bolt = compile_deep(&deep);
     bench_scan_group(c, "scan_kernels_lstw_20trees_h8_th0_large", &deep, &bolt);
 
-    bench_batch_group(
-        c,
-        "batch_kernels_lstw_20trees_h8_th0_small",
-        &small,
-        &small_bolt,
-    );
-    bench_batch_group(c, "batch_kernels_lstw_20trees_h8_th0_large", &deep, &bolt);
-
     // End-to-end single-sample classification under the dispatched kernel,
     // for the satellite question "what does the scan win buy the whole
     // pipeline" — same deep forest, votes + argmax included.
@@ -172,21 +140,8 @@ fn bench_scan_kernels(c: &mut Criterion) {
     });
     group.finish();
 
-    // The three shapes the repo benchmark serves: a 784-feature forest
-    // with a tiny dictionary, the tuned service forest, and the deep
-    // scan-bound one.
     let mut group = c.benchmark_group("index_vs_scan");
-    for (model, workload, trees, height, threshold, train) in [
-        ("wide", Workload::MnistLike, 10, 4, 4, 2000),
-        ("svc", Workload::LstwLike, 16, 6, 4, 4000),
-        ("deep", Workload::LstwLike, 20, 8, 0, 4000),
-    ] {
-        let trained = train_workload(workload, trees, height, train, 256);
-        let bolt = BoltForest::compile(
-            &trained.forest,
-            &BoltConfig::default().with_cluster_threshold(threshold),
-        )
-        .expect("benchmark-shaped forests compile");
+    for (model, trained, bolt) in benchmark_models(256) {
         bench_index_vs_scan(&mut group, model, &trained, &bolt);
     }
     group.finish();

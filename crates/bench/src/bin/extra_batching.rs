@@ -2,9 +2,10 @@
 //! §2.1 — "when batching queries Ranger can benefit from its optimizations
 //! and achieve very low response times", whereas Bolt targets the no-batching
 //! service regime. Compares single-sample vs amortized-batch cost for
-//! Ranger-style traversal and for Bolt (sequential, entry-major batched,
-//! thread-sharded, and sample-parallel), then sweeps the entry-major kernel
-//! across batch sizes.
+//! Ranger-style traversal and for Bolt (sequential, batched, thread-sharded,
+//! and sample-parallel), then sweeps the batched path — group-major batch
+//! encode, then the entry-bitmap index match per sample — across batch
+//! sizes.
 //!
 //! Run: `cargo run -p bolt-bench --release --bin extra_batching`
 
@@ -42,7 +43,7 @@ fn batch_size_sweep(bolt: &bolt_core::BoltForest, samples: &[&[f32]], tag: &str)
                 std::hint::black_box(bolt.classify_with(s, &mut scratch));
             }
         });
-        let entry_major = time_batch(&|| {
+        let batched = time_batch(&|| {
             let mut out = Vec::new();
             bolt.classify_batch_with(slice, &mut batch_scratch.borrow_mut(), &mut out);
             std::hint::black_box(out.len());
@@ -53,18 +54,18 @@ fn batch_size_sweep(bolt: &bolt_core::BoltForest, samples: &[&[f32]], tag: &str)
         rows.push(vec![
             batch.to_string(),
             fmt_us(per_sample),
-            fmt_us(entry_major),
-            format!("{:.2}x", per_sample / entry_major),
+            fmt_us(batched),
+            format!("{:.2}x", per_sample / batched),
             fmt_us(sharded),
             format!("{:.2}x", per_sample / sharded),
         ]);
     }
     print_table(
-        &format!("Entry-major kernel by batch size (amortized µs/sample) [{tag}]"),
+        &format!("Batched index path by batch size (amortized µs/sample) [{tag}]"),
         &[
             "batch",
             "per-sample",
-            "entry-major",
+            "batched",
             "speedup",
             "sharded(4)",
             "speedup",
@@ -107,7 +108,7 @@ fn main() {
             std::hint::black_box(platforms.bolt.classify_with(s, &mut scratch));
         }
     });
-    let bolt_entry_major = time_it(&|| {
+    let bolt_batched = time_it(&|| {
         let mut scratch = platforms.bolt.batch_scratch();
         let mut out = Vec::new();
         platforms
@@ -137,12 +138,9 @@ fn main() {
                 fmt_us(ranger_batch),
             ],
             vec!["BOLT, single-sample service".into(), fmt_us(bolt_single)],
+            vec!["BOLT, batched (1 thread)".into(), fmt_us(bolt_batched)],
             vec![
-                "BOLT, entry-major batch (1 thread)".into(),
-                fmt_us(bolt_entry_major),
-            ],
-            vec![
-                "BOLT, entry-major sharded (4 threads)".into(),
+                "BOLT, batched + sharded (4 threads)".into(),
                 fmt_us(bolt_sharded),
             ],
             vec![
@@ -152,22 +150,22 @@ fn main() {
         ],
     );
 
-    // Entry-major kernel across batch sizes: where does amortizing the
-    // dictionary's mask/key loads start paying off? Swept on two forests:
-    // the tuned service forest above (encode-bound, small dictionary) and a
-    // scan-bound forest compiled at threshold 0 (one dictionary entry per
-    // path), where the entry-major inversion has the most to amortize.
+    // The batched path across batch sizes: what does sharing the predicate
+    // evaluation across a batch buy over the per-sample loop? Swept on the
+    // tuned service forest above (encode-bound, small dictionary) and on
+    // the same forest compiled at threshold 0 (one dictionary entry per
+    // path).
     batch_size_sweep(&platforms.bolt, &samples, "tuned service forest");
     let scan_heavy = bolt_core::BoltForest::compile(
         &trained.forest,
         &bolt_core::BoltConfig::default().with_cluster_threshold(0),
     )
     .expect("threshold-0 forest compiles");
-    batch_size_sweep(&scan_heavy, &samples, "scan-bound forest (threshold 0)");
+    batch_size_sweep(&scan_heavy, &samples, "threshold-0 forest");
 
-    // A deeper forest (height 8) stresses the scan hardest: ~3k dictionary
-    // entries whose mask/key words dominate per-sample cost, so the
-    // entry-major amortization shows its full effect.
+    // A deeper forest (height 8): ~3k dictionary entries and ~100
+    // thresholds per feature, where the per-sample encode's threshold
+    // search is longest and the batch encode has the most to share.
     let deep = train_workload(Workload::LstwLike, 20, 8, 2000, test_samples());
     let deep_bolt = bolt_core::BoltForest::compile(
         &deep.forest,
@@ -178,13 +176,13 @@ fn main() {
     batch_size_sweep(
         &deep_bolt,
         &deep_samples,
-        "deep scan-bound forest (LSTW, 20 trees, height 8, threshold 0)",
+        "deep forest (LSTW, 20 trees, height 8, threshold 0)",
     );
 
     println!(
         "\nthe paper's positioning: batching favours traversal engines, but \
          \"inference workloads increasingly demand low response times and \
-         cannot wait to batch queries\" (§1). the entry-major kernel closes \
-         that gap when queries do arrive together."
+         cannot wait to batch queries\" (§1). the batch encode closes part \
+         of that gap when queries do arrive together."
     );
 }

@@ -76,6 +76,30 @@ pub fn train_workload(
     }
 }
 
+/// The three model shapes the repo benchmark serves, trained and compiled
+/// with `n_test` held-out samples each: `wide` (784 features, a tiny
+/// dictionary), `svc` (the tuned service forest) and `deep` (threshold 0,
+/// one entry per path).
+#[must_use]
+pub fn benchmark_models(n_test: usize) -> Vec<(&'static str, TrainedWorkload, BoltForest)> {
+    [
+        ("wide", Workload::MnistLike, 10, 4, 4, 2000),
+        ("svc", Workload::LstwLike, 16, 6, 4, 4000),
+        ("deep", Workload::LstwLike, 20, 8, 0, 4000),
+    ]
+    .into_iter()
+    .map(|(model, workload, trees, height, threshold, n_train)| {
+        let trained = train_workload(workload, trees, height, n_train, n_test);
+        let bolt = BoltForest::compile(
+            &trained.forest,
+            &BoltConfig::default().with_cluster_threshold(threshold),
+        )
+        .expect("benchmark-shaped forests compile");
+        (model, trained, bolt)
+    })
+    .collect()
+}
+
 /// All four platforms of the paper's comparison, built from one forest.
 pub struct Platforms {
     /// Bolt, compiled at the given clustering threshold.

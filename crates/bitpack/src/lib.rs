@@ -14,8 +14,8 @@
 //! * [`KneeCodec`] — the "knee-point" variable-width codec from §5 of the
 //!   paper: most values are stored with just enough bits to cover the 99th
 //!   percentile, and rare outliers spill into a side table.
-//! * [`lanes`] — word-level helpers for the batched engine's entry-major,
-//!   multi-sample masked compare.
+//! * [`lanes`] — word-level helpers for the entry-major, multi-sample masked
+//!   compare of the dictionary's reference batch scan.
 //!
 //! # Examples
 //!

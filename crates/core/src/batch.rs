@@ -1,89 +1,44 @@
-//! Entry-major batched inference with thread-parallel batch sharding.
+//! Batched inference through the entry-bitmap index, with thread-parallel
+//! batch sharding.
 //!
-//! The per-sample engine re-walks the entire dictionary's mask/key columns
-//! for every input, even though those columns are sample-independent (§4
-//! fn. 2: the dictionary is *scanned*, not probed). When many samples
-//! arrive together, the scan can be inverted: iterate **entry-major**, load
-//! each entry's stride-packed mask/key words once, and test all `B` encoded
-//! sample masks against them with dense lane loops
-//! ([`bolt_bitpack::lanes`]) that the compiler auto-vectorizes. Matching
-//! samples then gather their table addresses through the dictionary's
-//! contiguous `uncommon_flat` mirror and accumulate votes into one flat
-//! `B × n_classes` arena — zero per-sample allocation.
+//! After the index ([`crate::index`]) there is no per-entry compare left
+//! for a batch to amortize: a sample is matched by ANDing one bitset row
+//! per constraining feature group, whatever else arrives with it. What a
+//! batch *can* still share is the predicate evaluation. So
+//! [`ForestView::batch_votes_into`] encodes the whole batch group-major
+//! ([`PredicateUniverse::evaluate_batch_into`]: one feature column against
+//! one group's thresholds at a time, vectorized across samples), and then
+//! runs every sample through exactly the per-sample body — constant votes,
+//! index match over its run starts, bloom filter, verified table lookup,
+//! vote adds in ascending entry order — into its row of one flat
+//! `B × n_classes` arena. Same encoding, same additions in the same order:
+//! vote vectors are **bit-identical** to [`BoltForest::classify_with`],
+//! which the differential harness pins.
 //!
-//! The accumulation order per sample (constant votes first, then entries in
-//! dictionary order) is exactly the per-sample path's order, so vote
-//! vectors are **bit-identical** to [`BoltForest::classify_with`] — the
-//! differential harness pins this.
-//!
-//! On top of the kernel, [`BoltForest::classify_batch_sharded`] shards a
-//! batch across OS threads (crossbeam scoped threads), each shard running
-//! the entry-major kernel with its own [`BatchScratch`]; outputs land in
-//! disjoint slices so aggregation is a single pass with no locking.
+//! On top of that, [`BoltForest::classify_batch_sharded`] shards a batch
+//! across OS threads (crossbeam scoped threads), each shard with its own
+//! [`BatchScratch`]; outputs land in disjoint slices so aggregation is a
+//! single pass with no locking.
 
 use crate::engine::{argmax, BoltForest, ForestView};
-use crate::simd::{self, Kernel};
-use crate::table::Votes;
-use bolt_bitpack::Mask;
-use bolt_forest::PredicateUniverse;
+use bolt_forest::{BatchEncoding, PredicateUniverse};
 
 /// Reusable buffers for allocation-free batched inference, mirroring
-/// [`BoltScratch`](crate::BoltScratch) for the single-sample hot path.
-/// Create one per serving thread with [`BoltForest::batch_scratch`]; the
-/// buffers grow to the largest batch seen and are reused thereafter.
-#[derive(Clone, Debug)]
+/// [`BoltScratch`](crate::BoltScratch) for the single-sample hot path: the
+/// inference body sizes them to the model and batch it runs, so one scratch
+/// per serving thread serves every model and batch size the thread sees.
+#[derive(Clone, Debug, Default)]
 pub struct BatchScratch {
-    /// Per-sample staging buffer for predicate encoding.
-    encode: Mask,
-    /// Lane-contiguous batch masks: word `w` of sample `b` at
-    /// `lanes[w * n_samples + b]`.
-    lanes: Vec<u64>,
-    /// Per-sample diff accumulators for the entry-major compare
-    /// ([`simd::BLOCK`] `× n_samples`: the blocked kernels accumulate four
-    /// per-entry rows at once).
-    diffs: Vec<u64>,
-    /// Indices of samples matching the current entry.
-    matched: Vec<u32>,
-    /// Gathered table addresses for the current entry's matched samples.
-    addresses: Vec<u64>,
-    /// Table keys hashed from `addresses` in one pass.
-    keys: Vec<u64>,
+    /// The batch's run starts and predicate bits.
+    encoded: BatchEncoding,
+    /// Index-row accumulator: one bit per dictionary entry.
+    matched: Vec<u64>,
     /// Flat `n_samples × n_classes` vote arena.
     votes: Vec<f64>,
-    /// Samples laid out by the most recent run.
-    n_samples: usize,
     n_classes: usize,
 }
 
 impl BatchScratch {
-    /// Creates a scratch for a model with `width` predicates and
-    /// `n_classes` classes (what [`BoltForest::batch_scratch`] passes;
-    /// public so mapped artifacts can build one for the same kernel).
-    #[must_use]
-    pub fn for_shape(width: usize, n_classes: usize) -> Self {
-        Self {
-            encode: Mask::zeros(width),
-            lanes: Vec::new(),
-            diffs: Vec::new(),
-            matched: Vec::new(),
-            addresses: Vec::new(),
-            keys: Vec::new(),
-            votes: Vec::new(),
-            n_samples: 0,
-            n_classes,
-        }
-    }
-
-    fn reset(&mut self, n_samples: usize, stride: usize) {
-        self.n_samples = n_samples;
-        self.lanes.clear();
-        self.lanes.resize(stride * n_samples, 0);
-        self.diffs.clear();
-        self.diffs.resize(simd::BLOCK * n_samples, 0);
-        self.votes.clear();
-        self.votes.resize(n_samples * self.n_classes, 0.0);
-    }
-
     /// Per-class vote weights of sample `b` from the most recent batch run
     /// — bit-identical to [`BoltForest::votes_for_bits`] on the same
     /// sample.
@@ -94,9 +49,9 @@ impl BatchScratch {
     #[must_use]
     pub fn votes(&self, b: usize) -> &[f64] {
         assert!(
-            b < self.n_samples,
+            b < self.len(),
             "sample {b} outside the last batch of {}",
-            self.n_samples
+            self.len()
         );
         &self.votes[b * self.n_classes..(b + 1) * self.n_classes]
     }
@@ -115,158 +70,70 @@ impl BatchScratch {
     /// Number of samples laid out by the most recent run.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.n_samples
+        self.encoded.len()
     }
 
     /// Whether the most recent run was empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.n_samples == 0
+        self.encoded.is_empty()
     }
 }
 
 impl ForestView<'_> {
-    /// Runs the entry-major kernel over `samples` (encoded through
-    /// `universe`), leaving each sample's vote vector in the scratch arena
-    /// ([`BatchScratch::votes`]). This is the one batched kernel body,
-    /// shared by owned forests and memory-mapped artifacts.
+    /// Votes for a whole batch: encodes `samples` group-major through
+    /// `universe`, then runs the per-sample index body
+    /// ([`Self::votes_with`]'s) over each, leaving every sample's vote
+    /// vector in the scratch arena ([`BatchScratch::votes`]). This is the
+    /// one batched body, shared by owned forests and memory-mapped
+    /// artifacts.
     ///
     /// # Panics
     ///
     /// Panics if any sample is shorter than the universe's feature count or
-    /// the scratch came from a differently-shaped model.
+    /// `universe` is not the one this view's model encodes with.
     pub fn batch_votes_into(
         &self,
         universe: &PredicateUniverse,
         samples: &[&[f32]],
         scratch: &mut BatchScratch,
     ) {
-        self.batch_votes_into_with_kernel(universe, samples, Kernel::selected(), scratch);
-    }
-
-    /// [`Self::batch_votes_into`] with an explicit kernel — the hook the
-    /// differential harness and benches use to pin every batched backend
-    /// against the scalar reference regardless of `BOLT_KERNEL`.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::batch_votes_into`].
-    pub fn batch_votes_into_with_kernel(
-        &self,
-        universe: &PredicateUniverse,
-        samples: &[&[f32]],
-        kernel: Kernel,
-        scratch: &mut BatchScratch,
-    ) {
-        let n = samples.len();
-        assert_eq!(
-            scratch.n_classes,
-            self.n_classes(),
-            "scratch from another forest"
-        );
-        let dict = self.dict();
-        scratch.reset(n, dict.stride());
-        if n == 0 {
-            return;
+        let n_classes = self.n_classes();
+        scratch.n_classes = n_classes;
+        scratch.matched.resize(self.index().words(), 0);
+        scratch.votes.clear();
+        scratch.votes.resize(samples.len() * n_classes, 0.0);
+        universe.evaluate_batch_into(samples, &mut scratch.encoded);
+        for b in 0..samples.len() {
+            self.index_votes_into(
+                scratch.encoded.run_starts(b),
+                scratch.encoded.words(b),
+                &mut scratch.matched,
+                &mut scratch.votes[b * n_classes..(b + 1) * n_classes],
+                None,
+            );
         }
-        let BatchScratch {
-            ref mut encode,
-            ref mut lanes,
-            ref mut diffs,
-            ref mut matched,
-            ref mut addresses,
-            ref mut keys,
-            ref mut votes,
-            n_classes,
-            ..
-        } = *scratch;
-        // Encode each sample once, scattering its words lane-contiguously
-        // so the entry-major compare reads dense memory.
-        for (b, sample) in samples.iter().enumerate() {
-            universe.evaluate_into(sample, encode);
-            for (w, &word) in encode.as_words().iter().enumerate().take(dict.stride()) {
-                lanes[w * n + b] = word;
-            }
-        }
-        // Constant votes are sample-independent: build the first sample's
-        // row once, then replicate it with dense row copies (bit-identical
-        // to re-adding — every row starts from the same 0.0 base).
-        if !self.constant_votes().is_empty() && n_classes > 0 {
-            let (proto, rest) = votes.split_at_mut(n_classes);
-            for &(class, weight) in self.constant_votes() {
-                proto[class as usize] += weight;
-            }
-            for row in rest.chunks_exact_mut(n_classes) {
-                row.copy_from_slice(proto);
-            }
-        }
-        // Entry-major: each entry's mask/key words are loaded once and
-        // compared against all B samples; only matching samples gather an
-        // address and touch the bloom filter / table. The matched samples'
-        // addresses are gathered in one lane-parallel pass, then hashed
-        // into table keys in another, so the bloom probe and table probe
-        // both spend precomputed keys. Samples matching one entry usually
-        // share its table address (always, when the entry has no uncommon
-        // predicates), so the lookup is memoized on the address — a second
-        // amortization the sample-major path cannot express.
-        dict.scan_lanes_with_kernel(lanes, n, kernel, diffs, matched, |entry_id, matched| {
-            dict.addresses_of_lane_into(entry_id, kernel, lanes, n, matched, addresses);
-            simd::fill_table_keys(kernel, entry_id, addresses, keys);
-            let mut last: Option<(u64, Votes<'_>)> = None;
-            for (j, &b) in matched.iter().enumerate() {
-                let b = b as usize;
-                let address = addresses[j];
-                let cell = match last {
-                    Some((a, cell)) if a == address => cell,
-                    _ => {
-                        let cell = self.lookup_entry_votes_keyed(entry_id, address, keys[j]);
-                        last = Some((address, cell));
-                        cell
-                    }
-                };
-                let votes = &mut votes[b * n_classes..(b + 1) * n_classes];
-                for (class, weight) in cell.iter() {
-                    votes[class as usize] += weight;
-                }
-            }
-        });
     }
 }
 
 impl BoltForest {
     /// Creates a reusable scratch buffer for batched inference via
-    /// [`Self::classify_batch_with`].
+    /// [`Self::classify_batch_with`] (sized by its first use).
     #[must_use]
     pub fn batch_scratch(&self) -> BatchScratch {
-        BatchScratch::for_shape(self.universe().len(), self.n_classes())
+        BatchScratch::default()
     }
 
-    /// Runs the entry-major kernel over `samples`, leaving each sample's
-    /// vote vector in the scratch arena ([`BatchScratch::votes`]).
+    /// Runs the batch through [`ForestView::batch_votes_into`], leaving
+    /// each sample's vote vector in the scratch arena
+    /// ([`BatchScratch::votes`]).
     ///
     /// # Panics
     ///
-    /// Panics if any sample is shorter than the universe's feature count or
-    /// the scratch came from a differently-shaped forest.
+    /// Panics if any sample is shorter than the universe's feature count.
     pub fn batch_votes_with(&self, samples: &[&[f32]], scratch: &mut BatchScratch) {
         self.view()
             .batch_votes_into(self.universe(), samples, scratch);
-    }
-
-    /// [`Self::batch_votes_with`] pinned to an explicit kernel (see
-    /// [`ForestView::batch_votes_into_with_kernel`]).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::batch_votes_with`].
-    pub fn batch_votes_with_kernel(
-        &self,
-        samples: &[&[f32]],
-        kernel: Kernel,
-        scratch: &mut BatchScratch,
-    ) {
-        self.view()
-            .batch_votes_into_with_kernel(self.universe(), samples, kernel, scratch);
     }
 
     /// Allocation-free batched classification through a caller-owned
@@ -317,8 +184,8 @@ impl BoltForest {
     }
 
     /// Thread-parallel batched classification: the batch is split into
-    /// `shards` contiguous chunks, each run through the entry-major kernel
-    /// on its own scoped thread with a private [`BatchScratch`]; results
+    /// `shards` contiguous chunks, each run through the batched body on its
+    /// own scoped thread with a private [`BatchScratch`]; results
     /// land in disjoint output slices (one aggregation pass, no locking).
     /// Classes are identical to [`Self::classify_batch`] regardless of
     /// shard count.
@@ -426,31 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_votes_are_kernel_invariant() {
-        let (data, _, bolt) = fixture();
-        // Odd batch size: exercises every kernel's sample tail.
-        let samples: Vec<&[f32]> = (0..37).map(|i| data.sample(i)).collect();
-        let mut scratch = bolt.batch_scratch();
-        bolt.batch_votes_with_kernel(&samples, Kernel::Scalar, &mut scratch);
-        let reference: Vec<Vec<f64>> = (0..samples.len())
-            .map(|b| scratch.votes(b).to_vec())
-            .collect();
-        for kernel in Kernel::ALL {
-            if !kernel.is_available() {
-                continue;
-            }
-            bolt.batch_votes_with_kernel(&samples, kernel, &mut scratch);
-            for (b, expected) in reference.iter().enumerate() {
-                assert_eq!(
-                    scratch.votes(b),
-                    expected.as_slice(),
-                    "{kernel:?} sample {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn sharding_is_invisible_in_the_results() {
         let (data, _, bolt) = fixture();
         let samples: Vec<&[f32]> = (0..data.len()).map(|i| data.sample(i)).collect();
@@ -508,16 +350,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scratch from another forest")]
-    fn foreign_scratch_panics() {
-        let (data, _, bolt) = fixture();
+    fn one_scratch_serves_models_of_different_shapes() {
+        let (data, forest, bolt) = fixture();
         let rows: Vec<Vec<f32>> = (0..40).map(|i| vec![(i % 4) as f32]).collect();
         let labels: Vec<u32> = (0..40).map(|i| u32::from(i % 4 > 1)).collect();
         let other_data = Dataset::from_rows(rows, labels, 2).expect("valid");
         let other_forest = RandomForest::train(&other_data, &ForestConfig::new(3).with_seed(5));
         let other = BoltForest::compile(&other_forest, &BoltConfig::default()).expect("compiles");
+        assert_ne!(other.n_classes(), bolt.n_classes());
+        assert_ne!(other.universe().len(), bolt.universe().len());
+        // A scratch that last served another shape refits instead of
+        // panicking, in either direction and at changing batch sizes.
         let mut scratch = other.batch_scratch();
-        let samples: Vec<&[f32]> = vec![data.sample(0)];
-        bolt.batch_votes_with(&samples, &mut scratch);
+        let mut out = Vec::new();
+        for round in 0..3 {
+            let samples: Vec<&[f32]> = (0..9 + round).map(|i| data.sample(i)).collect();
+            bolt.classify_batch_with(&samples, &mut scratch, &mut out);
+            for (i, sample) in samples.iter().enumerate() {
+                assert_eq!(out[i], forest.predict(sample), "round {round} sample {i}");
+                assert_eq!(
+                    scratch.votes(i),
+                    bolt.votes_for_bits(&bolt.encode(sample)).as_slice()
+                );
+            }
+            let samples: Vec<&[f32]> = (0..4 + round).map(|i| other_data.sample(i)).collect();
+            other.classify_batch_with(&samples, &mut scratch, &mut out);
+            for (i, sample) in samples.iter().enumerate() {
+                assert_eq!(out[i], other_forest.predict(sample));
+                assert_eq!(scratch.votes(i).len(), other.n_classes());
+            }
+        }
     }
 }

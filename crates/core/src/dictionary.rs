@@ -292,49 +292,36 @@ impl<'a> DictView<'a> {
         }
     }
 
-    /// Entry-major batched scan over lane-contiguous sample masks; see
-    /// [`Dictionary::scan_lanes`] for the layout and skipping rules. Full
-    /// blocks of the blocked layout (when present) go through the
-    /// process-selected batched SIMD kernel ([`Kernel::selected`]); the
-    /// tail — or the whole dictionary when no blocked layout is attached —
-    /// takes the flat reference path.
+    /// Entry-major scan of a whole batch: tests `n_samples` encoded inputs
+    /// against every entry, invoking `on_entry` with each entry that some
+    /// sample matched and the ascending indices of the samples that did.
+    ///
+    /// Retained as the flat scalar reference the oracle and the repo
+    /// benchmark's stage probe call; no first-party inference path does —
+    /// batches are matched through the entry-bitmap index
+    /// ([`ForestView::batch_votes_into`](crate::ForestView::batch_votes_into)).
+    ///
+    /// `lane_words` holds the batch's predicate masks lane-contiguously:
+    /// word `w` of sample `b` lives at `lane_words[w * n_samples + b]`, so
+    /// each entry's stride words are loaded once and folded across all
+    /// samples with dense word loops; per entry and sample that fold is
+    /// exactly [`entry_diff`]. `diffs` (≥ `n_samples` words) and `matched`
+    /// are caller-owned scratch.
+    ///
+    /// Words with no mask *and* no key bits are skipped: such a word can
+    /// never reject a sample. A key bit *outside* its mask (a corrupted
+    /// deserialized artifact can carry one) is still folded in, so the
+    /// entry rejects every sample exactly as [`Self::scan`] and
+    /// [`Self::matches`] do.
     ///
     /// # Panics
     ///
     /// Panics if `lane_words` is not `stride x n_samples` long or `diffs`
-    /// is shorter than [`simd::BLOCK`] `x n_samples`.
+    /// is shorter than `n_samples`.
     pub fn scan_lanes<F: FnMut(u32, &[u32])>(
         &self,
         lane_words: &[u64],
         n_samples: usize,
-        diffs: &mut [u64],
-        matched: &mut Vec<u32>,
-        on_entry: F,
-    ) {
-        self.scan_lanes_with_kernel(
-            lane_words,
-            n_samples,
-            Kernel::selected(),
-            diffs,
-            matched,
-            on_entry,
-        );
-    }
-
-    /// [`Self::scan_lanes`] with an explicit kernel — the hook the
-    /// differential harness and benches use to pin every batched backend
-    /// against the flat reference regardless of `BOLT_KERNEL`.
-    /// `Kernel::Scalar` ignores the blocked layout entirely and is the
-    /// reference semantics.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::scan_lanes`].
-    pub fn scan_lanes_with_kernel<F: FnMut(u32, &[u32])>(
-        &self,
-        lane_words: &[u64],
-        n_samples: usize,
-        kernel: Kernel,
         diffs: &mut [u64],
         matched: &mut Vec<u32>,
         mut on_entry: F,
@@ -349,59 +336,13 @@ impl<'a> DictView<'a> {
             self.stride,
             n_samples
         );
-        assert!(
-            diffs.len() >= simd::BLOCK * n_samples,
-            "diffs arena must hold BLOCK x n_samples words"
-        );
-        let mut tail_start = 0usize;
-        if kernel != Kernel::Scalar && !self.blk_mask.is_empty() {
-            tail_start = (self.n_entries / simd::BLOCK) * simd::BLOCK;
-            simd::scan_lanes_blocked(
-                kernel,
-                self.blk_mask,
-                self.blk_key,
-                self.stride,
-                lane_words,
-                n_samples,
-                diffs,
-                matched,
-                &mut |idx, m| on_entry(idx, m),
-            );
-        }
-        self.scan_lanes_flat(
-            lane_words,
-            n_samples,
-            tail_start,
-            &mut diffs[..n_samples],
-            matched,
-            &mut on_entry,
-        );
-    }
-
-    /// The flat entry-major reference loop over entries
-    /// `tail_start..n_entries`: dense per-word lane compares, auto-
-    /// vectorized. This is the batched scan's semantic source of truth
-    /// (each entry folds exactly [`entry_diff`] across the batch).
-    fn scan_lanes_flat(
-        &self,
-        lane_words: &[u64],
-        n_samples: usize,
-        tail_start: usize,
-        diffs: &mut [u64],
-        matched: &mut Vec<u32>,
-        on_entry: &mut dyn FnMut(u32, &[u32]),
-    ) {
-        let skip = tail_start * self.stride;
-        for (idx, (mask, key)) in self.mask_words[skip..]
+        let diffs = &mut diffs[..n_samples];
+        for (idx, (mask, key)) in self
+            .mask_words
             .chunks_exact(self.stride)
-            .zip(self.key_words[skip..].chunks_exact(self.stride))
+            .zip(self.key_words.chunks_exact(self.stride))
             .enumerate()
         {
-            let idx = idx + tail_start;
-            // Dense vectorizable pass per nonzero word. Skipping is only
-            // sound when both mask and key are zero: a stray key bit under
-            // a zero mask (possible in a corrupted deserialized artifact)
-            // must keep rejecting every sample, as the per-sample scan does.
             let mut first = true;
             for w in 0..self.stride {
                 if mask[w] == 0 && key[w] == 0 {
@@ -436,33 +377,13 @@ impl<'a> DictView<'a> {
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn address_of(&self, id: u32, bits: &Mask) -> u64 {
-        let (lo, hi) = (
-            self.uncommon_offsets[id as usize] as usize,
-            self.uncommon_offsets[id as usize + 1] as usize,
-        );
-        let words = bits.as_words();
-        let mut address = 0u64;
-        for (bit, &pred) in self.uncommon_flat[lo..hi].iter().enumerate() {
-            let p = pred as usize;
-            address |= (words[p / 64] >> (p % 64) & 1) << bit;
-        }
-        address
+        self.address_of_words(id, bits.as_words())
     }
 
-    /// Address gather for sample `sample` of a lane-contiguous batch (see
-    /// [`Dictionary::address_of_lane`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` or `sample` is out of range.
-    #[must_use]
-    pub fn address_of_lane(
-        &self,
-        id: u32,
-        lane_words: &[u64],
-        n_samples: usize,
-        sample: usize,
-    ) -> u64 {
+    /// [`Self::address_of`] over the input's packed words, for callers that
+    /// hold a batch's bits as one flat array.
+    #[inline]
+    pub(crate) fn address_of_words(&self, id: u32, words: &[u64]) -> u64 {
         let (lo, hi) = (
             self.uncommon_offsets[id as usize] as usize,
             self.uncommon_offsets[id as usize + 1] as usize,
@@ -470,41 +391,9 @@ impl<'a> DictView<'a> {
         let mut address = 0u64;
         for (bit, &pred) in self.uncommon_flat[lo..hi].iter().enumerate() {
             let p = pred as usize;
-            address |= (lane_words[(p / 64) * n_samples + sample] >> (p % 64) & 1) << bit;
+            address |= (words[p / 64] >> (p % 64) & 1) << bit;
         }
         address
-    }
-
-    /// Batched address gather for entry `id`: fills `out[j]` with
-    /// [`Self::address_of_lane`] of `matched[j]` for every matched sample
-    /// at once, through the kernel-dispatched lane gather
-    /// ([`simd::gather_lane_addresses`] — hardware gather on AVX2-class
-    /// kernels, the scalar bit loop elsewhere; bit-identical either way).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` or any matched sample index is out of range.
-    pub fn addresses_of_lane_into(
-        &self,
-        id: u32,
-        kernel: Kernel,
-        lane_words: &[u64],
-        n_samples: usize,
-        matched: &[u32],
-        out: &mut Vec<u64>,
-    ) {
-        let (lo, hi) = (
-            self.uncommon_offsets[id as usize] as usize,
-            self.uncommon_offsets[id as usize + 1] as usize,
-        );
-        simd::gather_lane_addresses(
-            kernel,
-            &self.uncommon_flat[lo..hi],
-            lane_words,
-            n_samples,
-            matched,
-            out,
-        );
     }
 
     /// Bytes consumed by the packed scan arrays.
@@ -711,70 +600,6 @@ impl Dictionary {
     pub fn scan<F: FnMut(&DictEntry)>(&self, input: &Mask, mut on_match: F) {
         self.view()
             .scan(input, |idx| on_match(&self.entries[idx as usize]));
-    }
-
-    /// Entry-major batched scan: tests `n_samples` encoded inputs against
-    /// every entry, invoking `on_entry` with each entry and the indices of
-    /// the samples that matched it.
-    ///
-    /// `lane_words` holds the batch's predicate masks lane-contiguously:
-    /// word `w` of sample `b` lives at `lane_words[w * n_samples + b]`, so
-    /// each entry's stride words are loaded **once** and compared against
-    /// all samples with dense word loops (the inverse of [`Self::scan`]'s
-    /// sample-major loop); full blocks of the SIMD mirror go through the
-    /// explicit batched kernels ([`crate::simd::scan_lanes_blocked`]).
-    /// `diffs` (≥ [`simd::BLOCK`] `× n_samples` long — the blocked kernels
-    /// accumulate four per-entry rows at once) and `matched` are
-    /// caller-owned scratch so repeated scans allocate nothing.
-    ///
-    /// Words with no mask *and* no key bits are skipped outright: such a
-    /// word can never reject a sample. Cluster masks are sparse — a
-    /// cluster's common pairs touch a handful of the stride's words — so
-    /// the entry-major cost is `nnz × B` fused compare ops instead of the
-    /// sample-major scan's `stride × B` loads, on top of the amortized
-    /// mask/key traffic. A key bit *outside* its mask ([`from_clustering`]
-    /// never emits one, but a corrupted deserialized artifact can) is still
-    /// folded into the compare, so the entry rejects every sample exactly
-    /// as [`Self::scan`] and [`Self::matches`] do — a shared failure mode
-    /// rather than a silent divergence.
-    ///
-    /// [`from_clustering`]: Self::from_clustering
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane_words` is not `stride × n_samples` long or `diffs`
-    /// is shorter than [`simd::BLOCK`] `× n_samples`.
-    pub fn scan_lanes<F: FnMut(&DictEntry, &[u32])>(
-        &self,
-        lane_words: &[u64],
-        n_samples: usize,
-        diffs: &mut [u64],
-        matched: &mut Vec<u32>,
-        mut on_entry: F,
-    ) {
-        self.view()
-            .scan_lanes(lane_words, n_samples, diffs, matched, |idx, matched| {
-                on_entry(&self.entries[idx as usize], matched);
-            });
-    }
-
-    /// Address gather for sample `sample` of a lane-contiguous batch (the
-    /// batched counterpart of [`Self::address_of`]): bit `p` of sample `b`
-    /// is read from `lane_words[(p / 64) * n_samples + b]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` or `sample` is out of range.
-    #[must_use]
-    pub fn address_of_lane(
-        &self,
-        id: u32,
-        lane_words: &[u64],
-        n_samples: usize,
-        sample: usize,
-    ) -> u64 {
-        self.view()
-            .address_of_lane(id, lane_words, n_samples, sample)
     }
 
     /// Bytes consumed by the packed scan arrays.
@@ -1001,7 +826,7 @@ mod tests {
     }
 
     /// Packs sample masks lane-contiguously (word `w` of sample `b` at
-    /// `out[w * n + b]`), as the batched engine does.
+    /// `out[w * n + b]`), the layout `scan_lanes` reads.
     fn to_lanes(inputs: &[Mask], stride: usize) -> Vec<u64> {
         let n = inputs.len();
         let mut lanes = vec![0u64; stride * n];
@@ -1027,10 +852,11 @@ mod tests {
             .collect();
         let lanes = to_lanes(&inputs, dict.stride());
         let mut per_entry: Vec<(u32, Vec<u32>)> = Vec::new();
-        let (mut diffs, mut matched) = (vec![0u64; simd::BLOCK * inputs.len()], Vec::new());
-        dict.scan_lanes(&lanes, inputs.len(), &mut diffs, &mut matched, |e, m| {
-            per_entry.push((e.id, m.to_vec()));
-        });
+        let (mut diffs, mut matched) = (vec![0u64; inputs.len()], Vec::new());
+        dict.view()
+            .scan_lanes(&lanes, inputs.len(), &mut diffs, &mut matched, |id, m| {
+                per_entry.push((id, m.to_vec()));
+            });
         // Reference: per-sample scan, regrouped entry-major.
         let mut expected: Vec<(u32, Vec<u32>)> = Vec::new();
         for entry in dict.entries() {
@@ -1063,11 +889,12 @@ mod tests {
         let no = Mask::zeros(128);
         let inputs = [yes, no];
         let lanes = to_lanes(&inputs, dict.stride());
-        let (mut diffs, mut matched) = (vec![0u64; simd::BLOCK * 2], Vec::new());
+        let (mut diffs, mut matched) = (vec![0u64; 2], Vec::new());
         let mut seen = Vec::new();
-        dict.scan_lanes(&lanes, 2, &mut diffs, &mut matched, |e, m| {
-            seen.push((e.id, m.to_vec()));
-        });
+        dict.view()
+            .scan_lanes(&lanes, 2, &mut diffs, &mut matched, |id, m| {
+                seen.push((id, m.to_vec()));
+            });
         assert_eq!(seen, vec![(0, vec![0])], "only sample 0 sets predicate 70");
     }
 
@@ -1090,7 +917,6 @@ mod tests {
         assert_eq!(dict.stride(), 2);
         assert_eq!(dict.mask_words[0], 0, "entry 0 word 0 starts unmasked");
         dict.key_words[0] = 1; // corrupt: key bit with no mask bit
-        dict.rebuild_blocked(); // keep the SIMD mirror in sync with the corruption
         let mut inputs: Vec<Mask> = Vec::new();
         for bits in 0u8..4 {
             let mut input = Mask::zeros(128);
@@ -1102,11 +928,12 @@ mod tests {
             assert!(!dict.matches(0, input), "per-sample scan rejects");
         }
         let lanes = to_lanes(&inputs, dict.stride());
-        let (mut diffs, mut matched) = (vec![0u64; simd::BLOCK * inputs.len()], Vec::new());
+        let (mut diffs, mut matched) = (vec![0u64; inputs.len()], Vec::new());
         let mut lane_hits: Vec<(u32, Vec<u32>)> = Vec::new();
-        dict.scan_lanes(&lanes, inputs.len(), &mut diffs, &mut matched, |e, m| {
-            lane_hits.push((e.id, m.to_vec()));
-        });
+        dict.view()
+            .scan_lanes(&lanes, inputs.len(), &mut diffs, &mut matched, |id, m| {
+                lane_hits.push((id, m.to_vec()));
+            });
         assert!(
             !lane_hits.iter().any(|(id, _)| *id == 0),
             "batched scan must reject the corrupted entry for every sample"
@@ -1125,115 +952,6 @@ mod tests {
                 .map(|(_, m)| m.clone())
                 .unwrap_or_default();
             assert_eq!(batched, per_sample, "entry {}", entry.id);
-        }
-    }
-
-    #[test]
-    fn lane_address_matches_flat_address() {
-        let dict = small_dictionary();
-        let inputs: Vec<Mask> = (0u8..8)
-            .map(|input_bits| {
-                let mut input = Mask::zeros(3);
-                for b in 0..3 {
-                    input.set(b, input_bits >> b & 1 == 1);
-                }
-                input
-            })
-            .collect();
-        let lanes = to_lanes(&inputs, dict.stride());
-        for entry in dict.entries() {
-            for (b, input) in inputs.iter().enumerate() {
-                assert_eq!(
-                    dict.address_of_lane(entry.id, &lanes, inputs.len(), b),
-                    dict.address_of(entry.id, input),
-                    "entry {} sample {b}",
-                    entry.id
-                );
-            }
-        }
-    }
-
-    /// Seven disjoint two-pair paths over 130 predicates: a full SIMD
-    /// block plus a three-entry flat tail, at stride 3.
-    fn wide_dictionary() -> Dictionary {
-        let paths: Vec<BinaryPath> = (0..7u32)
-            .map(|i| {
-                let a = (i * 19) % 130;
-                let b = (i * 37 + 5) % 130;
-                path(&[(a.min(b), i & 1 == 0), (a.max(b), i & 2 == 0)], i % 3, i)
-            })
-            .collect();
-        let sorted = SortedPaths::from_paths(paths, 3);
-        let clustering = Clustering::greedy(&sorted, 2).expect("clusters");
-        Dictionary::from_clustering(&clustering, 130)
-    }
-
-    fn wide_inputs() -> Vec<Mask> {
-        (0..9usize)
-            .map(|s| {
-                let mut m = Mask::zeros(130);
-                for p in 0..130 {
-                    if (p * 7 + s * 13) % 5 == 0 {
-                        m.set(p, true);
-                    }
-                }
-                m
-            })
-            .collect()
-    }
-
-    #[test]
-    fn lane_scan_is_kernel_invariant() {
-        let dict = wide_dictionary();
-        assert!(
-            dict.len() >= simd::BLOCK,
-            "need at least one full block to exercise the batched kernels"
-        );
-        let inputs = wide_inputs();
-        let lanes = to_lanes(&inputs, dict.stride());
-        let n = inputs.len();
-        let collect = |kernel: Kernel| {
-            let (mut diffs, mut matched) = (vec![0u64; simd::BLOCK * n], Vec::new());
-            let mut hits: Vec<(u32, Vec<u32>)> = Vec::new();
-            dict.view().scan_lanes_with_kernel(
-                &lanes,
-                n,
-                kernel,
-                &mut diffs,
-                &mut matched,
-                |id, m| hits.push((id, m.to_vec())),
-            );
-            hits
-        };
-        let reference = collect(Kernel::Scalar);
-        assert!(!reference.is_empty(), "inputs must hit at least one entry");
-        for kernel in Kernel::ALL {
-            if kernel.is_available() {
-                assert_eq!(collect(kernel), reference, "{kernel:?} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_address_gather_matches_flat_addresses() {
-        let dict = wide_dictionary();
-        let inputs = wide_inputs();
-        let lanes = to_lanes(&inputs, dict.stride());
-        let n = inputs.len();
-        let matched: Vec<u32> = (0..n as u32).collect();
-        let mut out = Vec::new();
-        for entry in dict.entries() {
-            let expected: Vec<u64> = (0..n)
-                .map(|b| dict.address_of_lane(entry.id, &lanes, n, b))
-                .collect();
-            for kernel in Kernel::ALL {
-                if !kernel.is_available() {
-                    continue;
-                }
-                dict.view()
-                    .addresses_of_lane_into(entry.id, kernel, &lanes, n, &matched, &mut out);
-                assert_eq!(out, expected, "entry {} kernel {kernel:?}", entry.id);
-            }
         }
     }
 

@@ -78,8 +78,8 @@ pub struct InferenceStats {
     /// the scan compared each one or the entry-bitmap index covered them
     /// all with one row per feature group).
     pub entries_scanned: usize,
-    /// Entry-bitmap index rows read (one per feature group on the
-    /// feature-level paths; 0 on the raw-bits scan paths).
+    /// Entry-bitmap index rows read (one per feature group that constrains
+    /// some entry on the feature-level paths; 0 on the raw-bits scan paths).
     pub index_rows_read: usize,
     /// Entries whose common-feature mask matched the input.
     pub entries_matched: usize,
@@ -226,16 +226,15 @@ impl<'a> ForestView<'a> {
             votes[class as usize] += weight;
         }
         self.dict.scan(bits, |entry_id| {
-            self.matched_entry_votes(entry_id, bits, votes, stats.as_deref_mut());
+            self.matched_entry_votes(entry_id, bits.as_words(), votes, stats.as_deref_mut());
         });
     }
 
     /// The shared body of the feature-level single-sample paths: encodes
-    /// `sample` (bits and per-group run starts in one pass), matches the
-    /// dictionary through the entry-bitmap index, and runs the same back
-    /// half as [`Self::scan_votes_into`] over the matches in ascending entry
-    /// order, so the votes left in `scratch` are bit-identical to scanning
-    /// the encoded bits. Every counter of `stats` is filled when provided.
+    /// `sample` (bits and per-group run starts in one pass), then
+    /// [`Self::index_votes_into`], so the votes left in `scratch` are
+    /// bit-identical to scanning the encoded bits. Every counter of `stats`
+    /// is filled when provided.
     ///
     /// # Panics
     ///
@@ -246,7 +245,7 @@ impl<'a> ForestView<'a> {
         universe: &PredicateUniverse,
         sample: &[f32],
         scratch: &'s mut BoltScratch,
-        mut stats: Option<&mut InferenceStats>,
+        stats: Option<&mut InferenceStats>,
     ) -> &'s [f64] {
         scratch.fit(universe, self);
         let BoltScratch {
@@ -257,17 +256,34 @@ impl<'a> ForestView<'a> {
         } = scratch;
         universe.evaluate_into_with_starts(sample, bits, run_starts);
         votes.fill(0.0);
+        self.index_votes_into(run_starts, bits.as_words(), matched, votes, stats);
+        votes
+    }
+
+    /// What every feature-level path, single or batched, does with one
+    /// encoded sample: constant votes, the dictionary matched through the
+    /// entry-bitmap index over `run_starts`, then the same back half as
+    /// [`Self::scan_votes_into`] over the matches in ascending entry order.
+    /// `votes` must be zeroed by the caller; `matched` is the index's
+    /// accumulator ([`IndexView::words`] long).
+    pub(crate) fn index_votes_into(
+        &self,
+        run_starts: &[u32],
+        words: &[u64],
+        matched: &mut [u64],
+        votes: &mut [f64],
+        mut stats: Option<&mut InferenceStats>,
+    ) {
         for &(class, weight) in self.constant_votes {
             votes[class as usize] += weight;
         }
         if let Some(stats) = stats.as_deref_mut() {
             stats.entries_scanned += self.dict.len();
-            stats.index_rows_read += self.index.n_groups();
+            stats.index_rows_read += self.index.rows_per_match();
         }
         self.index.for_each_match(run_starts, matched, |entry_id| {
-            self.matched_entry_votes(entry_id, bits, votes, stats.as_deref_mut());
+            self.matched_entry_votes(entry_id, words, votes, stats.as_deref_mut());
         });
-        votes
     }
 
     /// Feature-level classification: the argmax of [`Self::votes_with`].
@@ -291,7 +307,7 @@ impl<'a> ForestView<'a> {
     fn matched_entry_votes(
         &self,
         entry_id: u32,
-        bits: &Mask,
+        words: &[u64],
         votes: &mut [f64],
         mut stats: Option<&mut InferenceStats>,
     ) {
@@ -300,7 +316,7 @@ impl<'a> ForestView<'a> {
         }
         // Address gather through the contiguous `uncommon_flat` mirror
         // (no per-entry heap hop).
-        let address = self.dict.address_of(entry_id, bits);
+        let address = self.dict.address_of_words(entry_id, words);
         // Pull the table line toward L1 while the bloom check runs;
         // pure latency hiding, no effect on results.
         self.table.prefetch(entry_id, address);
@@ -309,9 +325,7 @@ impl<'a> ForestView<'a> {
 
     /// Back half of the shared scan body, from a matched entry's gathered
     /// address onward: bloom filtering, the verified table lookup, and vote
-    /// accumulation. The batched kernel calls this per matched
-    /// (entry, sample) pair, so additions happen in the exact order of the
-    /// per-sample path and votes stay bit-identical.
+    /// accumulation.
     #[inline]
     fn accumulate_entry_votes(
         &self,
@@ -344,31 +358,17 @@ impl<'a> ForestView<'a> {
     }
 
     /// Verified table cell for `(entry, address)` with the bloom filter
-    /// consulted first — empty when filtered out, missed, or unstored. The
-    /// batched kernel memoizes this per entry across samples sharing an
-    /// address; the returned votes are exactly what the per-sample path
-    /// would have added.
+    /// consulted first — empty when filtered out, missed, or unstored: the
+    /// votes the inference paths add for that pair.
     #[inline]
     #[must_use]
     pub fn lookup_entry_votes(&self, entry_id: u32, address: u64) -> Votes<'a> {
-        self.lookup_entry_votes_keyed(entry_id, address, table_key(entry_id, address))
-    }
-
-    /// [`Self::lookup_entry_votes`] with the table key already computed:
-    /// the batched path hashes an entry's whole matched-address vector in
-    /// one SIMD pass ([`crate::simd::fill_table_keys`]) and spends the key
-    /// twice — bloom probe and table probe — without rehashing. `key`
-    /// **must** equal `table_key(entry_id, address)`.
-    #[inline]
-    #[must_use]
-    pub fn lookup_entry_votes_keyed(&self, entry_id: u32, address: u64, key: u64) -> Votes<'a> {
-        debug_assert_eq!(key, table_key(entry_id, address));
         if let Some(bloom) = &self.bloom {
-            if !bloom.contains(key) {
+            if !bloom.contains(table_key(entry_id, address)) {
                 return Votes::empty();
             }
         }
-        self.table.lookup_keyed(entry_id, address, key)
+        self.table.lookup(entry_id, address)
     }
 
     /// Classifies an encoded input through a caller-owned vote buffer,
@@ -940,7 +940,8 @@ mod tests {
         let (class, stats) = bolt.classify_with_stats(data.sample(0));
         assert_eq!(class, bolt.classify(data.sample(0)));
         assert_eq!(stats.entries_scanned, bolt.dictionary().len());
-        assert_eq!(stats.index_rows_read, bolt.universe().n_groups());
+        assert_eq!(stats.index_rows_read, bolt.index().view().rows_per_match());
+        assert!(stats.index_rows_read <= bolt.universe().n_groups().max(1));
         // The raw-bits path counts the same matches and reads no index row.
         let (_, scan_stats) = bolt.votes_with_stats(&bolt.encode(data.sample(0)));
         assert_eq!(

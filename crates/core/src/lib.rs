@@ -30,10 +30,11 @@
 //! features match the dictionary through a derived entry-bitmap [`index`]
 //! instead — one bitset row per feature, ANDed — and reach the same entries
 //! in the same order as the scan. When many samples arrive together, the
-//! batched engine ([`BoltForest::classify_batch_with`]) inverts the
-//! scan loop entry-major, amortizing each entry's mask/key loads across the
-//! whole batch, and [`BoltForest::classify_batch_sharded`] splits a batch
-//! across threads with per-shard scratch.
+//! batched engine ([`BoltForest::classify_batch_with`]) shares the one
+//! stage a batch can share — it evaluates each feature's predicates for the
+//! whole batch at once — and matches every sample through the same index,
+//! and [`BoltForest::classify_batch_sharded`] splits a batch across threads
+//! with per-shard scratch.
 //!
 //! # Quick start
 //!

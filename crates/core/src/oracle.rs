@@ -462,24 +462,48 @@ pub fn check_boosted(
     Ok(samples.len())
 }
 
-/// Pins the batched entry-major engine to the per-sample engine on the
-/// given samples: vote vectors must be **bit-identical** (not merely
-/// argmax-equal) for batch slices of sizes 1, 3, and the full set, both
-/// unsharded and sharded. Returns the number of (sample, batch-shape)
-/// checks performed.
+/// Pins the batched engine to the raw-bits scalar reference on the given
+/// samples: each sample's batched vote vector must be **bit-identical**
+/// (not merely argmax-equal) to
+/// [`ForestView::scan_votes_into`](crate::ForestView::scan_votes_into) over
+/// its encoded bits with the dictionary scanned by `Kernel::Scalar`, for
+/// batch slices of sizes 1, 3, 5 and the full set, both unsharded and
+/// sharded. Returns the number of (sample, batch-shape) checks performed.
 ///
 /// # Errors
 ///
 /// Returns a description of the first divergence.
 pub fn check_batch(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, String> {
     let refs: Vec<&[f32]> = samples.iter().map(Vec::as_slice).collect();
+    // A view over the flat scan arrays alone carries no blocked mirror, so
+    // its scan is the scalar reference whatever `BOLT_KERNEL` selects.
+    let view = bolt.view();
+    let dict = view.dict();
+    let scalar = crate::ForestView::new(
+        crate::DictView::new(
+            dict.width(),
+            dict.mask_words(),
+            dict.key_words(),
+            dict.uncommon_flat(),
+            dict.uncommon_offsets(),
+        ),
+        view.index(),
+        view.table(),
+        view.bloom(),
+        view.constant_votes(),
+        view.n_classes(),
+    );
     let expected: Vec<Vec<f64>> = refs
         .iter()
-        .map(|s| bolt.votes_for_bits(&bolt.encode(s)))
+        .map(|s| {
+            let mut votes = vec![0.0f64; bolt.n_classes()];
+            scalar.scan_votes_into(&bolt.encode(s), &mut votes, None);
+            votes
+        })
         .collect();
     let mut checked = 0usize;
     let mut scratch = bolt.batch_scratch();
-    for batch_size in [1usize, 3, refs.len().max(1)] {
+    for batch_size in [1usize, 3, 5, refs.len().max(1)] {
         for (start, chunk) in refs
             .chunks(batch_size)
             .enumerate()
@@ -491,7 +515,7 @@ pub fn check_batch(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, Str
                 let want = &expected[start + offset];
                 if got != want.as_slice() {
                     return Err(format!(
-                        "batch size {batch_size}: votes diverged on sample {:?}: batch {got:?} vs per-sample {want:?}",
+                        "batch size {batch_size}: votes diverged on sample {:?}: batch {got:?} vs scalar scan {want:?}",
                         sample
                     ));
                 }
@@ -506,7 +530,7 @@ pub fn check_batch(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, Str
         for (i, (got, want)) in sharded.iter().zip(&expected).enumerate() {
             if got != want {
                 return Err(format!(
-                    "{shards} shards: votes diverged on sample {:?}: sharded {got:?} vs per-sample {want:?}",
+                    "{shards} shards: votes diverged on sample {:?}: sharded {got:?} vs scalar scan {want:?}",
                     samples[i]
                 ));
             }
@@ -616,7 +640,7 @@ pub fn check_index(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, Str
             ));
         }
         let expected = crate::InferenceStats {
-            index_rows_read: universe.n_groups(),
+            index_rows_read: index.rows_per_match(),
             ..scan_stats
         };
         if stats != expected {
@@ -626,44 +650,6 @@ pub fn check_index(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, Str
         }
     }
     Ok(samples.len())
-}
-
-/// Pins every *batched* SIMD kernel the host supports to the forced-scalar
-/// batched engine: for batch slices of sizes 1, 5, and the full set, the
-/// per-sample vote vectors under each kernel must be **bit-identical** to
-/// the scalar kernel's (which [`check_batch`] in turn pins to the
-/// per-sample engine). Returns the number of (sample, batch-shape, kernel)
-/// checks performed.
-///
-/// # Errors
-///
-/// Returns a description of the first divergence.
-pub fn check_batch_kernels(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, String> {
-    use crate::simd::Kernel;
-    let refs: Vec<&[f32]> = samples.iter().map(Vec::as_slice).collect();
-    let mut scalar_scratch = bolt.batch_scratch();
-    let mut kernel_scratch = bolt.batch_scratch();
-    let mut checked = 0usize;
-    for batch_size in [1usize, 5, refs.len().max(1)] {
-        for chunk in refs.chunks(batch_size) {
-            bolt.batch_votes_with_kernel(chunk, Kernel::Scalar, &mut scalar_scratch);
-            for kernel in Kernel::all_supported() {
-                bolt.batch_votes_with_kernel(chunk, kernel, &mut kernel_scratch);
-                for (b, sample) in chunk.iter().enumerate() {
-                    if kernel_scratch.votes(b) != scalar_scratch.votes(b) {
-                        return Err(format!(
-                            "batched kernel {kernel}, batch size {batch_size}: votes \
-                             diverged on sample {sample:?}: {:?} vs scalar {:?}",
-                            kernel_scratch.votes(b),
-                            scalar_scratch.votes(b)
-                        ));
-                    }
-                    checked += 1;
-                }
-            }
-        }
-    }
-    Ok(checked)
 }
 
 /// The full compile-time configuration matrix the differential suite

@@ -1,21 +1,13 @@
-//! Explicit-SIMD kernels for the dictionary scan — single-sample *and*
-//! batched.
+//! Explicit-SIMD kernels for the single-sample dictionary scan.
 //!
 //! The scan tests every entry with `(input & mask) == key` over `stride`
-//! words. This module vectorizes both hot paths over one entry-blocked
-//! layout: the mask/key words of [`BLOCK`] = 4 consecutive entries are
-//! interleaved word-by-word, so one input word tests four entries per
-//! vector compare (a `u64x4` register on AVX2, two `u64x2` halves on
-//! SSE2/NEON, half a `u64x8` register on AVX-512).
-//!
-//! The *single-sample* kernels ([`scan_blocked`]) broadcast each input word
-//! and compare it against four entries at once. The *batched* kernels
-//! ([`scan_lanes_blocked`]) fuse the same blocked layout with the
-//! entry-major lane layout of `Dictionary::scan_lanes`: each iteration
-//! broadcasts the four entries' mask/key words and compares them against a
-//! vector of `W` sample lane words, accumulating per-entry diff rows in a
-//! `BLOCK × n_samples` arena — every input lane word is loaded once for
-//! four entries instead of once per entry.
+//! words. This module vectorizes it over an entry-blocked layout: the
+//! mask/key words of [`BLOCK`] = 4 consecutive entries are interleaved
+//! word-by-word, so one broadcast input word tests four entries per vector
+//! compare ([`scan_blocked`]: a `u64x4` register on AVX2, two `u64x2`
+//! halves on SSE2/NEON, half a `u64x8` register on AVX-512). Only callers
+//! that hand in raw bits reach it; feature-level inference, single or
+//! batched, matches through the entry-bitmap index ([`crate::index`]).
 //!
 //! Blocked layout, for entries `e0..e3` of a block with stride 3:
 //!
@@ -62,8 +54,7 @@ pub enum Kernel {
     Sse2,
     /// x86-64 AVX2: one `u64x4` register per block.
     Avx2,
-    /// x86-64 AVX-512F: two blocks per `u64x8` register (single-sample) and
-    /// eight sample lanes per register (batched).
+    /// x86-64 AVX-512F: two blocks per `u64x8` register.
     Avx512,
     /// AArch64 NEON: two `u64x2` halves per block.
     Neon,
@@ -316,201 +307,17 @@ fn scan_blocked_scalar(
     }
 }
 
-/// The resolved *batched* scan routine over the blocked prefix: fills
-/// per-entry diff rows for one batch and reports matches; see
-/// [`scan_lanes_blocked`].
-pub type LanesFn = fn(
-    &[u64],                      // blk_mask
-    &[u64],                      // blk_key
-    usize,                       // stride
-    &[u64],                      // lane_words (stride x n_samples)
-    usize,                       // n_samples
-    &mut [u64],                  // diffs arena (>= BLOCK x n_samples)
-    &mut Vec<u32>,               // matched scratch
-    &mut dyn FnMut(u32, &[u32]), // on_entry(entry_index, matched samples)
-);
-
-/// The resolved batched scan routine for a kernel; unavailable kernels
-/// resolve to the blocked-scalar routine.
-#[must_use]
-pub fn scan_lanes_fn(kernel: Kernel) -> LanesFn {
-    match kernel {
-        Kernel::Scalar => scan_lanes_blocked_scalar,
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Sse2 if kernel.is_available() => scan_lanes_blocked_sse2_checked,
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 if kernel.is_available() => scan_lanes_blocked_avx2_checked,
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 if kernel.is_available() => scan_lanes_blocked_avx512_checked,
-        #[cfg(target_arch = "aarch64")]
-        Kernel::Neon if kernel.is_available() => scan_lanes_blocked_neon_checked,
-        _ => scan_lanes_blocked_scalar,
-    }
-}
-
-/// Batched scan of the blocked prefix: tests all `n_samples` lane-packed
-/// inputs against every full-block entry, invoking `on_entry` with each
-/// matching entry index (ascending) and the ascending sample indices that
-/// matched it — the exact emission order of the flat
-/// `Dictionary::scan_lanes` reference.
-///
-/// `lane_words` is the entry-major batch layout (word `w` of sample `b` at
-/// `lane_words[w * n_samples + b]`). `diffs` is a `BLOCK × n_samples`
-/// scratch arena: row `l` accumulates the masked-compare diffs of the
-/// current block's entry lane `l` across all samples. Entries past the
-/// last full block are *not* visited.
-///
-/// # Panics
-///
-/// Panics if the blocked arrays disagree in length or block shape,
-/// `lane_words` is not `stride × n_samples` long, or `diffs` is shorter
-/// than `BLOCK × n_samples`.
-// The argument list is the [`LanesFn`] dispatch signature plus the
-// kernel selector — collapsing it into a struct would cost a rebuild of
-// the borrow set on every call for no clarity gain.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_lanes_blocked(
-    kernel: Kernel,
-    blk_mask: &[u64],
-    blk_key: &[u64],
-    stride: usize,
-    lane_words: &[u64],
-    n_samples: usize,
-    diffs: &mut [u64],
-    matched: &mut Vec<u32>,
-    on_entry: &mut dyn FnMut(u32, &[u32]),
-) {
-    check_lanes_shape(blk_mask, blk_key, stride, lane_words, n_samples, diffs);
-    if n_samples == 0 {
-        return;
-    }
-    scan_lanes_fn(kernel)(
-        blk_mask, blk_key, stride, lane_words, n_samples, diffs, matched, on_entry,
-    );
-}
-
-/// The bounds contract every batched kernel relies on; asserted before any
-/// unsafe kernel runs so the raw loads/stores inside are in range by
-/// construction.
-fn check_lanes_shape(
-    blk_mask: &[u64],
-    blk_key: &[u64],
-    stride: usize,
-    lane_words: &[u64],
-    n_samples: usize,
-    diffs: &[u64],
-) {
-    assert!(stride > 0, "stride must be positive");
-    assert_eq!(blk_mask.len(), blk_key.len(), "blocked array shapes differ");
-    assert_eq!(
-        blk_mask.len() % (stride * BLOCK),
-        0,
-        "blocked arrays must hold whole blocks"
-    );
-    assert_eq!(
-        lane_words.len(),
-        stride * n_samples,
-        "lane words must be stride ({stride}) x n_samples ({n_samples})"
-    );
-    assert!(
-        diffs.len() >= BLOCK * n_samples,
-        "diffs arena must hold BLOCK x n_samples words"
-    );
-}
-
-/// Shared tail of every batched kernel: zero-scan the block's four diff
-/// rows and emit matches in ascending entry order. `all_zero` short-cuts
-/// the block whose mask *and* key words were all zero — its four entries
-/// match every sample, and their diff rows were never written.
-fn emit_block_matches(
-    block: usize,
-    all_zero: bool,
-    n_samples: usize,
-    diffs: &[u64],
-    matched: &mut Vec<u32>,
-    on_entry: &mut dyn FnMut(u32, &[u32]),
-) {
-    for lane in 0..BLOCK {
-        matched.clear();
-        if all_zero {
-            matched.extend(0..n_samples as u32);
-        } else {
-            bolt_bitpack::lanes::zero_lanes_into(
-                &diffs[lane * n_samples..(lane + 1) * n_samples],
-                matched,
-            );
-        }
-        if !matched.is_empty() {
-            on_entry((block * BLOCK + lane) as u32, matched);
-        }
-    }
-}
-
-/// Scalar reference for the batched blocked scan — the same block/word
-/// iteration order as the SIMD kernels, one sample at a time. The flat
-/// `Dictionary::scan_lanes` loop remains the semantic source of truth;
-/// this routine pins the blocked iteration itself without SIMD.
-#[allow(clippy::too_many_arguments)] // the [`LanesFn`] signature
-fn scan_lanes_blocked_scalar(
-    blk_mask: &[u64],
-    blk_key: &[u64],
-    stride: usize,
-    lane_words: &[u64],
-    n_samples: usize,
-    diffs: &mut [u64],
-    matched: &mut Vec<u32>,
-    on_entry: &mut dyn FnMut(u32, &[u32]),
-) {
-    let block_words = stride * BLOCK;
-    let n_blocks = blk_mask.len() / block_words;
-    let n = n_samples;
-    for block in 0..n_blocks {
-        let base = block * block_words;
-        let mut first = true;
-        for w in 0..stride {
-            let row = base + w * BLOCK;
-            let m = &blk_mask[row..row + BLOCK];
-            let k = &blk_key[row..row + BLOCK];
-            // A word with no mask and no key bits across the whole block
-            // row can never reject a sample; skipping it is semantics-free
-            // (a stray key bit under a zero mask is *not* skipped, so
-            // corrupted entries keep rejecting exactly as the flat scan
-            // does).
-            if m.iter().chain(k.iter()).all(|&x| x == 0) {
-                continue;
-            }
-            let lane = &lane_words[w * n..(w + 1) * n];
-            for (l, (&ml, &kl)) in m.iter().zip(k.iter()).enumerate() {
-                let rows = &mut diffs[l * n..(l + 1) * n];
-                if first {
-                    for (d, &input) in rows.iter_mut().zip(lane) {
-                        *d = (input & ml) ^ kl;
-                    }
-                } else {
-                    for (d, &input) in rows.iter_mut().zip(lane) {
-                        *d |= (input & ml) ^ kl;
-                    }
-                }
-            }
-            first = false;
-        }
-        emit_block_matches(block, first, n, diffs, matched, on_entry);
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::BLOCK;
     use core::arch::x86_64::{
         __m128i, __m256i, __m512i, _mm256_and_si256, _mm256_castsi256_pd, _mm256_cmpeq_epi64,
-        _mm256_i32gather_epi64, _mm256_loadu_si256, _mm256_movemask_pd, _mm256_or_si256,
-        _mm256_set1_epi64x, _mm256_setzero_si256, _mm256_sll_epi64, _mm256_srl_epi64,
-        _mm256_storeu_si256, _mm256_xor_si256, _mm512_and_si512, _mm512_castsi256_si512,
-        _mm512_cmpeq_epi64_mask, _mm512_inserti64x4, _mm512_loadu_si512, _mm512_mullo_epi64,
-        _mm512_or_si512, _mm512_set1_epi64, _mm512_setzero_si512, _mm512_srli_epi64,
-        _mm512_storeu_si512, _mm512_xor_si512, _mm_and_si128, _mm_castsi128_ps, _mm_cmpeq_epi32,
-        _mm_cvtsi32_si128, _mm_loadu_si128, _mm_movemask_ps, _mm_or_si128, _mm_set1_epi64x,
-        _mm_setzero_si128, _mm_storeu_si128, _mm_xor_si128,
+        _mm256_loadu_si256, _mm256_movemask_pd, _mm256_or_si256, _mm256_set1_epi64x,
+        _mm256_setzero_si256, _mm256_xor_si256, _mm512_and_si512, _mm512_castsi256_si512,
+        _mm512_cmpeq_epi64_mask, _mm512_inserti64x4, _mm512_or_si512, _mm512_set1_epi64,
+        _mm512_setzero_si512, _mm512_xor_si512, _mm_and_si128, _mm_castsi128_ps, _mm_cmpeq_epi32,
+        _mm_loadu_si128, _mm_movemask_ps, _mm_or_si128, _mm_set1_epi64x, _mm_setzero_si128,
+        _mm_xor_si128,
     };
 
     /// One `u64x4` register per block: broadcast the input word, fold
@@ -714,296 +521,6 @@ mod x86 {
             }
         }
     }
-
-    /// Batched blocked kernel, AVX2: for each block, iterate its non-zero
-    /// word rows; broadcast the four entries' mask/key words once per row
-    /// and fold them against four sample lane words per 256-bit op,
-    /// writing the four per-entry diff rows of the `BLOCK × n_samples`
-    /// arena. Tail samples (`n_samples % 4`) fold scalar.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available and the shapes satisfy
-    /// [`super::check_lanes_shape`].
-    #[allow(clippy::too_many_arguments)] // the [`LanesFn`] signature
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scan_lanes_blocked_avx2(
-        blk_mask: &[u64],
-        blk_key: &[u64],
-        stride: usize,
-        lane_words: &[u64],
-        n_samples: usize,
-        diffs: &mut [u64],
-        matched: &mut Vec<u32>,
-        on_entry: &mut dyn FnMut(u32, &[u32]),
-    ) {
-        const W: usize = 4;
-        let block_words = stride * BLOCK;
-        let n_blocks = blk_mask.len() / block_words;
-        let n = n_samples;
-        let wide = n / W * W;
-        for block in 0..n_blocks {
-            let base = block * block_words;
-            let mut first = true;
-            for w in 0..stride {
-                let row = base + w * BLOCK;
-                let m = &blk_mask[row..row + BLOCK];
-                let k = &blk_key[row..row + BLOCK];
-                if m.iter().chain(k.iter()).all(|&x| x == 0) {
-                    continue;
-                }
-                let lane_base = lane_words.as_ptr().add(w * n);
-                let vm: [__m256i; BLOCK] =
-                    core::array::from_fn(|l| _mm256_set1_epi64x(m[l] as i64));
-                let vk: [__m256i; BLOCK] =
-                    core::array::from_fn(|l| _mm256_set1_epi64x(k[l] as i64));
-                let mut s = 0;
-                while s < wide {
-                    let input = _mm256_loadu_si256(lane_base.add(s).cast::<__m256i>());
-                    for l in 0..BLOCK {
-                        let d = _mm256_xor_si256(_mm256_and_si256(input, vm[l]), vk[l]);
-                        let dst = diffs.as_mut_ptr().add(l * n + s).cast::<__m256i>();
-                        if first {
-                            _mm256_storeu_si256(dst, d);
-                        } else {
-                            _mm256_storeu_si256(dst, _mm256_or_si256(_mm256_loadu_si256(dst), d));
-                        }
-                    }
-                    s += W;
-                }
-                for s in wide..n {
-                    let input = *lane_base.add(s);
-                    for l in 0..BLOCK {
-                        let d = (input & m[l]) ^ k[l];
-                        let dst = diffs.get_unchecked_mut(l * n + s);
-                        if first {
-                            *dst = d;
-                        } else {
-                            *dst |= d;
-                        }
-                    }
-                }
-                first = false;
-            }
-            super::emit_block_matches(block, first, n, diffs, matched, on_entry);
-        }
-    }
-
-    /// Batched blocked kernel, SSE2: the AVX2 shape with two sample lanes
-    /// per 128-bit op.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure SSE2 is available and the shapes satisfy
-    /// [`super::check_lanes_shape`].
-    #[allow(clippy::too_many_arguments)] // the [`LanesFn`] signature
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn scan_lanes_blocked_sse2(
-        blk_mask: &[u64],
-        blk_key: &[u64],
-        stride: usize,
-        lane_words: &[u64],
-        n_samples: usize,
-        diffs: &mut [u64],
-        matched: &mut Vec<u32>,
-        on_entry: &mut dyn FnMut(u32, &[u32]),
-    ) {
-        const W: usize = 2;
-        let block_words = stride * BLOCK;
-        let n_blocks = blk_mask.len() / block_words;
-        let n = n_samples;
-        let wide = n / W * W;
-        for block in 0..n_blocks {
-            let base = block * block_words;
-            let mut first = true;
-            for w in 0..stride {
-                let row = base + w * BLOCK;
-                let m = &blk_mask[row..row + BLOCK];
-                let k = &blk_key[row..row + BLOCK];
-                if m.iter().chain(k.iter()).all(|&x| x == 0) {
-                    continue;
-                }
-                let lane_base = lane_words.as_ptr().add(w * n);
-                let vm: [__m128i; BLOCK] = core::array::from_fn(|l| _mm_set1_epi64x(m[l] as i64));
-                let vk: [__m128i; BLOCK] = core::array::from_fn(|l| _mm_set1_epi64x(k[l] as i64));
-                let mut s = 0;
-                while s < wide {
-                    let input = _mm_loadu_si128(lane_base.add(s).cast::<__m128i>());
-                    for l in 0..BLOCK {
-                        let d = _mm_xor_si128(_mm_and_si128(input, vm[l]), vk[l]);
-                        let dst = diffs.as_mut_ptr().add(l * n + s).cast::<__m128i>();
-                        if first {
-                            _mm_storeu_si128(dst, d);
-                        } else {
-                            _mm_storeu_si128(dst, _mm_or_si128(_mm_loadu_si128(dst), d));
-                        }
-                    }
-                    s += W;
-                }
-                for s in wide..n {
-                    let input = *lane_base.add(s);
-                    for l in 0..BLOCK {
-                        let d = (input & m[l]) ^ k[l];
-                        let dst = diffs.get_unchecked_mut(l * n + s);
-                        if first {
-                            *dst = d;
-                        } else {
-                            *dst |= d;
-                        }
-                    }
-                }
-                first = false;
-            }
-            super::emit_block_matches(block, first, n, diffs, matched, on_entry);
-        }
-    }
-
-    /// Batched blocked kernel, AVX-512F: the AVX2 shape with eight sample
-    /// lanes per 512-bit op.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512F is available and the shapes satisfy
-    /// [`super::check_lanes_shape`].
-    #[allow(clippy::too_many_arguments)] // the [`LanesFn`] signature
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn scan_lanes_blocked_avx512(
-        blk_mask: &[u64],
-        blk_key: &[u64],
-        stride: usize,
-        lane_words: &[u64],
-        n_samples: usize,
-        diffs: &mut [u64],
-        matched: &mut Vec<u32>,
-        on_entry: &mut dyn FnMut(u32, &[u32]),
-    ) {
-        const W: usize = 8;
-        let block_words = stride * BLOCK;
-        let n_blocks = blk_mask.len() / block_words;
-        let n = n_samples;
-        let wide = n / W * W;
-        for block in 0..n_blocks {
-            let base = block * block_words;
-            let mut first = true;
-            for w in 0..stride {
-                let row = base + w * BLOCK;
-                let m = &blk_mask[row..row + BLOCK];
-                let k = &blk_key[row..row + BLOCK];
-                if m.iter().chain(k.iter()).all(|&x| x == 0) {
-                    continue;
-                }
-                let lane_base = lane_words.as_ptr().add(w * n);
-                let vm: [__m512i; BLOCK] = core::array::from_fn(|l| _mm512_set1_epi64(m[l] as i64));
-                let vk: [__m512i; BLOCK] = core::array::from_fn(|l| _mm512_set1_epi64(k[l] as i64));
-                let mut s = 0;
-                while s < wide {
-                    let input = _mm512_loadu_si512(lane_base.add(s).cast());
-                    for l in 0..BLOCK {
-                        let d = _mm512_xor_si512(_mm512_and_si512(input, vm[l]), vk[l]);
-                        let dst = diffs.as_mut_ptr().add(l * n + s);
-                        if first {
-                            _mm512_storeu_si512(dst.cast(), d);
-                        } else {
-                            let prev = _mm512_loadu_si512(dst.cast_const().cast());
-                            _mm512_storeu_si512(dst.cast(), _mm512_or_si512(prev, d));
-                        }
-                    }
-                    s += W;
-                }
-                for s in wide..n {
-                    let input = *lane_base.add(s);
-                    for l in 0..BLOCK {
-                        let d = (input & m[l]) ^ k[l];
-                        let dst = diffs.get_unchecked_mut(l * n + s);
-                        if first {
-                            *dst = d;
-                        } else {
-                            *dst |= d;
-                        }
-                    }
-                }
-                first = false;
-            }
-            super::emit_block_matches(block, first, n, diffs, matched, on_entry);
-        }
-    }
-
-    /// Address gather, AVX2: per uncommon predicate, fetch the lane words
-    /// of four matched samples with one hardware gather, isolate the
-    /// predicate's bit, and OR it into four addresses at once.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available, every `(pred / 64) *
-    /// n_samples + matched[j]` index is in range for `lane_words`,
-    /// `n_samples <= i32::MAX`, and `out.len() == matched.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gather_lane_addresses_avx2(
-        preds: &[u32],
-        lane_words: &[u64],
-        n_samples: usize,
-        matched: &[u32],
-        out: &mut [u64],
-    ) {
-        let m = matched.len();
-        let wide = m / 4 * 4;
-        let one = _mm256_set1_epi64x(1);
-        let mut j = 0;
-        while j < wide {
-            // Matched sample indices fit i32 (asserted by the dispatcher),
-            // so the four u32s reinterpret directly as gather indices.
-            let idx = _mm_loadu_si128(matched.as_ptr().add(j).cast::<__m128i>());
-            let mut addr = _mm256_setzero_si256();
-            for (bit, &pred) in preds.iter().enumerate() {
-                let p = pred as usize;
-                let row = lane_words.as_ptr().add((p / 64) * n_samples);
-                let gathered = _mm256_i32gather_epi64::<8>(row.cast::<i64>(), idx);
-                let b = _mm256_and_si256(
-                    _mm256_srl_epi64(gathered, _mm_cvtsi32_si128((p % 64) as i32)),
-                    one,
-                );
-                addr = _mm256_or_si256(addr, _mm256_sll_epi64(b, _mm_cvtsi32_si128(bit as i32)));
-            }
-            _mm256_storeu_si256(out.as_mut_ptr().add(j).cast::<__m256i>(), addr);
-            j += 4;
-        }
-        super::scalar_lane_addresses(
-            preds,
-            lane_words,
-            n_samples,
-            &matched[wide..],
-            &mut out[wide..],
-        );
-    }
-
-    /// Table-key mixing, AVX-512DQ: eight splitmix64 finalizers per
-    /// register (`vpmullq` is the DQ extension's 64-bit multiply).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512F and AVX-512DQ are available and
-    /// `out.len() == addresses.len()`.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn fill_table_keys_avx512(salt: u64, addresses: &[u64], out: &mut [u64]) {
-        let vsalt = _mm512_set1_epi64(salt as i64);
-        let c1 = _mm512_set1_epi64(0xBF58_476D_1CE4_E5B9u64 as i64);
-        let c2 = _mm512_set1_epi64(0x94D0_49BB_1331_11EBu64 as i64);
-        let m = addresses.len();
-        let wide = m / 8 * 8;
-        let mut j = 0;
-        while j < wide {
-            let mut x =
-                _mm512_xor_si512(_mm512_loadu_si512(addresses.as_ptr().add(j).cast()), vsalt);
-            x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64::<30>(x)), c1);
-            x = _mm512_mullo_epi64(_mm512_xor_si512(x, _mm512_srli_epi64::<27>(x)), c2);
-            x = _mm512_xor_si512(x, _mm512_srli_epi64::<31>(x));
-            _mm512_storeu_si512(out.as_mut_ptr().add(j).cast(), x);
-            j += 8;
-        }
-        for j in wide..m {
-            out[j] = crate::filter::mix64(addresses[j] ^ salt);
-        }
-    }
 }
 
 /// Safe `ScanFn` wrapper; only handed out by [`scan_fn`] after the AVX2
@@ -1056,80 +573,6 @@ fn scan_blocked_avx512_checked(
     // are detected, and `check_blocked_shape` establishes the bounds the
     // kernel's raw loads rely on.
     unsafe { x86::scan_blocked_avx512(blk_mask, blk_key, stride, words, on_match) }
-}
-
-/// Safe `LanesFn` wrapper; only handed out by [`scan_lanes_fn`] after the
-/// AVX2 availability check.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn scan_lanes_blocked_avx2_checked(
-    blk_mask: &[u64],
-    blk_key: &[u64],
-    stride: usize,
-    lane_words: &[u64],
-    n_samples: usize,
-    diffs: &mut [u64],
-    matched: &mut Vec<u32>,
-    on_entry: &mut dyn FnMut(u32, &[u32]),
-) {
-    check_lanes_shape(blk_mask, blk_key, stride, lane_words, n_samples, diffs);
-    debug_assert!(is_x86_feature_detected!("avx2"));
-    // SAFETY: `scan_lanes_fn` resolves this wrapper only when AVX2 is
-    // detected, and `check_lanes_shape` establishes the bounds the kernel's
-    // raw loads and stores rely on.
-    unsafe {
-        x86::scan_lanes_blocked_avx2(
-            blk_mask, blk_key, stride, lane_words, n_samples, diffs, matched, on_entry,
-        );
-    }
-}
-
-/// Safe `LanesFn` wrapper; only handed out by [`scan_lanes_fn`] after the
-/// SSE2 availability check.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn scan_lanes_blocked_sse2_checked(
-    blk_mask: &[u64],
-    blk_key: &[u64],
-    stride: usize,
-    lane_words: &[u64],
-    n_samples: usize,
-    diffs: &mut [u64],
-    matched: &mut Vec<u32>,
-    on_entry: &mut dyn FnMut(u32, &[u32]),
-) {
-    check_lanes_shape(blk_mask, blk_key, stride, lane_words, n_samples, diffs);
-    debug_assert!(is_x86_feature_detected!("sse2"));
-    // SAFETY: as for the AVX2 wrapper above, with SSE2 detected.
-    unsafe {
-        x86::scan_lanes_blocked_sse2(
-            blk_mask, blk_key, stride, lane_words, n_samples, diffs, matched, on_entry,
-        );
-    }
-}
-
-/// Safe `LanesFn` wrapper; only handed out by [`scan_lanes_fn`] after the
-/// AVX-512 availability check.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn scan_lanes_blocked_avx512_checked(
-    blk_mask: &[u64],
-    blk_key: &[u64],
-    stride: usize,
-    lane_words: &[u64],
-    n_samples: usize,
-    diffs: &mut [u64],
-    matched: &mut Vec<u32>,
-    on_entry: &mut dyn FnMut(u32, &[u32]),
-) {
-    check_lanes_shape(blk_mask, blk_key, stride, lane_words, n_samples, diffs);
-    debug_assert!(is_x86_feature_detected!("avx512f"));
-    // SAFETY: as for the AVX2 wrapper above, with AVX-512F detected.
-    unsafe {
-        x86::scan_lanes_blocked_avx512(
-            blk_mask, blk_key, stride, lane_words, n_samples, diffs, matched, on_entry,
-        );
-    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -1189,86 +632,6 @@ mod arm {
             }
         }
     }
-
-    /// Batched blocked kernel, NEON: the SSE2 shape with two sample lanes
-    /// per 128-bit op.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure NEON is available and the shapes satisfy
-    /// [`super::check_lanes_shape`].
-    #[allow(clippy::too_many_arguments)] // the [`LanesFn`] signature
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn scan_lanes_blocked_neon(
-        blk_mask: &[u64],
-        blk_key: &[u64],
-        stride: usize,
-        lane_words: &[u64],
-        n_samples: usize,
-        diffs: &mut [u64],
-        matched: &mut Vec<u32>,
-        on_entry: &mut dyn FnMut(u32, &[u32]),
-    ) {
-        use core::arch::aarch64::vst1q_u64;
-        const W: usize = 2;
-        let block_words = stride * BLOCK;
-        let n_blocks = blk_mask.len() / block_words;
-        let n = n_samples;
-        let wide = n / W * W;
-        for block in 0..n_blocks {
-            let base = block * block_words;
-            let mut first = true;
-            for w in 0..stride {
-                let row = base + w * BLOCK;
-                let m = &blk_mask[row..row + BLOCK];
-                let k = &blk_key[row..row + BLOCK];
-                if m.iter().chain(k.iter()).all(|&x| x == 0) {
-                    continue;
-                }
-                let lane_base = lane_words.as_ptr().add(w * n);
-                let vm: [uint64x2_t; BLOCK] = [
-                    vdupq_n_u64(m[0]),
-                    vdupq_n_u64(m[1]),
-                    vdupq_n_u64(m[2]),
-                    vdupq_n_u64(m[3]),
-                ];
-                let vk: [uint64x2_t; BLOCK] = [
-                    vdupq_n_u64(k[0]),
-                    vdupq_n_u64(k[1]),
-                    vdupq_n_u64(k[2]),
-                    vdupq_n_u64(k[3]),
-                ];
-                let mut s = 0;
-                while s < wide {
-                    let input = vld1q_u64(lane_base.add(s));
-                    for l in 0..BLOCK {
-                        let d = veorq_u64(vandq_u64(input, vm[l]), vk[l]);
-                        let dst = diffs.as_mut_ptr().add(l * n + s);
-                        if first {
-                            vst1q_u64(dst, d);
-                        } else {
-                            vst1q_u64(dst, vorrq_u64(vld1q_u64(dst.cast_const()), d));
-                        }
-                    }
-                    s += W;
-                }
-                for s in wide..n {
-                    let input = *lane_base.add(s);
-                    for l in 0..BLOCK {
-                        let d = (input & m[l]) ^ k[l];
-                        let dst = diffs.get_unchecked_mut(l * n + s);
-                        if first {
-                            *dst = d;
-                        } else {
-                            *dst |= d;
-                        }
-                    }
-                }
-                first = false;
-            }
-            super::emit_block_matches(block, first, n, diffs, matched, on_entry);
-        }
-    }
 }
 
 /// Safe `ScanFn` wrapper; only handed out by [`scan_fn`] after the NEON
@@ -1285,127 +648,6 @@ fn scan_blocked_neon_checked(
     debug_assert!(std::arch::is_aarch64_feature_detected!("neon"));
     // SAFETY: as for the x86 wrappers, with NEON detected.
     unsafe { arm::scan_blocked_neon(blk_mask, blk_key, stride, words, on_match) }
-}
-
-/// Safe `LanesFn` wrapper; only handed out by [`scan_lanes_fn`] after the
-/// NEON availability check.
-#[cfg(target_arch = "aarch64")]
-#[allow(clippy::too_many_arguments)]
-fn scan_lanes_blocked_neon_checked(
-    blk_mask: &[u64],
-    blk_key: &[u64],
-    stride: usize,
-    lane_words: &[u64],
-    n_samples: usize,
-    diffs: &mut [u64],
-    matched: &mut Vec<u32>,
-    on_entry: &mut dyn FnMut(u32, &[u32]),
-) {
-    check_lanes_shape(blk_mask, blk_key, stride, lane_words, n_samples, diffs);
-    debug_assert!(std::arch::is_aarch64_feature_detected!("neon"));
-    // SAFETY: as for the x86 wrappers, with NEON detected.
-    unsafe {
-        arm::scan_lanes_blocked_neon(
-            blk_mask, blk_key, stride, lane_words, n_samples, diffs, matched, on_entry,
-        );
-    }
-}
-
-/// Batched address gather: for each matched sample, collects the bits of
-/// the entry's uncommon predicates from the lane-contiguous batch words
-/// into a table address — `out[j]` is exactly
-/// `DictView::address_of_lane(id, lane_words, n_samples, matched[j])`.
-///
-/// On AVX2-class kernels (AVX2/AVX-512) four sample lane words are fetched
-/// per predicate with a hardware gather; everywhere else the scalar loop
-/// runs. Results are bit-identical either way.
-///
-/// # Panics
-///
-/// Panics if any predicate's lane row or any matched sample index is out
-/// of range for `lane_words`/`n_samples`.
-pub fn gather_lane_addresses(
-    kernel: Kernel,
-    preds: &[u32],
-    lane_words: &[u64],
-    n_samples: usize,
-    matched: &[u32],
-    out: &mut Vec<u64>,
-) {
-    out.clear();
-    out.resize(matched.len(), 0);
-    if preds.is_empty() || matched.is_empty() {
-        return;
-    }
-    let max_row = preds.iter().map(|&p| p as usize / 64).max().unwrap_or(0);
-    assert!(
-        (max_row + 1) * n_samples <= lane_words.len(),
-        "predicate lane row out of range"
-    );
-    assert!(
-        matched.iter().all(|&b| (b as usize) < n_samples),
-        "matched sample index out of range"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if matches!(kernel, Kernel::Avx2 | Kernel::Avx512)
-        && is_x86_feature_detected!("avx2")
-        && n_samples <= i32::MAX as usize
-    {
-        // SAFETY: AVX2 detected; the asserts above bound every gathered
-        // lane-word index, and `out` was resized to `matched.len()`.
-        unsafe { x86::gather_lane_addresses_avx2(preds, lane_words, n_samples, matched, out) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = kernel;
-    scalar_lane_addresses(preds, lane_words, n_samples, matched, out);
-}
-
-/// Scalar reference for [`gather_lane_addresses`] — the exact
-/// `address_of_lane` bit-gather, one matched sample at a time.
-fn scalar_lane_addresses(
-    preds: &[u32],
-    lane_words: &[u64],
-    n_samples: usize,
-    matched: &[u32],
-    out: &mut [u64],
-) {
-    for (o, &b) in out.iter_mut().zip(matched) {
-        let b = b as usize;
-        let mut address = 0u64;
-        for (bit, &pred) in preds.iter().enumerate() {
-            let p = pred as usize;
-            address |= (lane_words[(p / 64) * n_samples + b] >> (p % 64) & 1) << bit;
-        }
-        *o = address;
-    }
-}
-
-/// Batched table-key hashing: `out[j]` is exactly
-/// `filter::table_key(entry_id, addresses[j])` — the key the bloom filter
-/// probes and the recombined table hashes. On AVX-512 with the DQ
-/// extension (64-bit vector multiply) eight keys mix per register;
-/// everywhere else the scalar splitmix finalizer runs. Bit-identical
-/// either way.
-pub fn fill_table_keys(kernel: Kernel, entry_id: u32, addresses: &[u64], out: &mut Vec<u64>) {
-    out.clear();
-    out.resize(addresses.len(), 0);
-    let salt = (u64::from(entry_id) << 48) ^ u64::from(entry_id);
-    #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx512
-        && is_x86_feature_detected!("avx512f")
-        && is_x86_feature_detected!("avx512dq")
-    {
-        // SAFETY: AVX-512F+DQ detected; `out` matches `addresses` in
-        // length.
-        unsafe { x86::fill_table_keys_avx512(salt, addresses, out) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = kernel;
-    for (o, &a) in out.iter_mut().zip(addresses) {
-        *o = crate::filter::mix64(a ^ salt);
-    }
 }
 
 /// Hints the CPU to pull the cache line holding `data[index]` toward L1
@@ -1565,147 +807,6 @@ mod tests {
         assert!(Kernel::Scalar.is_available());
         assert!(Kernel::all_supported().contains(&Kernel::detect()));
         assert!(Kernel::all_supported().contains(&Kernel::selected()));
-    }
-
-    /// Packs per-sample word vectors lane-contiguously, as the batched
-    /// engine does.
-    fn to_lanes(inputs: &[Vec<u64>], stride: usize) -> Vec<u64> {
-        let n = inputs.len();
-        let mut lanes = vec![0u64; stride * n];
-        for (b, input) in inputs.iter().enumerate() {
-            for (w, &word) in input.iter().enumerate().take(stride) {
-                lanes[w * n + b] = word;
-            }
-        }
-        lanes
-    }
-
-    #[test]
-    fn every_batched_kernel_agrees_with_the_flat_reference() {
-        for (seed, stride, n_entries, n_samples) in [
-            (1u64, 1usize, 8usize, 7usize),
-            (2, 3, 12, 17),
-            (3, 5, 16, 2),
-        ] {
-            let mask = words(seed, n_entries * stride);
-            let mut key: Vec<u64> = words(seed + 100, n_entries * stride)
-                .iter()
-                .zip(&mask)
-                .map(|(k, m)| k & m)
-                .collect();
-            key[0] |= !mask[0] & 1; // corrupt entry 0: key bit outside mask
-            let blk_mask = interleave_blocked(&mask, stride);
-            let blk_key = interleave_blocked(&key, stride);
-            // Samples: random plus one forced match (entry 1's key).
-            let mut inputs: Vec<Vec<u64>> = (0..n_samples - 1)
-                .map(|b| words(seed + 300 + b as u64, stride))
-                .collect();
-            inputs.push(key[stride..2 * stride].to_vec());
-            let lanes = to_lanes(&inputs, stride);
-            let n = inputs.len();
-            // Flat reference, regrouped entry-major over full blocks only.
-            let full = (n_entries / BLOCK) * BLOCK;
-            let mut expected: Vec<(u32, Vec<u32>)> = Vec::new();
-            for entry in 0..full {
-                let matches: Vec<u32> = (0..n)
-                    .filter(|&b| {
-                        flat_matches(
-                            &mask[entry * stride..(entry + 1) * stride],
-                            &key[entry * stride..(entry + 1) * stride],
-                            stride,
-                            &inputs[b],
-                        ) == vec![0]
-                    })
-                    .map(|b| b as u32)
-                    .collect();
-                if !matches.is_empty() {
-                    expected.push((entry as u32, matches));
-                }
-            }
-            for kernel in Kernel::all_supported() {
-                let mut diffs = vec![0u64; BLOCK * n];
-                let mut matched = Vec::new();
-                let mut got: Vec<(u32, Vec<u32>)> = Vec::new();
-                scan_lanes_blocked(
-                    kernel,
-                    &blk_mask,
-                    &blk_key,
-                    stride,
-                    &lanes,
-                    n,
-                    &mut diffs,
-                    &mut matched,
-                    &mut |idx, m| got.push((idx, m.to_vec())),
-                );
-                assert_eq!(got, expected, "kernel {kernel} seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_all_zero_mask_block_matches_every_sample() {
-        let stride = 2;
-        let blk_mask = vec![0u64; BLOCK * stride];
-        let blk_key = vec![0u64; BLOCK * stride];
-        let inputs: Vec<Vec<u64>> = (0..5).map(|b| words(b as u64, stride)).collect();
-        let lanes = to_lanes(&inputs, stride);
-        for kernel in Kernel::all_supported() {
-            let mut diffs = vec![0u64; BLOCK * 5];
-            let mut matched = Vec::new();
-            let mut got: Vec<(u32, Vec<u32>)> = Vec::new();
-            scan_lanes_blocked(
-                kernel,
-                &blk_mask,
-                &blk_key,
-                stride,
-                &lanes,
-                5,
-                &mut diffs,
-                &mut matched,
-                &mut |idx, m| got.push((idx, m.to_vec())),
-            );
-            let all: Vec<u32> = (0..5).collect();
-            let expected: Vec<(u32, Vec<u32>)> =
-                (0..BLOCK as u32).map(|e| (e, all.clone())).collect();
-            assert_eq!(got, expected, "kernel {kernel}");
-        }
-    }
-
-    #[test]
-    fn gathered_addresses_match_the_scalar_gather_on_every_kernel() {
-        let (stride, n_samples) = (3usize, 11usize);
-        let inputs: Vec<Vec<u64>> = (0..n_samples)
-            .map(|b| words(b as u64 + 9, stride))
-            .collect();
-        let lanes = to_lanes(&inputs, stride);
-        let preds: Vec<u32> = vec![0, 5, 63, 64, 130, 77, 2];
-        let matched: Vec<u32> = vec![0, 2, 3, 5, 6, 7, 8, 10, 1];
-        let mut reference = vec![0u64; matched.len()];
-        scalar_lane_addresses(&preds, &lanes, n_samples, &matched, &mut reference);
-        for kernel in Kernel::all_supported() {
-            let mut got = Vec::new();
-            gather_lane_addresses(kernel, &preds, &lanes, n_samples, &matched, &mut got);
-            assert_eq!(got, reference, "kernel {kernel}");
-            // Empty predicate list: all-zero addresses.
-            gather_lane_addresses(kernel, &[], &lanes, n_samples, &matched, &mut got);
-            assert!(got.iter().all(|&a| a == 0), "kernel {kernel}");
-        }
-    }
-
-    #[test]
-    fn table_keys_match_the_scalar_mix_on_every_kernel() {
-        let addresses: Vec<u64> = (0..19).map(|i| words(i, 1)[0]).collect();
-        for entry_id in [0u32, 1, 7, 65_000] {
-            let expected: Vec<u64> = addresses
-                .iter()
-                .map(|&a| crate::filter::table_key(entry_id, a))
-                .collect();
-            for kernel in Kernel::all_supported() {
-                let mut got = Vec::new();
-                fill_table_keys(kernel, entry_id, &addresses, &mut got);
-                assert_eq!(got, expected, "kernel {kernel} entry {entry_id}");
-            }
-        }
     }
 
     #[test]

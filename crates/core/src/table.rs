@@ -261,19 +261,7 @@ impl<'a> TableView<'a> {
     /// verification, touching only the dense primitive arrays.
     #[must_use]
     pub fn lookup(&self, entry_id: u32, address: u64) -> Votes<'a> {
-        self.lookup_keyed(entry_id, address, table_key(entry_id, address))
-    }
-
-    /// [`Self::lookup`] with the table key already computed — the batched
-    /// path hashes whole address vectors at once
-    /// ([`crate::simd::fill_table_keys`]) and probes the bloom filter and
-    /// this table off the same keys. `key` **must** equal
-    /// `table_key(entry_id, address)`; results are identical to
-    /// [`Self::lookup`] by construction.
-    #[must_use]
-    pub fn lookup_keyed(&self, entry_id: u32, address: u64, key: u64) -> Votes<'a> {
-        debug_assert_eq!(key, table_key(entry_id, address));
-        let mut idx = key & self.index_mask;
+        let mut idx = table_key(entry_id, address) & self.index_mask;
         loop {
             let i = idx as usize;
             let entry = self.slot_entries[i];

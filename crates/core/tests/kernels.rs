@@ -1,4 +1,5 @@
-//! Property tests pinning every SIMD scan kernel to the scalar reference.
+//! Property tests pinning every single-sample SIMD scan kernel to the
+//! scalar reference.
 //!
 //! The scalar flat scan in `dictionary.rs` is the semantic source of truth
 //! (`entry_diff`); the blocked-layout kernels in `bolt_core::simd` must
@@ -150,14 +151,11 @@ proptest! {
         }
     }
 
-    /// Every supported *batched* kernel reports exactly the flat
-    /// entry-major reference's `(entry, matched samples)` stream — same
-    /// entries, same ascending sample lists, same order — and that stream
-    /// decomposes per sample into exactly the single-sample scalar scan.
-    /// Sample counts sweep 0 through 17 so every kernel's lane tail
-    /// (W = 2, 4, and 8) is exercised.
+    /// The retained flat entry-major reference (`DictView::scan_lanes`)
+    /// regroups per sample into exactly the single-sample scalar scan, on
+    /// the same hostile shapes and on every sample count from 0 through 17.
     #[test]
-    fn batched_kernels_agree_with_flat_reference(
+    fn lane_scan_regroups_into_the_per_sample_scan(
         seed in any::<u64>(),
         stride in 1usize..=5,
         n_entries in 0usize..=13,
@@ -167,9 +165,7 @@ proptest! {
     ) {
         let case = Case::build(seed, stride, n_entries, zero_mask, corrupt);
         let offsets = vec![0u32; n_entries + 1];
-        let blk_mask = simd::interleave_blocked(&case.mask, stride);
-        let blk_key = simd::interleave_blocked(&case.key, stride);
-        let view = case.view(&offsets).with_blocked(&blk_mask, &blk_key);
+        let view = case.view(&offsets);
 
         // Lane-pack the batch; every third sample is an entry's own key so
         // matches actually occur.
@@ -185,41 +181,18 @@ proptest! {
             }
         }
 
-        let collect = |kernel: Kernel| {
-            let mut diffs = vec![0u64; simd::BLOCK * n_samples];
-            let mut matched = Vec::new();
-            let mut hits: Vec<(u32, Vec<u32>)> = Vec::new();
-            view.scan_lanes_with_kernel(
-                &lanes,
-                n_samples,
-                kernel,
-                &mut diffs,
-                &mut matched,
-                |id, m| hits.push((id, m.to_vec())),
-            );
-            hits
-        };
-        let reference = collect(Kernel::Scalar);
-        for kernel in Kernel::all_supported() {
-            let got = collect(kernel);
-            prop_assert_eq!(
-                &got,
-                &reference,
-                "batched kernel {} diverged (seed {seed}, stride {stride}, \
-                 {} entries, {} samples)",
-                kernel,
-                n_entries,
-                n_samples
-            );
-        }
-
-        // The entry-major stream regroups into the per-sample scalar scan.
+        let mut diffs = vec![0u64; n_samples];
+        let mut matched = Vec::new();
+        let mut hits: Vec<(u32, Vec<u32>)> = Vec::new();
+        view.scan_lanes(&lanes, n_samples, &mut diffs, &mut matched, |id, m| {
+            hits.push((id, m.to_vec()));
+        });
         for b in 0..n_samples {
             let sample_words: Vec<u64> =
                 (0..stride).map(|w| lanes[w * n_samples + b]).collect();
             let input = mask_from_words(&sample_words);
             let expected = scan_ids(&view, &input, Kernel::Scalar);
-            let got: Vec<u32> = reference
+            let got: Vec<u32> = hits
                 .iter()
                 .filter(|(_, m)| m.contains(&(b as u32)))
                 .map(|(id, _)| *id)

@@ -79,6 +79,86 @@ fn build_groups(preds: &[Predicate]) -> FeatureGroup {
     groups
 }
 
+/// Sets bits `start..end` of `words` (bit `i` lives in word `i / 64`),
+/// word by word.
+#[inline]
+fn set_bit_run(words: &mut [u64], start: usize, end: usize) {
+    let mut bit = start;
+    while bit < end {
+        let offset = bit % 64;
+        let span = (64 - offset).min(end - bit);
+        let mask = if span == 64 {
+            u64::MAX
+        } else {
+            ((1u64 << span) - 1) << offset
+        };
+        words[bit / 64] |= mask;
+        bit += span;
+    }
+}
+
+/// A batch of samples encoded by [`PredicateUniverse::evaluate_batch_into`]:
+/// per sample, the run start of every feature group and the thermometer
+/// bits of the whole universe — exactly what
+/// [`PredicateUniverse::evaluate_into_with_starts`] reports for that sample
+/// alone. Reusable: a later encode of any universe and batch size resizes
+/// it.
+#[derive(Clone, Debug, Default)]
+pub struct BatchEncoding {
+    n_samples: usize,
+    n_groups: usize,
+    /// Words per sample, as many as a [`Mask`] of the universe's width
+    /// has.
+    stride: usize,
+    /// Sample-major: group `g` of sample `b` at `b * n_groups + g`.
+    run_starts: Vec<u32>,
+    /// Sample-major: word `w` of sample `b` at `b * stride + w`.
+    words: Vec<u64>,
+    /// The current group's feature, gathered across the batch.
+    column: Vec<f32>,
+    /// Per sample, how many of the current group's predicates hold.
+    run_lens: Vec<u32>,
+}
+
+impl BatchEncoding {
+    /// Samples in the most recent encode.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.n_samples
+    }
+
+    /// Whether the most recent encode was of an empty batch.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.n_samples == 0
+    }
+
+    /// Sample `b`'s run start per feature group (what
+    /// [`PredicateUniverse::evaluate_into_with_starts`] writes to
+    /// `run_starts`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is outside the most recent batch.
+    #[must_use]
+    pub fn run_starts(&self, b: usize) -> &[u32] {
+        assert!(b < self.n_samples, "sample {b} outside the encoded batch");
+        &self.run_starts[b * self.n_groups..(b + 1) * self.n_groups]
+    }
+
+    /// Sample `b`'s predicate bits as packed words (the words of the
+    /// [`Mask`] [`PredicateUniverse::evaluate_into`] fills).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is outside the most recent batch.
+    #[must_use]
+    pub fn words(&self, b: usize) -> &[u64] {
+        assert!(b < self.n_samples, "sample {b} outside the encoded batch");
+        &self.words[b * self.stride..(b + 1) * self.stride]
+    }
+}
+
 impl PredicateUniverse {
     /// Builds a universe from raw `(feature, threshold)` split pairs
     /// (deduplicated), for tree representations beyond [`DecisionTree`]
@@ -263,18 +343,66 @@ impl PredicateUniverse {
                 pos += 1;
             }
             on_group(gi, pos as u32);
-            // Inline word-wise run set over bits [pos, hi).
-            let (mut bit, end) = (pos, hi);
-            while bit < end {
-                let offset = bit % 64;
-                let span = (64 - offset).min(end - bit);
-                let mask = if span == 64 {
-                    u64::MAX
-                } else {
-                    ((1u64 << span) - 1) << offset
-                };
-                words[bit / 64] |= mask;
-                bit += span;
+            set_bit_run(words, pos, hi);
+        }
+    }
+
+    /// Encodes a whole batch group-major: for each feature group, that
+    /// feature's column is gathered across the batch and compared against
+    /// the group's thresholds in one branch-free pass the compiler
+    /// vectorizes across samples, where the per-sample encode searches each
+    /// group with a data-dependent loop. `out` then holds, for every
+    /// sample, the same run starts and the same bits as
+    /// [`Self::evaluate_into_with_starts`]: thresholds ascend, so the
+    /// predicates that hold (`v <= t`) are a suffix of the group and
+    /// counting them locates the run start; a NaN feature satisfies none,
+    /// which puts its run start on the group's end, and a value exactly on
+    /// a threshold satisfies it, as in the per-sample search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any sample is shorter than [`Self::n_features`].
+    pub fn evaluate_batch_into(&self, samples: &[&[f32]], out: &mut BatchEncoding) {
+        for sample in samples {
+            assert!(
+                sample.len() >= self.n_features,
+                "sample has {} features, universe expects {}",
+                sample.len(),
+                self.n_features
+            );
+        }
+        assert!(
+            self.preds.is_empty() || !self.groups.features.is_empty(),
+            "predicate universe used before rebuild_index() after deserialization"
+        );
+        let g = &self.groups;
+        let (n, n_groups) = (samples.len(), g.features.len());
+        let stride = self.preds.len().div_ceil(64).max(1);
+        out.n_samples = n;
+        out.n_groups = n_groups;
+        out.stride = stride;
+        // Every run start is overwritten below; the words are OR-ed into.
+        out.run_starts.resize(n * n_groups, 0);
+        out.words.clear();
+        out.words.resize(n * stride, 0);
+        out.column.resize(n, 0.0);
+        out.run_lens.resize(n, 0);
+        for gi in 0..n_groups {
+            let feature = g.features[gi] as usize;
+            for (slot, sample) in out.column.iter_mut().zip(samples) {
+                *slot = sample[feature];
+            }
+            let (lo, hi) = (g.offsets[gi] as usize, g.offsets[gi + 1] as usize);
+            out.run_lens.fill(0);
+            for &t in &g.thresholds[lo..hi] {
+                for (len, &v) in out.run_lens.iter_mut().zip(&out.column) {
+                    *len += u32::from(v <= t);
+                }
+            }
+            for (b, &len) in out.run_lens.iter().enumerate() {
+                let start = hi - len as usize;
+                out.run_starts[b * n_groups + gi] = start as u32;
+                set_bit_run(&mut out.words[b * stride..(b + 1) * stride], start, hi);
             }
         }
     }
@@ -391,6 +519,7 @@ pub fn enumerate_weighted_paths(
 mod tests {
     use super::*;
     use crate::{Dataset, ForestConfig, NodeKind};
+    use proptest::prelude::*;
 
     fn trained() -> (Dataset, RandomForest, PredicateUniverse) {
         let rows: Vec<Vec<f32>> = (0..60)
@@ -502,6 +631,157 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    fn universe_of(thresholds: &[Vec<f32>]) -> PredicateUniverse {
+        let splits = thresholds
+            .iter()
+            .enumerate()
+            .flat_map(|(f, ts)| ts.iter().map(move |&t| (f as u32, t)));
+        PredicateUniverse::from_splits(splits, thresholds.len())
+    }
+
+    /// The batch encode of `samples` must report, for every sample, exactly
+    /// the bits and run starts of the per-sample encode.
+    fn assert_batch_equals_per_sample(universe: &PredicateUniverse, samples: &[Vec<f32>]) {
+        let slices: Vec<&[f32]> = samples.iter().map(Vec::as_slice).collect();
+        let mut encoded = BatchEncoding::default();
+        universe.evaluate_batch_into(&slices, &mut encoded);
+        assert_eq!(encoded.len(), samples.len());
+        assert_eq!(encoded.is_empty(), samples.is_empty());
+        let mut bits = Mask::zeros(universe.len());
+        let mut starts = vec![0u32; universe.n_groups()];
+        for (b, sample) in samples.iter().enumerate() {
+            universe.evaluate_into_with_starts(sample, &mut bits, &mut starts);
+            assert_eq!(encoded.run_starts(b), starts, "run starts of {sample:?}");
+            assert_eq!(encoded.words(b), bits.as_words(), "bits of {sample:?}");
+        }
+    }
+
+    /// Per feature: NaN, both infinities, below and above every threshold,
+    /// and each threshold exactly, one ULP below and one ULP above.
+    fn probe_values(thresholds: &[f32]) -> Vec<f32> {
+        let mut values = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -1e30, 1e30];
+        for &t in thresholds {
+            values.extend([t, t.next_down(), t.next_up()]);
+        }
+        values
+    }
+
+    #[test]
+    fn batch_encode_equals_per_sample_encode_on_probe_values() {
+        // Feature 0's 70 thresholds straddle a 64-bit word, and feature 2's
+        // group starts mid-word after it.
+        let thresholds = vec![
+            (0..70).map(|i| i as f32 * 0.5 - 3.0).collect::<Vec<f32>>(),
+            vec![0.5],
+            vec![-1.0, -0.0, 2.5],
+        ];
+        let universe = universe_of(&thresholds);
+        assert_eq!((universe.len(), universe.n_groups()), (74, 3));
+        let probes: Vec<Vec<f32>> = thresholds.iter().map(|ts| probe_values(ts)).collect();
+        // Every probe of each feature, against rotating probes of the rest.
+        let longest = probes.iter().map(Vec::len).max().expect("features");
+        let samples: Vec<Vec<f32>> = (0..longest * 3)
+            .map(|i| {
+                probes
+                    .iter()
+                    .enumerate()
+                    .map(|(f, values)| values[(i / (f + 1) + f) % values.len()])
+                    .collect()
+            })
+            .collect();
+        for n in [0usize, 1, 5, 63, 64, 65, samples.len()] {
+            assert_batch_equals_per_sample(&universe, &samples[..n]);
+        }
+    }
+
+    #[test]
+    fn batch_encoding_is_reusable_across_universes_and_batch_sizes() {
+        let wide = universe_of(&[vec![0.0, 1.0], vec![], vec![5.0]]);
+        let narrow = universe_of(&[vec![2.0]]);
+        let empty = universe_of(&[vec![]]);
+        let mut encoded = BatchEncoding::default();
+        let mut bits = Mask::zeros(wide.len());
+        let mut starts = vec![0u32; wide.n_groups()];
+        for round in 0..2 {
+            let samples = [[0.5f32, 9.0, f32::NAN], [1.0, 0.0, 5.0], [-1.0, 0.0, 6.0]];
+            let slices: Vec<&[f32]> = samples.iter().map(|s| &s[..]).collect();
+            wide.evaluate_batch_into(&slices[..3 - round], &mut encoded);
+            assert_eq!(encoded.len(), 3 - round);
+            wide.evaluate_into_with_starts(&samples[1], &mut bits, &mut starts);
+            assert_eq!(encoded.run_starts(1), starts);
+            assert_eq!(encoded.words(1), bits.as_words());
+
+            narrow.evaluate_batch_into(&[&[2.0], &[2.5]], &mut encoded);
+            assert_eq!(encoded.run_starts(0), [0]);
+            assert_eq!(encoded.run_starts(1), [1]);
+            assert_eq!(
+                (encoded.words(0), encoded.words(1)),
+                (&[1u64][..], &[0u64][..])
+            );
+
+            // No predicates at all: no groups, and the one all-zero word a
+            // `Mask` of width 0 has.
+            empty.evaluate_batch_into(&[&[7.0]], &mut encoded);
+            assert!(encoded.run_starts(0).is_empty());
+            assert_eq!(encoded.words(0), Mask::zeros(0).as_words());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sample has 1 features, universe expects 2")]
+    fn batch_encode_rejects_a_short_sample() {
+        let universe = universe_of(&[vec![0.0], vec![1.0]]);
+        let mut encoded = BatchEncoding::default();
+        universe.evaluate_batch_into(&[&[0.0, 1.0], &[0.0]], &mut encoded);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random universes (up to 90 thresholds on a feature, so groups
+        /// straddle words) and random batches mixing ordinary values with
+        /// NaN, infinities and exact thresholds.
+        #[test]
+        fn batch_encode_equals_per_sample_encode(
+            seed in any::<u64>(),
+            n_features in 1usize..=5,
+            n_samples in 0usize..=70,
+        ) {
+            // splitmix64, so a case is reproducible from its seed.
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            let thresholds: Vec<Vec<f32>> = (0..n_features)
+                .map(|_| {
+                    let n = [0, 1, 3, 40, 90][(next() % 5) as usize];
+                    (0..n).map(|_| (next() % 2001) as f32 * 0.01 - 10.0).collect()
+                })
+                .collect();
+            let universe = universe_of(&thresholds);
+            let samples: Vec<Vec<f32>> = (0..n_samples)
+                .map(|_| {
+                    thresholds
+                        .iter()
+                        .map(|ts| match next() % 8 {
+                            0 => f32::NAN,
+                            1 => f32::INFINITY,
+                            2 => f32::NEG_INFINITY,
+                            3 if !ts.is_empty() => ts[(next() % ts.len() as u64) as usize],
+                            4 if !ts.is_empty() => ts[(next() % ts.len() as u64) as usize].next_up(),
+                            _ => (next() % 2401) as f32 * 0.01 - 12.0,
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_batch_equals_per_sample(&universe, &samples);
         }
     }
 

@@ -53,7 +53,8 @@ mod train;
 mod tree;
 
 pub use binarize::{
-    enumerate_paths, enumerate_weighted_paths, BinaryPath, PredId, Predicate, PredicateUniverse,
+    enumerate_paths, enumerate_weighted_paths, BatchEncoding, BinaryPath, PredId, Predicate,
+    PredicateUniverse,
 };
 pub use boost::{BoostConfig, BoostedForest};
 pub use dataset::Dataset;

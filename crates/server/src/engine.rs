@@ -2,7 +2,7 @@
 
 use bolt_artifact::MappedForest;
 use bolt_baselines::InferenceEngine;
-use bolt_core::{BoltForest, BoltScratch};
+use bolt_core::{BatchScratch, BoltForest, BoltScratch};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -11,6 +11,11 @@ thread_local! {
     /// runs: a request allocates nothing, and a scratch that last served a
     /// model of another shape is resized by the inference body itself.
     static SCRATCH: RefCell<BoltScratch> = RefCell::new(BoltScratch::default());
+
+    /// Its batched counterpart, for batch frames and micro-batch groups:
+    /// they run on the calling worker, whose pool is already the service's
+    /// parallelism.
+    static BATCH_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::default());
 }
 
 /// Adapts a compiled [`BoltForest`] to the [`InferenceEngine`] interface so
@@ -51,8 +56,10 @@ impl InferenceEngine for BoltEngine {
     }
 
     fn classify_batch(&self, samples: &[&[f32]]) -> Vec<u32> {
-        let shards = std::thread::available_parallelism().map_or(1, usize::from);
-        self.bolt.classify_batch_sharded(samples, shards)
+        let mut out = Vec::with_capacity(samples.len());
+        BATCH_SCRATCH
+            .with_borrow_mut(|scratch| self.bolt.classify_batch_with(samples, scratch, &mut out));
+        out
     }
 }
 
@@ -95,8 +102,10 @@ impl InferenceEngine for ArtifactEngine {
     }
 
     fn classify_batch(&self, samples: &[&[f32]]) -> Vec<u32> {
-        let shards = std::thread::available_parallelism().map_or(1, usize::from);
-        self.model.classify_batch_sharded(samples, shards)
+        let mut out = Vec::with_capacity(samples.len());
+        BATCH_SCRATCH
+            .with_borrow_mut(|scratch| self.model.classify_batch_with(samples, scratch, &mut out));
+        out
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The thread-per-connection front-end ([`super::server`]) spends its
 //! concurrency budget on parked OS threads and hands the engine one sample
-//! at a time, so the batch kernel's 2.2–3× throughput advantage never
-//! reaches the serving path. This module replaces it with one event-loop
+//! at a time, so what a batch shares never reaches the serving path. This
+//! module replaces it with one event-loop
 //! thread multiplexing every connection through a level-triggered
 //! [`epoll::Poller`], plus a small worker pool that runs the actual
 //! inference:
@@ -17,7 +17,7 @@
 //!             └───────▲──────────────────────────────┬───────────────────┘
 //!                     │ completions (wake pipe)      │ FlushGroup / Batch
 //!             ┌───────┴──────────────────────────────▼───────────────────┐
-//!             │ worker pool: classify_batch on the entry-major kernel    │
+//!             │ worker pool: classify_batch, one scratch per worker      │
 //!             └──────────────────────────────────────────────────────────┘
 //! ```
 //!

@@ -12,7 +12,7 @@
 //! batch frames ([`ClassifyBatchRequest`]): many samples in one round trip,
 //! served by the engine's batched kernel
 //! ([`InferenceEngine::classify_batch`](bolt_baselines::InferenceEngine::classify_batch),
-//! Bolt's entry-major sharded scan for [`BoltEngine`]).
+//! Bolt's batch encode + index match for [`BoltEngine`]).
 //!
 //! # Model registry
 //!

@@ -1,11 +1,11 @@
 //! Adaptive micro-batching: coalesce concurrent *independent* single-sample
-//! requests into one entry-major `classify_batch` call.
+//! requests into one `classify_batch` call.
 //!
-//! The batch kernel gives 2.2–3× single-thread throughput at batch 64–512,
-//! but only clients that already hold many samples can use `ClassifyBatch`
-//! frames. Under concurrent single-sample traffic the server itself holds
-//! the batch: requests admitted by the event loop queue here and are
-//! flushed to the worker pool when either threshold trips —
+//! A batch shares its predicate evaluation and one worker hand-off across
+//! its samples, but only clients that already hold many samples can use
+//! `ClassifyBatch` frames. Under concurrent single-sample traffic the
+//! server itself holds the batch: requests admitted by the event loop queue
+//! here and are flushed to the worker pool when either threshold trips —
 //!
 //! * **size**: `flush_samples` samples are pending, or
 //! * **time**: `flush_wait` has elapsed since the oldest pending sample

@@ -146,3 +146,92 @@ fn served_classifications_match_reference_forest_tcp() {
     assert_eq!(server.stats().requests, expected.iter().sum::<u64>());
     server.shutdown();
 }
+
+/// One inference worker serves two models of different width and class
+/// count — one owned, one memory-mapped — from its single per-thread
+/// scratch: pipelined singles (micro-batch groups) and batch frames below
+/// and at the inline threshold alternate between the models, so every call
+/// after the first refits a scratch that last served the other shape, on
+/// the worker and on the loop thread alike. Every answer must equal the
+/// reference traversal.
+#[test]
+fn one_worker_alternates_batches_across_two_model_shapes() {
+    use bolt_artifact::{Artifact, ArtifactWriter, MappedForest};
+    use bolt_server::proto::{
+        read_frame, ClassifyBatchWithRequest, ClassifyWithRequest, V2Response,
+    };
+    use bolt_server::{ArtifactEngine, EventLoopOptions, ServingMode};
+    use std::io::Write;
+
+    let cases = [
+        oracle::served_case(0x0B22, 70),
+        oracle::served_case(0x0F66, 70),
+    ];
+    let bolts: Vec<Arc<BoltForest>> = cases.iter().map(compile_case).collect();
+    assert_ne!(bolts[0].n_classes(), bolts[1].n_classes());
+    assert_ne!(bolts[0].universe().len(), bolts[1].universe().len());
+    let mapped = MappedForest::from_artifact(
+        Artifact::from_bytes(&ArtifactWriter::serialize_forest(&bolts[1])).expect("valid"),
+    )
+    .expect("valid classifier");
+    let path =
+        std::env::temp_dir().join(format!("bolt-test-two-shapes-{}.sock", std::process::id()));
+    let server = ServerBuilder::new()
+        .register("m0", Arc::new(BoltEngine::new(Arc::clone(&bolts[0]))))
+        .register("m1", Arc::new(ArtifactEngine::new(Arc::new(mapped))))
+        .serving(ServingMode::EventLoop(EventLoopOptions {
+            workers: 1,
+            ..EventLoopOptions::default()
+        }))
+        .bind_uds(&path)
+        .expect("binds");
+    let mut stream = std::os::unix::net::UnixStream::connect(&path).expect("connects");
+    let response = |mut stream: &std::os::unix::net::UnixStream| {
+        let payload = read_frame(&mut stream).expect("read").expect("frame");
+        V2Response::decode(&payload).expect("decodes")
+    };
+
+    let mut served = 0u64;
+    for round in 0..6 {
+        for (m, case) in cases.iter().enumerate() {
+            let model = format!("m{m}");
+            let want: Vec<u32> = case.inputs.iter().map(|s| case.forest.predict(s)).collect();
+            // A burst of pipelined singles: the micro-batcher groups them.
+            let burst = 3 + 5 * round;
+            let mut wire = Vec::new();
+            for sample in &case.inputs[..burst] {
+                let request = ClassifyWithRequest {
+                    model: model.clone(),
+                    features: sample.clone(),
+                };
+                wire.extend_from_slice(&request.encode().expect("encodes"));
+            }
+            stream.write_all(&wire).expect("writes");
+            for (i, &class) in want[..burst].iter().enumerate() {
+                match response(&stream) {
+                    V2Response::Classify(r) => assert_eq!(r.class, class, "{model} single {i}"),
+                    other => panic!("{model} single {i}: {other:?}"),
+                }
+            }
+            // A batch frame under the micro-batch flush threshold goes to
+            // the worker; one at or over it runs on the loop thread.
+            for n in [5 + round, case.inputs.len()] {
+                let request = ClassifyBatchWithRequest {
+                    model: model.clone(),
+                    samples: case.inputs[..n].to_vec(),
+                };
+                stream
+                    .write_all(&request.encode().expect("encodes"))
+                    .expect("writes");
+                match response(&stream) {
+                    V2Response::Batch(r) => assert_eq!(r.classes, want[..n], "{model} batch {n}"),
+                    other => panic!("{model} batch of {n}: {other:?}"),
+                }
+                served += n as u64;
+            }
+            served += burst as u64;
+        }
+    }
+    assert_eq!(server.stats().requests, served);
+    server.shutdown();
+}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One-shot batching-throughput run: builds release, runs the extra_batching
-# sweep (per-sample vs entry-major vs sharded across batch sizes) and the
+# sweep (per-sample vs batched vs sharded across batch sizes) and the
 # criterion batching micro-bench, writing both reports into results/.
 #
 # Usage: scripts/run_batching.sh [samples]
