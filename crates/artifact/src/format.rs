@@ -73,14 +73,14 @@ pub mod section {
     pub const BLOOM: u32 = 12;
     /// Constant votes / regressor scalars; small, copied to the heap at load.
     pub const CONST: u32 = 13;
-    /// Entry-blocked mask words for the SIMD scan (`u64`): the
-    /// [`bolt_core::simd::interleave_blocked`] image of [`DICT_MASK`].
-    /// Optional — old files without it (and dictionaries with fewer than
-    /// one full block) load fine and scan via the scalar path, so the
-    /// format version stays unchanged.
+    /// **Retired** — never written, ignored when read, id not to be reused.
+    /// PR 9–16 builds stored an entry-blocked (4-entry interleaved) copy of
+    /// [`DICT_MASK`] here for the single-sample SIMD scan. The section was
+    /// always optional, so files with and without it are both version 1;
+    /// the id stays named so `boltc inspect` can label it on old files.
     pub const DICT_MASK_BLK: u32 = 14;
-    /// Entry-blocked key words for the SIMD scan (`u64`); present iff
-    /// [`DICT_MASK_BLK`] is.
+    /// **Retired**, as [`DICT_MASK_BLK`]: the entry-blocked copy of
+    /// [`DICT_KEY`].
     pub const DICT_KEY_BLK: u32 = 15;
 }
 

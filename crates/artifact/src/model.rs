@@ -7,8 +7,8 @@ use crate::format::{self, section};
 use crate::ArtifactError;
 use bolt_bitpack::Mask;
 use bolt_core::{
-    simd, Aggregation, BatchScratch, BloomView, BoltScratch, DictView, EntryIndex, ForestView,
-    TableView, EMPTY_SLOT_ENTRY,
+    Aggregation, BatchScratch, BloomView, BoltScratch, DictView, EntryIndex, ForestView, TableView,
+    EMPTY_SLOT_ENTRY,
 };
 use bolt_forest::PredicateUniverse;
 use std::ops::Range;
@@ -112,10 +112,6 @@ fn rebuild_universe(
 struct RawSections<'a> {
     mask_words: &'a [u64],
     key_words: &'a [u64],
-    /// Entry-blocked SIMD mirrors of the mask/key arrays; `None` on files
-    /// written before the blocked layout existed (or for dictionaries with
-    /// no full block), which then scan scalar.
-    blk: Option<(&'a [u64], &'a [u64])>,
     uncommon_flat: &'a [u32],
     uncommon_offsets: &'a [u32],
     slot_entries: &'a [u32],
@@ -129,10 +125,17 @@ struct RawSections<'a> {
 /// Byte ranges of every kernel section within the artifact, resolved from
 /// the section table once at load so the per-call `view()` rebuild is a
 /// handful of slice casts, not a table search.
+///
+/// The retired sections 14/15 (the entry-blocked dictionary mirror PR 9–16
+/// builds wrote) are not located: like any id this reader does not consume
+/// they get [`Artifact`]'s generic bounds, alignment, duplicate and CRC
+/// checks and nothing else. Their old presence rule and word-by-word
+/// interleave re-validation existed to keep a crafted mirror from steering
+/// the SIMD scan away from the flat arrays; no code dereferences those
+/// bytes any more, so there is nothing left for that check to protect.
 struct SectionRanges {
     mask_words: Range<usize>,
     key_words: Range<usize>,
-    blk: Option<(Range<usize>, Range<usize>)>,
     uncommon_flat: Range<usize>,
     uncommon_offsets: Range<usize>,
     slot_entries: Range<usize>,
@@ -154,19 +157,9 @@ impl SectionRanges {
         if has_bloom != bloom_words.is_some() {
             return Err(invalid("bloom flag and BLOOM section presence disagree"));
         }
-        let blk = match (range(section::DICT_MASK_BLK), range(section::DICT_KEY_BLK)) {
-            (Some(mask), Some(key)) => Some((mask, key)),
-            (None, None) => None,
-            _ => {
-                return Err(invalid(
-                    "DICT_MASK_BLK and DICT_KEY_BLK must be present together",
-                ))
-            }
-        };
         Ok(Self {
             mask_words: require(section::DICT_MASK)?,
             key_words: require(section::DICT_KEY)?,
-            blk,
             uncommon_flat: require(section::DICT_UNCOMMON)?,
             uncommon_offsets: require(section::DICT_OFFSETS)?,
             slot_entries: require(section::TBL_SLOT_ENTRY)?,
@@ -185,13 +178,6 @@ impl SectionRanges {
         Ok(RawSections {
             mask_words: cast_u64(at(&self.mask_words), "DICT_MASK")?,
             key_words: cast_u64(at(&self.key_words), "DICT_KEY")?,
-            blk: match &self.blk {
-                Some((mask, key)) => Some((
-                    cast_u64(at(mask), "DICT_MASK_BLK")?,
-                    cast_u64(at(key), "DICT_KEY_BLK")?,
-                )),
-                None => None,
-            },
             uncommon_flat: cast_u32(at(&self.uncommon_flat), "DICT_UNCOMMON")?,
             uncommon_offsets: cast_u32(at(&self.uncommon_offsets), "DICT_OFFSETS")?,
             slot_entries: cast_u32(at(&self.slot_entries), "TBL_SLOT_ENTRY")?,
@@ -251,37 +237,6 @@ fn validate(raw: &RawSections<'_>, meta: &ModelMeta) -> Result<(), ArtifactError
             raw.key_words.len(),
             n_entries * stride
         )));
-    }
-
-    // Blocked SIMD mirror: must be the exact interleave of the flat
-    // arrays, word for word — otherwise a corrupted (or maliciously
-    // crafted) file could make the SIMD scan diverge from the scalar
-    // reference. O(n x stride), same cost class as the CRC pass.
-    if let Some((blk_mask, blk_key)) = raw.blk {
-        let expect = simd::blocked_len(n_entries, stride);
-        if blk_mask.len() != expect || blk_key.len() != expect {
-            return Err(invalid(format!(
-                "blocked dictionary lanes hold {}/{} words, expected {expect}",
-                blk_mask.len(),
-                blk_key.len()
-            )));
-        }
-        for block in 0..n_entries / simd::BLOCK {
-            for lane in 0..simd::BLOCK {
-                let entry = block * simd::BLOCK + lane;
-                for w in 0..stride {
-                    let at = (block * stride + w) * simd::BLOCK + lane;
-                    if blk_mask[at] != raw.mask_words[entry * stride + w]
-                        || blk_key[at] != raw.key_words[entry * stride + w]
-                    {
-                        return Err(invalid(format!(
-                            "blocked dictionary lanes diverge from the flat \
-                             arrays at entry {entry} word {w}"
-                        )));
-                    }
-                }
-            }
-        }
     }
 
     // Recombined-table shapes. The probe loop terminates only if at least
@@ -373,17 +328,13 @@ fn derive(artifact: &Artifact, meta: &ModelMeta) -> Result<Derived, ArtifactErro
 }
 
 fn dict_view<'a>(raw: &RawSections<'a>, meta: &ModelMeta) -> DictView<'a> {
-    let dict = DictView::new(
+    DictView::new(
         meta.width as usize,
         raw.mask_words,
         raw.key_words,
         raw.uncommon_flat,
         raw.uncommon_offsets,
-    );
-    match raw.blk {
-        Some((blk_mask, blk_key)) => dict.with_blocked(blk_mask, blk_key),
-        None => dict,
-    }
+    )
 }
 
 /// Builds the kernel view over sections [`derive`] validated. The

@@ -67,12 +67,6 @@ impl ArtifactWriter {
             (section::TBL_VOTE_CLASS, u32_bytes(table.vote_classes())),
             (section::TBL_VOTE_WEIGHT, f64_bytes(table.vote_weights())),
         ];
-        // Entry-blocked SIMD mirror: optional, absent when the dictionary
-        // has no full block. Readers that predate it skip the ids.
-        if dict.has_blocked() {
-            sections.push((section::DICT_MASK_BLK, u64_bytes(dict.blk_mask())));
-            sections.push((section::DICT_KEY_BLK, u64_bytes(dict.blk_key())));
-        }
         let mut flags = 0u8;
         if let Some(bloom) = view.bloom() {
             flags |= format::FLAG_HAS_BLOOM;
@@ -129,10 +123,6 @@ impl ArtifactWriter {
             (section::TBL_VOTE_CLASS, u32_bytes(table.vote_classes())),
             (section::TBL_VOTE_WEIGHT, f64_bytes(table.vote_weights())),
         ];
-        if dict.has_blocked() {
-            sections.push((section::DICT_MASK_BLK, u64_bytes(dict.blk_mask())));
-            sections.push((section::DICT_KEY_BLK, u64_bytes(dict.blk_key())));
-        }
         let mut flags = 0u8;
         if let Some(bloom) = view.bloom() {
             flags |= format::FLAG_HAS_BLOOM;
@@ -262,4 +252,82 @@ fn assemble(model_kind: u8, flags: u8, model_version: u32, sections: &[(u32, Vec
         out[at..at + payload.len()].copy_from_slice(payload);
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Artifact, ArtifactError, MappedForest};
+    use bolt_core::BoltConfig;
+    use bolt_forest::{ForestConfig, RandomForest};
+
+    /// `bytes` re-assembled with `extra` sections appended to its own.
+    fn reassembled_with(bytes: &[u8], extra: &[(u32, Vec<u8>)]) -> Vec<u8> {
+        let artifact = Artifact::from_bytes(bytes).expect("valid artifact");
+        let mut sections: Vec<(u32, Vec<u8>)> = artifact
+            .sections()
+            .iter()
+            .map(|desc| (desc.id, artifact.require(desc.id).expect("listed").to_vec()))
+            .collect();
+        sections.extend_from_slice(extra);
+        let header = artifact.header();
+        assemble(
+            header.model_kind,
+            header.flags,
+            header.model_version,
+            &sections,
+        )
+    }
+
+    /// Artifacts written by PR 9–16 builds carry the retired sections 14/15.
+    /// They must keep loading — with any payload, or half the pair — and
+    /// classify exactly as the file without them, while still getting the
+    /// generic per-section checks.
+    #[test]
+    fn retired_blocked_sections_are_ignored_but_still_checksummed() {
+        let data = bolt_data::lstw_like(300, 5);
+        let forest =
+            RandomForest::train(&data, &ForestConfig::new(6).with_max_height(5).with_seed(5));
+        let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles");
+        let plain = ArtifactWriter::serialize_forest(&bolt);
+        let artifact = Artifact::from_bytes(&plain).expect("valid artifact");
+        assert!(
+            artifact.section(section::DICT_MASK_BLK).is_none()
+                && artifact.section(section::DICT_KEY_BLK).is_none(),
+            "fresh artifacts carry neither retired section"
+        );
+        let reference = MappedForest::from_artifact(artifact).expect("valid classifier");
+
+        // The old shape (whole 4-entry blocks of stride words) with
+        // arbitrary contents, which the old reader would have rejected as
+        // diverging from the flat arrays.
+        let dict = bolt.view().dict();
+        let old_shape = vec![0xA5u8; dict.len() / 4 * 4 * dict.stride() * 8];
+        assert!(!old_shape.is_empty(), "fixture needs a full block");
+        let pair = [
+            (section::DICT_MASK_BLK, old_shape.clone()),
+            (section::DICT_KEY_BLK, old_shape),
+        ];
+        for extra in [&pair[..], &pair[..1], &pair[1..]] {
+            let bytes = reassembled_with(&plain, extra);
+            let artifact = Artifact::from_bytes(&bytes).expect("generic checks pass");
+            for (id, payload) in extra {
+                assert_eq!(artifact.section(*id), Some(payload.as_slice()));
+            }
+            let first_retired_byte = artifact.section_range(extra[0].0).expect("present").start;
+            let mapped = MappedForest::from_artifact(artifact).expect("retired ids are skipped");
+            for (sample, _) in data.iter().take(100) {
+                assert_eq!(mapped.votes(sample), reference.votes(sample));
+                assert_eq!(mapped.classify(sample), bolt.classify(sample));
+            }
+
+            // A flipped byte inside a retired section is still corruption.
+            let mut flipped = bytes;
+            flipped[first_retired_byte] ^= 0x01;
+            assert!(matches!(
+                Artifact::from_bytes(&flipped),
+                Err(ArtifactError::ChecksumMismatch(_))
+            ));
+        }
+    }
 }

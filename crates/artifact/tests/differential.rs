@@ -6,38 +6,15 @@
 
 use bolt_artifact::{Artifact, ArtifactWriter, MappedForest, MappedRegressor};
 use bolt_core::oracle::{self, OracleRng};
-use bolt_core::{BatchScratch, BoltConfig, BoltForest, BoltRegressor, BoltScratch, Kernel};
+use bolt_core::{BatchScratch, BoltConfig, BoltForest, BoltRegressor, BoltScratch};
 use bolt_forest::{RegressionConfig, RegressionDataset, RegressionForest};
-
-/// The mapped artifact's blocked scan must report exactly the entries the
-/// owned model's scalar scan reports, in the same order, under every
-/// kernel the host supports. This is the artifact leg of the kernel
-/// differential: owned-scalar vs mapped-scalar vs mapped-SIMD.
-fn assert_mapped_kernels_match(bolt: &BoltForest, mapped: &MappedForest, sample: &[f32]) {
-    let bits = bolt.encode(sample);
-    let owned_view = bolt.view();
-    let mapped_view = mapped.view();
-    let mut reference = Vec::new();
-    owned_view
-        .dict()
-        .scan_with_kernel(&bits, Kernel::Scalar, |id| reference.push(id));
-    for kernel in Kernel::all_supported() {
-        let mut got = Vec::new();
-        mapped_view
-            .dict()
-            .scan_with_kernel(&bits, kernel, |id| got.push(id));
-        assert_eq!(
-            got, reference,
-            "mapped {kernel} scan diverges from owned scalar"
-        );
-    }
-}
 
 /// The index a mapped model builds at open (from the mapped flat arrays and
 /// the `PRED` section) must match exactly the entries the owned model's
-/// scalar scan matches, in the same order — the artifact leg of the index
-/// differential — and the scratch-based serving entry point must classify
-/// as the owned model does.
+/// reference scan matches, in the same order — the artifact leg of the
+/// index differential — as must the reference scan over the mapped flat
+/// arrays themselves, and the scratch-based serving entry point must
+/// classify as the owned model does.
 fn assert_mapped_index_matches(
     bolt: &BoltForest,
     mapped: &MappedForest,
@@ -49,14 +26,18 @@ fn assert_mapped_index_matches(
     let mut starts = vec![0u32; universe.n_groups()];
     universe.evaluate_into_with_starts(sample, &mut bits, &mut starts);
     let mut reference = Vec::new();
-    bolt.view()
-        .dict()
-        .scan_with_kernel(&bits, Kernel::Scalar, |id| reference.push(id));
+    bolt.view().dict().scan(&bits, |id| reference.push(id));
+    let mut mapped_scan = Vec::new();
+    mapped.view().dict().scan(&bits, |id| mapped_scan.push(id));
+    assert_eq!(
+        mapped_scan, reference,
+        "mapped scan diverges from owned scan"
+    );
     let index = mapped.view().index();
     let mut acc = vec![0u64; index.words()];
     let mut got = Vec::new();
     index.for_each_match(&starts, &mut acc, |id| got.push(id));
-    assert_eq!(got, reference, "mapped index diverges from owned scalar");
+    assert_eq!(got, reference, "mapped index diverges from owned scan");
     assert_eq!(
         mapped.classify_with(sample, scratch),
         bolt.classify_bits(&bits),
@@ -130,16 +111,8 @@ fn classifier_round_trip_is_bit_identical_across_config_matrix() {
                     .collect();
                 let via_map: Vec<u64> = mapped.votes(sample).iter().map(|v| v.to_bits()).collect();
                 assert_eq!(via_map, owned, "seed {seed} config {i}: vote bits diverge");
-                assert_mapped_kernels_match(&bolt, &mapped, sample);
                 assert_mapped_index_matches(&bolt, &mapped, sample, &mut scratch);
             }
-            // The blocked SIMD mirror survives the round trip whenever the
-            // owned dictionary carries one.
-            assert_eq!(
-                mapped.view().dict().has_blocked(),
-                bolt.view().dict().has_blocked(),
-                "seed {seed} config {i}: blocked layout lost in round trip"
-            );
             let slices: Vec<&[f32]> = case.inputs.iter().map(Vec::as_slice).collect();
             assert_eq!(
                 mapped.classify_batch(&slices),

@@ -355,15 +355,7 @@ fn connect_run(cli: &Cli) -> Result<(), String> {
     cfg.hostile_every = cli.hostile_every;
     let report = bolt_bench::loadgen::run_open_loop(target, &samples, None, &cfg)
         .map_err(|e| format!("connect {target:?}: {e}"))?;
-    let snapshot = BenchSnapshot::from_report(
-        &report,
-        &git_rev(),
-        // Client-side kernel resolution; boltd logs its own at startup
-        // and run_loadgen.sh runs both in one environment.
-        &bolt_core::Kernel::selected().to_string(),
-        data.n_features(),
-        0,
-    );
+    let snapshot = BenchSnapshot::from_report(&report, &git_rev(), data.n_features(), 0);
     let path = snapshot
         .write_to(&cli.out)
         .map_err(|e| format!("write snapshot: {e}"))?;
@@ -459,11 +451,9 @@ fn suite(cli: &Cli) -> Result<(), String> {
         .map_err(|e| format!("bind churn server: {e}"))?;
     let churn_target = Target::Uds(churn_sock.clone());
     let churn_refs: Vec<&str> = churn_names.iter().map(String::as_str).collect();
-    let kernel = bolt_core::Kernel::selected().to_string();
     let rev = git_rev();
     println!(
-        "servers up: uds {} + tcp {} (kernel {kernel}), {requests} frames per workload at \
-         {rate} fps",
+        "servers up: uds {} + tcp {}, {requests} frames per workload at {rate} fps",
         uds_path.display(),
         tcp.local_addr()
     );
@@ -528,7 +518,7 @@ fn suite(cli: &Cli) -> Result<(), String> {
             failures.push(format!("{}: hostile mix injected nothing", cfg.name));
         }
         let snapshot =
-            BenchSnapshot::from_report(&report, &rev, &kernel, trained.test.n_features(), swap_ms);
+            BenchSnapshot::from_report(&report, &rev, trained.test.n_features(), swap_ms);
         let path = snapshot
             .write_to(&cli.out)
             .map_err(|e| format!("write snapshot: {e}"))?;

@@ -652,8 +652,9 @@ pub struct BenchSnapshot {
     /// `git rev-parse --short HEAD` at run time (`"unknown"` outside a
     /// checkout).
     pub git_rev: String,
-    /// Scan kernel the *server* process resolved
-    /// (`bolt_core::Kernel::selected()`).
+    /// How the server matches dictionary entries
+    /// (`bolt_core::index::MATCH_MECHANISM`; a SIMD scan kernel name in
+    /// PR 10–16 snapshots).
     pub kernel: String,
     /// Transport tag (`"uds"` / `"tcp"`).
     pub transport: String,
@@ -720,7 +721,6 @@ impl BenchSnapshot {
     pub fn from_report(
         report: &LoadReport,
         git_rev: &str,
-        kernel: &str,
         n_features: usize,
         swap_interval_ms: u64,
     ) -> Self {
@@ -729,7 +729,7 @@ impl BenchSnapshot {
             bench: "bolt-bench".to_owned(),
             workload: report.config.name.clone(),
             git_rev: git_rev.to_owned(),
-            kernel: kernel.to_owned(),
+            kernel: bolt_core::index::MATCH_MECHANISM.to_owned(),
             transport: report.transport.clone(),
             threads: report.config.threads as u64,
             target_rate_fps: report.config.rate,
@@ -870,13 +870,13 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_and_validates() {
         let report = sample_report();
-        let snapshot = BenchSnapshot::from_report(&report, "abc1234", "avx2", 6, 0);
+        let snapshot = BenchSnapshot::from_report(&report, "abc1234", 6, 0);
         let dir = std::env::temp_dir().join(format!("bolt-bench-test-{}", std::process::id()));
         let path = snapshot.write_to(&dir).expect("writes");
         assert_eq!(path.file_name().unwrap().to_str(), Some("BENCH_unit.json"));
         let parsed = BenchSnapshot::validate_file(&path).expect("validates");
         assert_eq!(parsed.workload, "unit");
-        assert_eq!(parsed.kernel, "avx2");
+        assert_eq!(parsed.kernel, bolt_core::index::MATCH_MECHANISM);
         assert_eq!(parsed.frames_sent, 1000);
         assert_eq!(parsed.batch_size, 4);
         assert_eq!(parsed.client_latency.count, 1000);
@@ -889,7 +889,7 @@ mod tests {
     #[test]
     fn validation_rejects_schema_drift() {
         let report = sample_report();
-        let snapshot = BenchSnapshot::from_report(&report, "abc1234", "scalar", 6, 0);
+        let snapshot = BenchSnapshot::from_report(&report, "abc1234", 6, 0);
         let dir = std::env::temp_dir().join(format!("bolt-bench-drift-{}", std::process::id()));
         let path = snapshot.write_to(&dir).expect("writes");
         let text = std::fs::read_to_string(&path).expect("read");
@@ -910,7 +910,7 @@ mod tests {
     #[test]
     fn snapshot_carries_hostile_counters() {
         let report = sample_report();
-        let snapshot = BenchSnapshot::from_report(&report, "abc1234", "avx2", 6, 0);
+        let snapshot = BenchSnapshot::from_report(&report, "abc1234", 6, 0);
         assert_eq!(snapshot.hostile_every, 16);
         assert_eq!(snapshot.hostile_sent, 62);
         assert_eq!(snapshot.hostile_handled, 62);

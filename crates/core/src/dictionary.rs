@@ -8,7 +8,6 @@
 //! so the scan walks memory sequentially.
 
 use crate::cluster::Clustering;
-use crate::simd::{self, Kernel};
 use bolt_bitpack::Mask;
 use bolt_forest::PredId;
 use serde::{Deserialize, Serialize};
@@ -20,9 +19,10 @@ use serde::{Deserialize, Serialize};
 /// panic). Returns the accumulated difference; zero means the entry
 /// matches.
 ///
-/// This is the single source of truth for scan semantics: [`DictView::scan`]
-/// and [`DictView::matches`] both go through it, and every SIMD kernel in
-/// [`crate::simd`] is pinned bit-for-bit against it.
+/// This is the single source of truth for match semantics: [`DictView::scan`]
+/// and [`DictView::matches`] both go through it, and the entry-bitmap index
+/// ([`crate::index`]) that feature-level inference matches through is
+/// pinned bit-for-bit against it.
 #[inline]
 fn entry_diff(words: &[u64], mask: &[u64], key: &[u64]) -> u64 {
     let n = words.len().min(mask.len());
@@ -83,12 +83,6 @@ pub struct DictView<'a> {
     n_entries: usize,
     mask_words: &'a [u64],
     key_words: &'a [u64],
-    /// Entry-blocked mirror of `mask_words` (see [`crate::simd`]): empty
-    /// when the producer carries no blocked layout, in which case every
-    /// scan takes the scalar path.
-    blk_mask: &'a [u64],
-    /// Entry-blocked mirror of `key_words`.
-    blk_key: &'a [u64],
     uncommon_flat: &'a [u32],
     uncommon_offsets: &'a [u32],
 }
@@ -124,39 +118,9 @@ impl<'a> DictView<'a> {
             n_entries,
             mask_words,
             key_words,
-            blk_mask: &[],
-            blk_key: &[],
             uncommon_flat,
             uncommon_offsets,
         }
-    }
-
-    /// Attaches an entry-blocked mirror of the scan arrays (the
-    /// [`crate::simd`] interleave), enabling the SIMD fast path for the
-    /// `n_entries - n_entries % 4` entries it covers. Pass empty slices to
-    /// keep the scalar-only view.
-    ///
-    /// The blocked arrays are *derived* data: they must be the exact
-    /// [`simd::interleave_blocked`] image of the flat arrays (the artifact
-    /// loader verifies this before trusting mapped bytes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the blocked arrays disagree with each other or with the
-    /// dictionary's shape.
-    #[must_use]
-    pub fn with_blocked(mut self, blk_mask: &'a [u64], blk_key: &'a [u64]) -> Self {
-        assert_eq!(blk_mask.len(), blk_key.len(), "blocked array shapes differ");
-        if !blk_mask.is_empty() {
-            assert_eq!(
-                blk_mask.len(),
-                simd::blocked_len(self.n_entries, self.stride),
-                "blocked layout shape"
-            );
-        }
-        self.blk_mask = blk_mask;
-        self.blk_key = blk_key;
-        self
     }
 
     /// Number of entries.
@@ -207,26 +171,6 @@ impl<'a> DictView<'a> {
         self.uncommon_offsets
     }
 
-    /// The entry-blocked mask mirror (empty when the producer carries no
-    /// blocked layout).
-    #[must_use]
-    pub fn blk_mask(&self) -> &'a [u64] {
-        self.blk_mask
-    }
-
-    /// The entry-blocked key mirror.
-    #[must_use]
-    pub fn blk_key(&self) -> &'a [u64] {
-        self.blk_key
-    }
-
-    /// Whether this view carries the entry-blocked layout (and so scans
-    /// its full blocks through the selected SIMD kernel).
-    #[must_use]
-    pub fn has_blocked(&self) -> bool {
-        !self.blk_mask.is_empty()
-    }
-
     /// The branch-free membership test for entry `id`:
     /// `(input & mask) == key` over the entry's stride words. Inputs
     /// narrower than the dictionary width are handled exactly as
@@ -249,44 +193,21 @@ impl<'a> DictView<'a> {
 
     /// Scans all entries against an input mask, invoking `on_match` with the
     /// index of each entry whose common pairs all hold, in ascending entry
-    /// order. Full blocks of the blocked layout (when present) go through
-    /// the process-selected SIMD kernel ([`Kernel::selected`]); the tail —
-    /// or the whole dictionary when no blocked layout is attached — takes
-    /// the scalar reference path.
-    pub fn scan<F: FnMut(u32)>(&self, input: &Mask, on_match: F) {
-        self.scan_with_kernel(input, Kernel::selected(), on_match);
-    }
-
-    /// [`Self::scan`] with an explicit kernel — the hook the differential
-    /// harness and benches use to pin every backend against the scalar
-    /// reference regardless of `BOLT_KERNEL`. `Kernel::Scalar` ignores the
-    /// blocked layout entirely and is the reference semantics.
-    pub fn scan_with_kernel<F: FnMut(u32)>(&self, input: &Mask, kernel: Kernel, mut on_match: F) {
-        if self.n_entries == 0 {
-            return;
-        }
+    /// order — one [`entry_diff`] per entry over the flat arrays.
+    ///
+    /// This is the paper's §4 linear scan, kept as the reference the
+    /// oracles pin the entry-bitmap index against; no feature-level
+    /// inference path runs it.
+    pub fn scan<F: FnMut(u32)>(&self, input: &Mask, mut on_match: F) {
         let words = input.as_words();
         let words = &words[..self.stride.min(words.len())];
-        let mut tail_start = 0usize;
-        if kernel != Kernel::Scalar && !self.blk_mask.is_empty() {
-            tail_start = (self.n_entries / simd::BLOCK) * simd::BLOCK;
-            simd::scan_blocked(
-                kernel,
-                self.blk_mask,
-                self.blk_key,
-                self.stride,
-                words,
-                &mut |idx| on_match(idx),
-            );
-        }
-        for idx in tail_start..self.n_entries {
-            let base = idx * self.stride;
-            if entry_diff(
-                words,
-                &self.mask_words[base..base + self.stride],
-                &self.key_words[base..base + self.stride],
-            ) == 0
-            {
+        for (idx, (mask, key)) in self
+            .mask_words
+            .chunks_exact(self.stride)
+            .zip(self.key_words.chunks_exact(self.stride))
+            .enumerate()
+        {
+            if entry_diff(words, mask, key) == 0 {
                 on_match(idx as u32);
             }
         }
@@ -423,7 +344,7 @@ impl<'a> DictView<'a> {
 /// assert_eq!(dict.len(), clustering.len());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Dictionary {
     entries: Vec<DictEntry>,
     /// Predicate-universe width in bits.
@@ -434,36 +355,11 @@ pub struct Dictionary {
     mask_words: Vec<u64>,
     /// `stride`-word expected values under the mask, per entry, contiguous.
     key_words: Vec<u64>,
-    /// Entry-blocked mirror of `mask_words` for the SIMD scan (see
-    /// [`crate::simd`]). Derived data, rebuilt rather than serialized so a
-    /// hand-edited JSON artifact cannot desynchronize the two layouts; a
-    /// deserialized dictionary scans scalar until [`Self::rebuild_blocked`]
-    /// runs (which [`crate::BoltForest::rebuild`] does).
-    #[serde(skip)]
-    blk_mask: Vec<u64>,
-    /// Entry-blocked mirror of `key_words`.
-    #[serde(skip)]
-    blk_key: Vec<u64>,
     /// Every entry's uncommon predicates, concatenated (hot-path mirror of
     /// the per-entry lists, avoiding heap hops during address gathering).
     uncommon_flat: Vec<u32>,
     /// Entry `i`'s uncommon run is `uncommon_offsets[i]..uncommon_offsets[i+1]`.
     uncommon_offsets: Vec<u32>,
-}
-
-/// Equality over the semantic fields only: the blocked mirrors are a
-/// derived cache, so a deserialized (not yet rebuilt) dictionary still
-/// equals the one it was serialized from.
-impl PartialEq for Dictionary {
-    fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
-            && self.width == other.width
-            && self.stride == other.stride
-            && self.mask_words == other.mask_words
-            && self.key_words == other.key_words
-            && self.uncommon_flat == other.uncommon_flat
-            && self.uncommon_offsets == other.uncommon_offsets
-    }
 }
 
 impl Dictionary {
@@ -498,29 +394,15 @@ impl Dictionary {
             });
         }
         uncommon_offsets.push(uncommon_flat.len() as u32);
-        let mut dict = Self {
+        Self {
             entries,
             width,
             stride,
             mask_words,
             key_words,
-            blk_mask: Vec::new(),
-            blk_key: Vec::new(),
             uncommon_flat,
             uncommon_offsets,
-        };
-        dict.rebuild_blocked();
-        dict
-    }
-
-    /// Rebuilds the entry-blocked SIMD mirror from the flat scan arrays.
-    /// Serde skips the mirror (it is derived data), so deserialized
-    /// dictionaries scan scalar until this runs — `BoltForest::rebuild`
-    /// and `BoltRegressor::rebuild` call it alongside the predicate
-    /// universe's index rebuild.
-    pub fn rebuild_blocked(&mut self) {
-        self.blk_mask = simd::interleave_blocked(&self.mask_words, self.stride);
-        self.blk_key = simd::interleave_blocked(&self.key_words, self.stride);
+        }
     }
 
     /// A borrowed [`DictView`] over the packed scan arrays — the shape the
@@ -534,8 +416,6 @@ impl Dictionary {
             n_entries: self.entries.len(),
             mask_words: &self.mask_words,
             key_words: &self.key_words,
-            blk_mask: &self.blk_mask,
-            blk_key: &self.blk_key,
             uncommon_flat: &self.uncommon_flat,
             uncommon_offsets: &self.uncommon_offsets,
         }
@@ -592,14 +472,6 @@ impl Dictionary {
     #[must_use]
     pub fn matches(&self, id: u32, input: &Mask) -> bool {
         self.view().matches(id, input)
-    }
-
-    /// Scans all entries against an input mask, invoking `on_match` for each
-    /// entry whose common pairs all hold. This is Bolt's inference front
-    /// half: no branches in the compare, sequential memory access.
-    pub fn scan<F: FnMut(&DictEntry)>(&self, input: &Mask, mut on_match: F) {
-        self.view()
-            .scan(input, |idx| on_match(&self.entries[idx as usize]));
     }
 
     /// Bytes consumed by the packed scan arrays.
@@ -686,7 +558,7 @@ mod tests {
         input.set(0, true);
         input.set(1, true);
         let mut via_scan = Vec::new();
-        dict.scan(&input, |e| via_scan.push(e.id));
+        dict.view().scan(&input, |id| via_scan.push(id));
         let direct: Vec<u32> = dict
             .entries()
             .iter()
@@ -750,7 +622,7 @@ mod tests {
         let mut narrow = Mask::zeros(3); // one word, dictionary needs two
         narrow.set(2, true);
         let mut via_scan = Vec::new();
-        dict.scan(&narrow, |e| via_scan.push(e.id));
+        dict.view().scan(&narrow, |id| via_scan.push(id));
         for entry in dict.entries() {
             assert_eq!(
                 dict.matches(entry.id, &narrow),
@@ -772,43 +644,6 @@ mod tests {
             }),
             "the low-word entry should still match"
         );
-    }
-
-    #[test]
-    fn blocked_mirror_matches_flat_on_every_kernel() {
-        // 4+ entries so at least one full block exists; compare the
-        // dispatched scan against the forced-scalar reference.
-        // Threshold 0 keeps every distinct path its own entry, so the
-        // dictionary has 6 entries: one full block of 4 plus a tail of 2.
-        let sorted = SortedPaths::from_paths(
-            vec![
-                path(&[(0, true), (70, true)], 0, 0),
-                path(&[(0, true), (70, false)], 1, 0),
-                path(&[(0, false), (100, true)], 1, 0),
-                path(&[(0, false), (100, false)], 0, 0),
-                path(&[(2, true)], 0, 0),
-                path(&[(2, false), (70, true)], 1, 0),
-            ],
-            1,
-        );
-        let clustering = Clustering::greedy(&sorted, 0).expect("clusters");
-        let dict = Dictionary::from_clustering(&clustering, 128);
-        assert!(dict.len() >= 5, "want a full block plus a tail");
-        let view = dict.view();
-        assert!(view.has_blocked());
-        for bits in 0u8..8 {
-            let mut input = Mask::zeros(128);
-            input.set(0, bits & 1 == 1);
-            input.set(70, bits >> 1 & 1 == 1);
-            input.set(100, bits >> 2 & 1 == 1);
-            let mut reference = Vec::new();
-            view.scan_with_kernel(&input, Kernel::Scalar, |id| reference.push(id));
-            for kernel in Kernel::all_supported() {
-                let mut got = Vec::new();
-                view.scan_with_kernel(&input, kernel, |id| got.push(id));
-                assert_eq!(got, reference, "kernel {kernel} input {bits:03b}");
-            }
-        }
     }
 
     #[test]

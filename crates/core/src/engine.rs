@@ -456,8 +456,7 @@ pub struct BoltForest {
     dictionary: Dictionary,
     table: RecombinedTable,
     /// Entry-bitmap index over `dictionary` (see [`crate::index`]).
-    /// Derived data, rebuilt rather than serialized, like the dictionary's
-    /// blocked mirror.
+    /// Derived data, rebuilt rather than serialized.
     #[serde(skip)]
     index: EntryIndex,
     bloom: Option<BloomFilter>,
@@ -595,7 +594,7 @@ impl BoltForest {
     }
 
     /// A borrowed [`ForestView`] over the inference structures — the shape
-    /// every scan kernel runs over, shared with memory-mapped artifacts.
+    /// every inference path runs over, shared with memory-mapped artifacts.
     #[must_use]
     pub fn view(&self) -> ForestView<'_> {
         ForestView {
@@ -753,12 +752,10 @@ impl BoltForest {
     }
 
     /// Restores derived structures after deserialization (the predicate
-    /// universe's lookup index, feature groups, the dictionary's
-    /// entry-blocked SIMD mirror, and the entry-bitmap index are not
-    /// serialized).
+    /// universe's lookup index, feature groups, and the entry-bitmap index
+    /// are not serialized).
     pub fn rebuild(&mut self) {
         self.universe.rebuild_index();
-        self.dictionary.rebuild_blocked();
         self.index = EntryIndex::build(self.dictionary.view(), &self.universe);
     }
 

@@ -8,6 +8,7 @@
 
 use crate::engine::BoltForest;
 use crate::filter::table_key;
+use bolt_bitpack::Mask;
 use std::collections::HashMap;
 
 /// A classification together with its salient-feature attribution.
@@ -41,13 +42,21 @@ impl BoltForest {
     /// Panics if the sample is shorter than the universe's feature count.
     #[must_use]
     pub fn classify_explained(&self, sample: &[f32]) -> Explanation {
-        let bits = self.encode(sample);
+        // Matched through the entry-bitmap index like `classify_with`: the
+        // same entries in the same ascending order as a scan of the bits,
+        // so the `f64` vote and salience sums are the scan's.
+        let (universe, index) = (self.universe(), self.index().view());
+        let mut bits = Mask::zeros(universe.len());
+        let mut run_starts = vec![0u32; universe.n_groups()];
+        let mut matched = vec![0u64; index.words()];
+        universe.evaluate_into_with_starts(sample, &mut bits, &mut run_starts);
         let mut votes = vec![0.0f64; self.n_classes()];
         for &(class, weight) in self.constant_votes() {
             votes[class as usize] += weight;
         }
         let mut salience: HashMap<u32, f64> = HashMap::new();
-        self.dictionary().scan(&bits, |entry| {
+        index.for_each_match(&run_starts, &mut matched, |entry_id| {
+            let entry = &self.dictionary().entries()[entry_id as usize];
             let address = entry.address_of(&bits);
             if let Some(bloom) = self.bloom() {
                 if !bloom.contains(table_key(entry.id, address)) {

@@ -23,14 +23,19 @@
 //! 784-feature forest whose 33 entries share 21 features reads 21 rows per
 //! match, not 79.
 //!
-//! It is derived data (like the blocked SIMD mirror): rebuilt from the
-//! dictionary's flat mask/key arrays and the universe's group boundaries,
-//! never serialized, so nothing new has to be trusted from a file. Callers
-//! that hand in raw bits, which need not be thermometer-coded, keep
-//! scanning.
+//! It is derived data: rebuilt from the dictionary's flat mask/key arrays
+//! and the universe's group boundaries, never serialized, so nothing new
+//! has to be trusted from a file. Callers that hand in raw bits, which need
+//! not be thermometer-coded, keep scanning.
 
 use crate::dictionary::DictView;
 use bolt_forest::PredicateUniverse;
+
+/// Name of the one mechanism that matches dictionary entries on every
+/// feature-level inference path — what the reporting slots that used to
+/// carry the selected SIMD scan kernel (`boltctl status`'s `scan kernel:`
+/// line, a bench snapshot's `kernel` field) now say.
+pub const MATCH_MECHANISM: &str = "index";
 
 /// Owned entry-bitmap index for one dictionary under one predicate
 /// universe. Empty (`Default`) until built.
@@ -306,7 +311,6 @@ impl IndexView<'_> {
 mod tests {
     use super::*;
     use crate::oracle::{next_above, next_below, OracleRng};
-    use crate::simd::Kernel;
     use bolt_bitpack::Mask;
 
     /// A hand-built dictionary: flat mask/key words plus the (empty)
@@ -375,7 +379,7 @@ mod tests {
         samples
     }
 
-    /// The index's match list must equal the scalar scan's on every
+    /// The index's match list must equal the reference scan's on every
     /// sample; returns how many (sample, entry) matches were seen.
     fn assert_index_equals_scan(
         dict: &RawDict,
@@ -394,8 +398,7 @@ mod tests {
         for sample in samples {
             universe.evaluate_into_with_starts(sample, &mut bits, &mut starts);
             let mut scanned = Vec::new();
-            dict.view()
-                .scan_with_kernel(&bits, Kernel::Scalar, |id| scanned.push(id));
+            dict.view().scan(&bits, |id| scanned.push(id));
             let mut indexed = Vec::new();
             index
                 .view()

@@ -19,7 +19,6 @@
 
 use crate::engine::BoltForest;
 use crate::filter::table_key;
-use crate::simd::{self, Kernel};
 use bolt_bitpack::{bits_for, BitVec, KneeCodec, Mask, PackedIntVec};
 
 /// Compressed vs decompressed byte counts for one layout section.
@@ -167,12 +166,6 @@ pub struct PackedBolt {
     /// Per entry: common mask/key words (reused from the dictionary layout).
     mask_words: Vec<u64>,
     key_words: Vec<u64>,
-    /// Entry-blocked SIMD mirror of the full blocks of
-    /// `mask_words`/`key_words` (see [`simd::interleave_blocked`]); the
-    /// packed engine scans it with the process-selected kernel and falls
-    /// back to the flat arrays for the tail.
-    blk_mask: Vec<u64>,
-    blk_key: Vec<u64>,
     stride: usize,
     /// Open-addressed packed table, same capacity/probing as the source.
     occupied: BitVec,
@@ -261,16 +254,12 @@ impl PackedBolt {
             }
         }
         slot_vote_offsets.push(classes.len() as u32);
-        let blk_mask = simd::interleave_blocked(&mask_words, stride);
-        let blk_key = simd::interleave_blocked(&key_words, stride);
         Self {
             width: dict.width(),
             entry_uncommon_offsets,
             uncommon_preds,
             mask_words,
             key_words,
-            blk_mask,
-            blk_key,
             stride,
             occupied,
             slot_entry_ids,
@@ -289,9 +278,8 @@ impl PackedBolt {
         self.entry_uncommon_offsets.len() - 1
     }
 
-    /// Classifies an encoded input from packed structures only. Full
-    /// blocks of the mask/key columns are scanned through the
-    /// process-selected SIMD kernel; the tail takes the flat scalar loop.
+    /// Classifies an encoded input from packed structures only: a flat
+    /// scalar scan of the mask/key columns, then packed table probes.
     #[must_use]
     pub fn classify_bits(&self, bits: &Mask) -> u32 {
         let words = bits.as_words();
@@ -299,21 +287,7 @@ impl PackedBolt {
         for &(class, weight) in &self.constant_votes {
             votes[class as usize] += weight;
         }
-        let kernel = Kernel::selected();
-        let mut tail_start = 0usize;
-        if kernel != Kernel::Scalar && !self.blk_mask.is_empty() {
-            tail_start = (self.n_entries() / simd::BLOCK) * simd::BLOCK;
-            let words = &words[..words.len().min(self.stride)];
-            simd::scan_blocked(
-                kernel,
-                &self.blk_mask,
-                &self.blk_key,
-                self.stride,
-                words,
-                &mut |entry| self.accumulate_entry(entry as usize, bits, &mut votes),
-            );
-        }
-        for entry in tail_start..self.n_entries() {
+        for entry in 0..self.n_entries() {
             let base = entry * self.stride;
             let mut diff = 0u64;
             for w in 0..self.stride {
@@ -374,7 +348,6 @@ impl PackedBolt {
         self.uncommon_preds.packed_bytes()
             + self.entry_uncommon_offsets.len() * 4
             + (self.mask_words.len() + self.key_words.len()) * 8
-            + (self.blk_mask.len() + self.blk_key.len()) * 8
             + self.occupied.packed_bytes()
             + self.slot_entry_ids.packed_bytes()
             + self.slot_addresses.packed_bytes()

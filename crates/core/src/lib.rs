@@ -56,9 +56,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-// `deny` rather than `forbid` so the one module that wraps `std::arch`
-// SIMD intrinsics ([`simd`]) can opt in with a scoped `allow`; everything
-// else in the crate remains unsafe-free.
+// `deny` rather than `forbid` so the one function that issues a cache
+// prefetch hint ([`simd::prefetch`]) can opt in with a function-scoped
+// `allow`; everything else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -76,7 +76,6 @@ pub mod oracle;
 pub mod parallel;
 pub mod paths;
 pub mod regress;
-#[allow(unsafe_code)]
 pub mod simd;
 pub mod table;
 pub mod tuning;
@@ -93,6 +92,5 @@ pub use index::{EntryIndex, IndexView};
 pub use layout::{LayoutReport, SectionBytes};
 pub use parallel::{PartitionPlan, PartitionedBolt};
 pub use regress::{Aggregation, BoltRegressor};
-pub use simd::Kernel;
 pub use table::{RecombinedTable, TableCell, TableView, Votes, EMPTY_SLOT_ENTRY};
 pub use tuning::{CostModel, ParameterSearch, Trial, TuningReport};

@@ -462,12 +462,11 @@ pub fn check_boosted(
     Ok(samples.len())
 }
 
-/// Pins the batched engine to the raw-bits scalar reference on the given
+/// Pins the batched engine to the raw-bits reference on the given
 /// samples: each sample's batched vote vector must be **bit-identical**
-/// (not merely argmax-equal) to
-/// [`ForestView::scan_votes_into`](crate::ForestView::scan_votes_into) over
-/// its encoded bits with the dictionary scanned by `Kernel::Scalar`, for
-/// batch slices of sizes 1, 3, 5 and the full set, both unsharded and
+/// (not merely argmax-equal) to [`BoltForest::votes_for_bits`] — the
+/// [`DictView::scan`](crate::DictView::scan) path — over its encoded bits,
+/// for batch slices of sizes 1, 3, 5 and the full set, both unsharded and
 /// sharded. Returns the number of (sample, batch-shape) checks performed.
 ///
 /// # Errors
@@ -475,31 +474,9 @@ pub fn check_boosted(
 /// Returns a description of the first divergence.
 pub fn check_batch(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, String> {
     let refs: Vec<&[f32]> = samples.iter().map(Vec::as_slice).collect();
-    // A view over the flat scan arrays alone carries no blocked mirror, so
-    // its scan is the scalar reference whatever `BOLT_KERNEL` selects.
-    let view = bolt.view();
-    let dict = view.dict();
-    let scalar = crate::ForestView::new(
-        crate::DictView::new(
-            dict.width(),
-            dict.mask_words(),
-            dict.key_words(),
-            dict.uncommon_flat(),
-            dict.uncommon_offsets(),
-        ),
-        view.index(),
-        view.table(),
-        view.bloom(),
-        view.constant_votes(),
-        view.n_classes(),
-    );
     let expected: Vec<Vec<f64>> = refs
         .iter()
-        .map(|s| {
-            let mut votes = vec![0.0f64; bolt.n_classes()];
-            scalar.scan_votes_into(&bolt.encode(s), &mut votes, None);
-            votes
-        })
+        .map(|s| bolt.votes_for_bits(&bolt.encode(s)))
         .collect();
     let mut checked = 0usize;
     let mut scratch = bolt.batch_scratch();
@@ -540,76 +517,20 @@ pub fn check_batch(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, Str
     Ok(checked)
 }
 
-/// Pins every SIMD scan kernel the host supports to the scalar reference
-/// on the given samples: the sequence of matched entry indices must be
-/// identical (same entries, same ascending order — vote accumulation
-/// order depends on it), and the dispatched scan's vote vectors must be
-/// **bit-identical** to the forced-scalar scan's. Returns the number of
-/// (sample, kernel) checks performed.
-///
-/// # Errors
-///
-/// Returns a description of the first divergence.
-pub fn check_kernels(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, String> {
-    use crate::simd::Kernel;
-    let view = bolt.view();
-    let dict = view.dict();
-    let mut checked = 0usize;
-    for sample in samples {
-        let bits = bolt.encode(sample);
-        let mut reference = Vec::new();
-        dict.scan_with_kernel(&bits, Kernel::Scalar, |id| reference.push(id));
-        for kernel in Kernel::all_supported() {
-            let mut got = Vec::new();
-            dict.scan_with_kernel(&bits, kernel, |id| got.push(id));
-            if got != reference {
-                return Err(format!(
-                    "kernel {kernel}: matched entries {got:?} diverge from scalar \
-                     {reference:?} on sample {sample:?}"
-                ));
-            }
-            checked += 1;
-        }
-        // The dispatched scan (whatever `BOLT_KERNEL`/detection chose)
-        // must produce bit-identical votes end to end.
-        let via_dispatch: Vec<u64> = bolt
-            .votes_for_bits(&bits)
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let mut scalar_votes = vec![0.0f64; bolt.n_classes()];
-        for &(class, weight) in view.constant_votes() {
-            scalar_votes[class as usize] += weight;
-        }
-        dict.scan_with_kernel(&bits, Kernel::Scalar, |entry_id| {
-            let address = dict.address_of(entry_id, &bits);
-            for (class, weight) in view.lookup_entry_votes(entry_id, address).iter() {
-                scalar_votes[class as usize] += weight;
-            }
-        });
-        let scalar_bits: Vec<u64> = scalar_votes.iter().map(|v| v.to_bits()).collect();
-        if via_dispatch != scalar_bits {
-            return Err(format!(
-                "dispatched votes diverge from forced-scalar votes on sample {sample:?}"
-            ));
-        }
-        checked += 1;
-    }
-    Ok(checked)
-}
-
-/// Pins the entry-bitmap index to the scalar dictionary scan on the given
-/// samples: the matched entries must be the same, in the same ascending
-/// order, and the feature-level path's vote vector and counters
+/// Pins the entry-bitmap index to the reference dictionary scan
+/// ([`DictView::scan`](crate::DictView::scan)) on the given samples: the
+/// matched entries must be the same, in the same ascending order, and the
+/// feature-level path's vote vector and counters
 /// ([`ForestView::votes_with`](crate::ForestView::votes_with)) must equal
 /// the raw-bits scan path's ([`BoltForest::votes_with_stats`]) bit for bit
-/// and count for count. Returns the number of samples checked.
+/// and count for count — as must votes rebuilt from the scanned entries one
+/// [`ForestView::lookup_entry_votes`](crate::ForestView::lookup_entry_votes)
+/// at a time. Returns the number of samples checked.
 ///
 /// # Errors
 ///
 /// Returns a description of the first divergence.
 pub fn check_index(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, String> {
-    use crate::simd::Kernel;
     let (view, universe) = (bolt.view(), bolt.universe());
     let (dict, index) = (view.dict(), view.index());
     let mut bits = bolt_bitpack::Mask::zeros(universe.len());
@@ -619,7 +540,7 @@ pub fn check_index(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, Str
     for sample in samples {
         universe.evaluate_into_with_starts(sample, &mut bits, &mut starts);
         let mut scanned = Vec::new();
-        dict.scan_with_kernel(&bits, Kernel::Scalar, |id| scanned.push(id));
+        dict.scan(&bits, |id| scanned.push(id));
         let mut indexed = Vec::new();
         index.for_each_match(&starts, &mut acc, |id| indexed.push(id));
         if indexed != scanned {
@@ -628,6 +549,25 @@ pub fn check_index(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, Str
             ));
         }
         let (scan_votes, scan_stats) = bolt.votes_with_stats(&bits);
+        let mut rebuilt = vec![0.0f64; bolt.n_classes()];
+        for &(class, weight) in view.constant_votes() {
+            rebuilt[class as usize] += weight;
+        }
+        for &id in &scanned {
+            let address = dict.address_of(id, &bits);
+            for (class, weight) in view.lookup_entry_votes(id, address).iter() {
+                rebuilt[class as usize] += weight;
+            }
+        }
+        if rebuilt
+            .iter()
+            .map(|v| v.to_bits())
+            .ne(scan_votes.iter().map(|v| v.to_bits()))
+        {
+            return Err(format!(
+                "per-entry lookups {rebuilt:?} diverge from scan votes {scan_votes:?} on sample {sample:?}"
+            ));
+        }
         let mut stats = crate::InferenceStats::default();
         let votes = view.votes_with(universe, sample, &mut scratch, Some(&mut stats));
         if votes

@@ -267,11 +267,9 @@ impl BoltRegressor {
     }
 
     /// Restores derived structures after deserialization: the predicate
-    /// universe's lookup index, the dictionary's entry-blocked SIMD mirror,
-    /// and the entry-bitmap index.
+    /// universe's lookup index and the entry-bitmap index.
     pub fn rebuild(&mut self) {
         self.universe.rebuild_index();
-        self.dictionary.rebuild_blocked();
         self.index = EntryIndex::build(self.dictionary.view(), &self.universe);
     }
 }

@@ -11,9 +11,11 @@
 //! Every failure message carries the forest seed, so any divergence is
 //! reproducible from a single `u64`.
 
+use bolt_core::filter::table_key;
 use bolt_core::oracle::{self, ForestSpec, OracleRng};
 use bolt_core::{BoltConfig, BoltForest};
 use bolt_forest::{Dataset, ForestConfig, RandomForest};
+use std::collections::HashMap;
 
 const FOREST_SEEDS: u64 = 25;
 const RANDOM_INPUTS_PER_FOREST: usize = 20;
@@ -21,6 +23,55 @@ const RANDOM_INPUTS_PER_FOREST: usize = 20;
 fn compile(forest: &RandomForest, config: &BoltConfig, seed: u64) -> BoltForest {
     BoltForest::compile(forest, config)
         .unwrap_or_else(|e| panic!("compile failed for seed {seed} with config {config:?}: {e}"))
+}
+
+/// Explanation leg, for forests compiled with explanations (0 checks
+/// otherwise): `classify_explained` matches through the entry-bitmap index,
+/// so its class must be `classify`'s and its salience list must equal one
+/// rebuilt here from the reference `DictView::scan` — same entries in the
+/// same ascending order, hence the same `f64` sums, compared exactly.
+/// Returns the number of samples checked.
+fn check_explanations(bolt: &BoltForest, samples: &[Vec<f32>], seed: u64) -> usize {
+    if !bolt.config().explanations {
+        return 0;
+    }
+    let view = bolt.view();
+    for sample in samples {
+        let explanation = bolt.classify_explained(sample);
+        assert_eq!(
+            explanation.class,
+            bolt.classify(sample),
+            "seed {seed}: explained class diverges on {sample:?}"
+        );
+        let bits = bolt.encode(sample);
+        let mut salience: HashMap<u32, f64> = HashMap::new();
+        view.dict().scan(&bits, |id| {
+            let address = view.dict().address_of(id, &bits);
+            if bolt
+                .bloom()
+                .is_some_and(|bloom| !bloom.contains(table_key(id, address)))
+            {
+                return;
+            }
+            let Some(cell) = bolt.table().lookup(id, address) else {
+                return;
+            };
+            for (&(_, weight), features) in cell.votes.iter().zip(&cell.path_features) {
+                for &pred in features {
+                    *salience
+                        .entry(bolt.universe().predicate(pred).feature)
+                        .or_insert(0.0) += weight;
+                }
+            }
+        });
+        let mut salience: Vec<(u32, f64)> = salience.into_iter().collect();
+        salience.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+        assert_eq!(
+            explanation.salience, salience,
+            "seed {seed}: salience diverges from the scan-built reference on {sample:?}"
+        );
+    }
+    samples.len()
 }
 
 /// The tentpole sweep: randomized forests × adversarial inputs × the full
@@ -57,19 +108,14 @@ fn random_forests_match_reference_across_config_matrix() {
                 .unwrap_or_else(|m| panic!("seed {seed}, config {config:?}, batched: {m}"));
             combinations += batch_checked;
 
-            // Kernel leg: every SIMD backend the host supports must match
-            // the scalar scan entry-for-entry, and the dispatched scan's
-            // votes must be bit-identical to forced-scalar votes.
-            let kernel_checked = oracle::check_kernels(&bolt, &inputs)
-                .unwrap_or_else(|m| panic!("seed {seed}, config {config:?}, kernels: {m}"));
-            combinations += kernel_checked;
-
             // Index leg: the entry-bitmap index must match exactly the
             // entries the scalar scan matches, and the feature-level path
             // must leave bit-identical votes and identical counters.
             let index_checked = oracle::check_index(&bolt, &inputs)
                 .unwrap_or_else(|m| panic!("seed {seed}, config {config:?}, index: {m}"));
             combinations += index_checked;
+
+            combinations += check_explanations(&bolt, &inputs, seed);
 
             // Every 4th configuration also goes through serialize →
             // deserialize → rebuild, so the persisted artifact is held to
@@ -128,10 +174,9 @@ fn trained_forests_match_reference_on_adversarial_inputs() {
                 .unwrap_or_else(|m| panic!("trained seed {seed}, config {config:?}: {m}"));
             oracle::check_batch(&bolt, &inputs)
                 .unwrap_or_else(|m| panic!("trained seed {seed}, config {config:?}, batched: {m}"));
-            oracle::check_kernels(&bolt, &inputs)
-                .unwrap_or_else(|m| panic!("trained seed {seed}, config {config:?}, kernels: {m}"));
             oracle::check_index(&bolt, &inputs)
                 .unwrap_or_else(|m| panic!("trained seed {seed}, config {config:?}, index: {m}"));
+            check_explanations(&bolt, &inputs, seed);
         }
     }
 }

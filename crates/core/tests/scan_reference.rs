@@ -1,15 +1,14 @@
-//! Property tests pinning every single-sample SIMD scan kernel to the
-//! scalar reference.
+//! Property tests pinning the three scalar reference implementations
+//! everything else rests on to one another: `DictView::scan` ≡ per-entry
+//! `DictView::matches` ≡ `DictView::scan_lanes` regrouped per sample.
 //!
-//! The scalar flat scan in `dictionary.rs` is the semantic source of truth
-//! (`entry_diff`); the blocked-layout kernels in `bolt_core::simd` must
-//! agree with it bit-for-bit on *any* dictionary bytes — including shapes
-//! `from_clustering` never produces (all-zero-mask entries that match
-//! everything, corrupted key ⊄ mask words that reject everything) — and
-//! on any input width (stride tails, narrow inputs, empty inputs).
+//! All three implement the `entry_diff` fold; the oracles pin the
+//! entry-bitmap index to `scan`, so these must agree on *any* dictionary bytes — including
+//! shapes `from_clustering` never produces (all-zero-mask entries that
+//! match everything, corrupted key ⊄ mask words that reject everything) —
+//! and on any input width (stride tails, narrow inputs, empty inputs).
 
 use bolt_bitpack::Mask;
-use bolt_core::simd::{self, Kernel};
 use bolt_core::DictView;
 use proptest::prelude::*;
 
@@ -42,7 +41,7 @@ fn mask_from_words(input_words: &[u64]) -> Mask {
 }
 
 /// One randomized dictionary: sparse masks, keys under the masks, plus the
-/// optional hostile shapes the kernels must handle identically.
+/// optional hostile shapes the references must handle identically.
 struct Case {
     stride: usize,
     mask: Vec<u64>,
@@ -85,20 +84,20 @@ impl Case {
     }
 }
 
-fn scan_ids(view: &DictView<'_>, input: &Mask, kernel: Kernel) -> Vec<u32> {
+fn scan_ids(view: &DictView<'_>, input: &Mask) -> Vec<u32> {
     let mut out = Vec::new();
-    view.scan_with_kernel(input, kernel, |id| out.push(id));
+    view.scan(input, |id| out.push(id));
     out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Every supported kernel reports exactly the scalar scan's matches,
-    /// in the same ascending order, on randomized dictionaries and inputs
-    /// of every width from empty through full stride.
+    /// The scan reports, in ascending order, exactly the entries the
+    /// per-entry test accepts, on randomized dictionaries and inputs of
+    /// every width from empty through full stride.
     #[test]
-    fn kernels_agree_with_scalar_on_random_dictionaries(
+    fn scan_agrees_with_per_entry_matches_on_random_dictionaries(
         seed in any::<u64>(),
         stride in 1usize..=5,
         n_entries in 0usize..=13,
@@ -108,9 +107,7 @@ proptest! {
     ) {
         let case = Case::build(seed, stride, n_entries, zero_mask, corrupt);
         let offsets = vec![0u32; n_entries + 1];
-        let blk_mask = simd::interleave_blocked(&case.mask, stride);
-        let blk_key = simd::interleave_blocked(&case.key, stride);
-        let view = case.view(&offsets).with_blocked(&blk_mask, &blk_key);
+        let view = case.view(&offsets);
 
         // Inputs: random at every width 0..=stride, or an entry's own key
         // (a guaranteed match when that entry's key ⊆ mask).
@@ -124,17 +121,8 @@ proptest! {
         };
         let input = mask_from_words(&input_words);
 
-        let reference = scan_ids(&view, &input, Kernel::Scalar);
-        for kernel in Kernel::all_supported() {
-            let got = scan_ids(&view, &input, kernel);
-            prop_assert_eq!(
-                &got,
-                &reference,
-                "kernel {} diverged (seed {seed}, stride {stride}, {} entries)",
-                kernel,
-                n_entries
-            );
-        }
+        let reference = scan_ids(&view, &input);
+        prop_assert!(reference.windows(2).all(|w| w[0] < w[1]), "ascending entry order");
 
         // `matches` (the per-entry test) agrees with scan membership,
         // including on inputs narrower than the dictionary.
@@ -191,31 +179,13 @@ proptest! {
             let sample_words: Vec<u64> =
                 (0..stride).map(|w| lanes[w * n_samples + b]).collect();
             let input = mask_from_words(&sample_words);
-            let expected = scan_ids(&view, &input, Kernel::Scalar);
+            let expected = scan_ids(&view, &input);
             let got: Vec<u32> = hits
                 .iter()
                 .filter(|(_, m)| m.contains(&(b as u32)))
                 .map(|(id, _)| *id)
                 .collect();
             prop_assert_eq!(got, expected, "sample {} (seed {seed})", b);
-        }
-    }
-
-    /// A view without the blocked layout silently degrades to the scalar
-    /// path no matter which kernel is requested — same matches, same order.
-    #[test]
-    fn missing_blocked_layout_degrades_to_scalar(
-        seed in any::<u64>(),
-        stride in 1usize..=3,
-        n_entries in 0usize..=9,
-    ) {
-        let case = Case::build(seed, stride, n_entries, false, false);
-        let offsets = vec![0u32; n_entries + 1];
-        let view = case.view(&offsets); // no with_blocked
-        let input = mask_from_words(&words(seed ^ 0xBEEF, stride));
-        let reference = scan_ids(&view, &input, Kernel::Scalar);
-        for kernel in Kernel::all_supported() {
-            prop_assert_eq!(scan_ids(&view, &input, kernel), reference.clone());
         }
     }
 }

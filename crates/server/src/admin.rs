@@ -291,10 +291,11 @@ pub struct StatusReport {
     pub metrics: StoreMetrics,
     /// One row per model, sorted by name.
     pub models: Vec<ModelInfo>,
-    /// The daemon's selected SIMD scan kernel (`scalar`/`sse2`/`avx2`/
-    /// `avx512`/`neon`). Empty when the serving daemon predates this
-    /// field — it rides at the end of the reply so old and new peers
-    /// interoperate.
+    /// How the daemon matches dictionary entries:
+    /// [`bolt_core::index::MATCH_MECHANISM`] from current daemons, a SIMD
+    /// scan kernel name (`scalar`/`sse2`/`avx2`/`avx512`/`neon`) from
+    /// PR 10–16 ones. Empty when the serving daemon predates this field —
+    /// it rides at the end of the reply so old and new peers interoperate.
     pub kernel: String,
 }
 
@@ -606,7 +607,7 @@ pub fn handle(store: &ModelStore, request: &AdminRequest) -> AdminReply {
         AdminRequest::Status => AdminReply::Status(StatusReport {
             metrics: store.metrics(),
             models: store.list(),
-            kernel: bolt_core::simd::Kernel::selected().name().to_string(),
+            kernel: bolt_core::index::MATCH_MECHANISM.to_string(),
         }),
         AdminRequest::DrainStats => {
             let registry = store.registry();

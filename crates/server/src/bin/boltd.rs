@@ -545,10 +545,8 @@ fn run() -> Result<(), String> {
         ));
     }
     std::mem::forget(maintenance);
-    // Logged once at startup so operators can tell which scan backend the
-    // process resolved (BOLT_KERNEL override or CPU feature detection),
-    // and how connections are scheduled.
-    println!("boltd scan kernel: {}", bolt_core::Kernel::selected());
+    // Logged once at startup so operators can tell how connections are
+    // scheduled.
     match &mode {
         ServingMode::ThreadPerConnection => {
             println!("boltd serving: one thread per connection (no batching)");

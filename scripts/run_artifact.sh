@@ -34,7 +34,14 @@ echo "== compile to BLT1 =="
 "$BOLTC" compile --forest "$FOREST" --threshold 2 --out "$MODEL"
 
 echo "== inspect =="
-"$BOLTC" inspect --blt "$MODEL"
+INSPECT="$("$BOLTC" inspect --blt "$MODEL")"
+echo "$INSPECT"
+# Sections 14/15 (the blocked dictionary mirror) are retired: a freshly
+# compiled artifact must not carry them.
+if grep -qE 'DICT_(MASK|KEY)_BLK' <<<"$INSPECT"; then
+    echo "fresh artifact lists a retired DICT_*_BLK section" >&2
+    exit 1
+fi
 
 echo "== verify (checksums + bit-identical vs forest) =="
 "$BOLTC" verify --blt "$MODEL" --forest "$FOREST" --workload lstw \

@@ -406,20 +406,6 @@ fn inspect(flags: &HashMap<String, String>) -> Result<(), String> {
         meta.n_trees,
         meta.bloom_n_hashes,
     );
-    let blocked = model
-        .artifact()
-        .sections()
-        .iter()
-        .any(|s| s.id == bolt_repro::artifact::format::section::DICT_MASK_BLK);
-    println!(
-        "  scan: blocked SIMD layout {}, host kernel {}",
-        if blocked {
-            "present"
-        } else {
-            "absent (scalar scan)"
-        },
-        bolt_repro::core::Kernel::selected(),
-    );
     println!(
         "  {:<16} {:>10} {:>10}  crc32",
         "section", "offset", "bytes"
