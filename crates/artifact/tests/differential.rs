@@ -10,11 +10,13 @@ use bolt_core::{BatchScratch, BoltConfig, BoltForest, BoltRegressor, BoltScratch
 use bolt_forest::{RegressionConfig, RegressionDataset, RegressionForest};
 
 /// The index a mapped model builds at open (from the mapped flat arrays and
-/// the `PRED` section) must match exactly the entries the owned model's
-/// reference scan matches, in the same order — the artifact leg of the
-/// index differential — as must the reference scan over the mapped flat
-/// arrays themselves, and the scratch-based serving entry point must
-/// classify as the owned model does.
+/// the `PRED` section), fed the run starts of its constraining groups, must
+/// match exactly the entries the owned model's reference scan matches over
+/// the sample's `Mask`, in the same order — the artifact leg of the index
+/// differential — as must the reference scan over the mapped flat arrays
+/// themselves; each match's address gathered by direct compares over the
+/// mapped arrays must equal the owned scan's; and the scratch-based serving
+/// entry point must classify as the owned model does.
 fn assert_mapped_index_matches(
     bolt: &BoltForest,
     mapped: &MappedForest,
@@ -22,9 +24,7 @@ fn assert_mapped_index_matches(
     scratch: &mut BoltScratch,
 ) {
     let universe = mapped.universe();
-    let mut bits = bolt_bitpack::Mask::zeros(universe.len());
-    let mut starts = vec![0u32; universe.n_groups()];
-    universe.evaluate_into_with_starts(sample, &mut bits, &mut starts);
+    let bits = bolt.encode(sample);
     let mut reference = Vec::new();
     bolt.view().dict().scan(&bits, |id| reference.push(id));
     let mut mapped_scan = Vec::new();
@@ -34,10 +34,19 @@ fn assert_mapped_index_matches(
         "mapped scan diverges from owned scan"
     );
     let index = mapped.view().index();
+    let mut starts = vec![0u32; index.constraining().len()];
+    universe.run_starts_into(sample, index.constraining(), &mut starts);
     let mut acc = vec![0u64; index.words()];
     let mut got = Vec::new();
     index.for_each_match(&starts, &mut acc, |id| got.push(id));
     assert_eq!(got, reference, "mapped index diverges from owned scan");
+    for &id in &reference {
+        assert_eq!(
+            mapped.view().dict().address_of_sample(id, universe, sample),
+            bolt.view().dict().address_of(id, &bits),
+            "mapped compared address of entry {id} diverges from the owned bits"
+        );
+    }
     assert_eq!(
         mapped.classify_with(sample, scratch),
         bolt.classify_bits(&bits),
@@ -205,4 +214,42 @@ fn wrong_kind_is_rejected_with_structured_error() {
         Ok(_) => panic!("classifier accepted as a regressor"),
     };
     assert!(err.to_string().contains("not a regressor"), "{err}");
+}
+
+/// The library contract on mapped models: a sample shorter than the
+/// model's feature count panics on every feature-level path — single,
+/// votes, batched and regressor — with the encode's up-front length check,
+/// whichever features the model's index happens to read.
+#[test]
+fn short_samples_panic_on_every_mapped_path() {
+    let case = oracle::served_case(13, 4);
+    let bolt = BoltForest::compile(&case.forest, &BoltConfig::default()).expect("compile");
+    let mapped = MappedForest::from_artifact(
+        Artifact::from_bytes(&ArtifactWriter::serialize_forest(&bolt)).expect("valid artifact"),
+    )
+    .expect("valid classifier");
+    let rows: Vec<Vec<f32>> = (0..60)
+        .map(|i| vec![(i % 7) as f32, (i % 5) as f32])
+        .collect();
+    let targets = rows.iter().map(|r| r[0] - r[1]).collect();
+    let data = RegressionDataset::from_rows(rows, targets).expect("dataset");
+    let forest = RegressionForest::train(&data, &RegressionConfig::new(3).with_seed(2));
+    let regressor = BoltRegressor::compile(&forest, &BoltConfig::default()).expect("compile");
+    let path = temp_blt("short-reg");
+    ArtifactWriter::write_regressor(&regressor, &path).expect("write");
+    let mapped_regressor = MappedRegressor::open(&path).expect("open");
+    std::fs::remove_file(&path).ok();
+
+    let short = vec![0.5f32; mapped.n_features() - 1];
+    let full = vec![0.5f32; mapped.n_features()];
+    assert_short_sample_panics("single", || mapped.classify(&short));
+    assert_short_sample_panics("votes", || mapped.votes(&short));
+    assert_short_sample_panics("batched", || mapped.classify_batch(&[&full, &short]));
+    assert_short_sample_panics("regressor", || mapped_regressor.predict(&[0.5]));
+}
+
+fn assert_short_sample_panics<T: std::fmt::Debug>(what: &str, run: impl FnOnce() -> T) {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).expect_err(what);
+    let message = err.downcast_ref::<String>().map_or("", String::as_str);
+    assert!(message.contains("universe expects"), "{what}: {message}");
 }

@@ -170,6 +170,10 @@ impl InferenceEngine for ForestPackingForest {
         "FP"
     }
 
+    fn n_features(&self) -> usize {
+        self.n_features
+    }
+
     fn classify(&self, sample: &[f32]) -> u32 {
         assert!(
             sample.len() >= self.n_features,

@@ -57,6 +57,10 @@ pub trait InferenceEngine: Send + Sync {
     /// Platform name as used in the paper's figures.
     fn name(&self) -> &'static str;
 
+    /// Features a sample must carry: the forest's input width. A server
+    /// rejects shorter samples before they reach [`classify`](Self::classify).
+    fn n_features(&self) -> usize;
+
     /// Classifies one sample.
     ///
     /// # Panics
@@ -69,8 +73,8 @@ pub trait InferenceEngine: Send + Sync {
     /// order.
     ///
     /// The default loops over [`classify`](Self::classify); engines with a
-    /// genuinely batched path (Bolt's batch encode, Ranger's tree-major
-    /// sweep) override this to share work across the whole batch.
+    /// genuinely batched path (Ranger's tree-major sweep) or per-call
+    /// state to reuse (Bolt's scratch) override this.
     ///
     /// # Panics
     ///
@@ -84,6 +88,10 @@ pub trait InferenceEngine: Send + Sync {
 impl<T: InferenceEngine + ?Sized> InferenceEngine for &T {
     fn name(&self) -> &'static str {
         (**self).name()
+    }
+
+    fn n_features(&self) -> usize {
+        (**self).n_features()
     }
 
     fn classify(&self, sample: &[f32]) -> u32 {
@@ -104,6 +112,10 @@ impl<T: InferenceEngine + ?Sized> InferenceEngine for std::sync::Arc<T> {
         (**self).name()
     }
 
+    fn n_features(&self) -> usize {
+        (**self).n_features()
+    }
+
     fn classify(&self, sample: &[f32]) -> u32 {
         (**self).classify(sample)
     }
@@ -116,6 +128,10 @@ impl<T: InferenceEngine + ?Sized> InferenceEngine for std::sync::Arc<T> {
 impl<T: InferenceEngine + ?Sized> InferenceEngine for Box<T> {
     fn name(&self) -> &'static str {
         (**self).name()
+    }
+
+    fn n_features(&self) -> usize {
+        (**self).n_features()
     }
 
     fn classify(&self, sample: &[f32]) -> u32 {
@@ -143,6 +159,9 @@ mod tests {
             fn name(&self) -> &'static str {
                 "Probe"
             }
+            fn n_features(&self) -> usize {
+                1
+            }
             fn classify(&self, _sample: &[f32]) -> u32 {
                 1
             }
@@ -151,7 +170,7 @@ mod tests {
             }
         }
         let arc: std::sync::Arc<dyn InferenceEngine> = std::sync::Arc::new(Probe);
-        assert_eq!(arc.name(), "Probe");
+        assert_eq!((arc.name(), arc.n_features()), ("Probe", 1));
         assert_eq!(arc.classify_batch(&[&[0.0], &[0.0]]), vec![7, 7]);
         let boxed: Box<dyn InferenceEngine> = Box::new(Probe);
         assert_eq!(boxed.classify_batch(&[&[0.0]]), vec![7]);

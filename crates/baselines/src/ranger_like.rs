@@ -143,6 +143,10 @@ impl InferenceEngine for RangerLikeForest {
         "Ranger"
     }
 
+    fn n_features(&self) -> usize {
+        self.n_features
+    }
+
     fn classify(&self, sample: &[f32]) -> u32 {
         assert!(
             sample.len() >= self.n_features,

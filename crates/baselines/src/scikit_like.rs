@@ -151,6 +151,10 @@ impl InferenceEngine for ScikitLikeForest {
         "Scikit"
     }
 
+    fn n_features(&self) -> usize {
+        self.n_features
+    }
+
     fn classify(&self, sample: &[f32]) -> u32 {
         let proba = self.predict_proba(sample);
         let mut best = 0usize;

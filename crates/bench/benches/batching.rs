@@ -1,6 +1,6 @@
-//! Criterion micro-benchmarks of batched inference: the per-sample
-//! `classify_with` loop vs the batched body (group-major batch encode +
-//! entry-bitmap index match per sample) vs the thread-sharded batch, at
+//! Criterion micro-benchmarks of batched inference: the caller's own
+//! `classify_with` loop vs the batched body (the same per-sample body looped
+//! inside the library into one vote arena) vs the thread-sharded batch, at
 //! batch sizes 8/64/512 on the three model shapes the repo benchmark serves.
 //!
 //! Times are per *batch*, so divide by the batch size for per-sample cost;

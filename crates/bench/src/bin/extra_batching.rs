@@ -3,8 +3,8 @@
 //! and achieve very low response times", whereas Bolt targets the no-batching
 //! service regime. Compares single-sample vs amortized-batch cost for
 //! Ranger-style traversal and for Bolt (sequential, batched, thread-sharded,
-//! and sample-parallel), then sweeps the batched path — group-major batch
-//! encode, then the entry-bitmap index match per sample — across batch
+//! and sample-parallel), then sweeps the batched path — the per-sample
+//! index body looped over the batch into one vote arena — across batch
 //! sizes.
 //!
 //! Run: `cargo run -p bolt-bench --release --bin extra_batching`
@@ -150,10 +150,10 @@ fn main() {
         ],
     );
 
-    // The batched path across batch sizes: what does sharing the predicate
-    // evaluation across a batch buy over the per-sample loop? Swept on the
-    // tuned service forest above (encode-bound, small dictionary) and on
-    // the same forest compiled at threshold 0 (one dictionary entry per
+    // The batched path across batch sizes: the same per-sample body as the
+    // caller's loop, so what it can buy is only the per-call overhead it
+    // saves. Swept on the tuned service forest above (small dictionary) and
+    // on the same forest compiled at threshold 0 (one dictionary entry per
     // path).
     batch_size_sweep(&platforms.bolt, &samples, "tuned service forest");
     let scan_heavy = bolt_core::BoltForest::compile(
@@ -164,8 +164,7 @@ fn main() {
     batch_size_sweep(&scan_heavy, &samples, "threshold-0 forest");
 
     // A deeper forest (height 8): ~3k dictionary entries and ~100
-    // thresholds per feature, where the per-sample encode's threshold
-    // search is longest and the batch encode has the most to share.
+    // thresholds per feature, where each run-start count is longest.
     let deep = train_workload(Workload::LstwLike, 20, 8, 2000, test_samples());
     let deep_bolt = bolt_core::BoltForest::compile(
         &deep.forest,
@@ -182,7 +181,7 @@ fn main() {
     println!(
         "\nthe paper's positioning: batching favours traversal engines, but \
          \"inference workloads increasingly demand low response times and \
-         cannot wait to batch queries\" (§1). the batch encode closes part \
-         of that gap when queries do arrive together."
+         cannot wait to batch queries\" (§1). bolt's batched path is its \
+         single-sample body in a loop: a batch costs what its samples do."
     );
 }

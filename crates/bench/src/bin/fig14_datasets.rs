@@ -76,6 +76,10 @@ impl InferenceEngine for QuantizedBolt {
         "BOLT-q8"
     }
 
+    fn n_features(&self) -> usize {
+        self.bolt.universe().n_features()
+    }
+
     fn classify(&self, sample: &[f32]) -> u32 {
         let quantized = self.quantizer.apply_sample(sample);
         let mut scratch = self.scratch.lock().expect("scratch mutex");

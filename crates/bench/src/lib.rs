@@ -223,6 +223,10 @@ impl InferenceEngine for BoltAdapter<'_> {
         "BOLT"
     }
 
+    fn n_features(&self) -> usize {
+        self.bolt.universe().n_features()
+    }
+
     fn classify(&self, sample: &[f32]) -> u32 {
         let mut scratch = self.scratch.lock().expect("scratch mutex");
         self.bolt.classify_with(sample, &mut scratch)

@@ -2,26 +2,27 @@
 //! batch sharding.
 //!
 //! After the index ([`crate::index`]) there is no per-entry compare left
-//! for a batch to amortize: a sample is matched by ANDing one bitset row
-//! per constraining feature group, whatever else arrives with it. What a
-//! batch *can* still share is the predicate evaluation. So
-//! [`ForestView::batch_votes_into`] encodes the whole batch group-major
-//! ([`PredicateUniverse::evaluate_batch_into`]: one feature column against
-//! one group's thresholds at a time, vectorized across samples), and then
-//! runs every sample through exactly the per-sample body — constant votes,
-//! index match over its run starts, bloom filter, verified table lookup,
-//! vote adds in ascending entry order — into its row of one flat
-//! `B × n_classes` arena. Same encoding, same additions in the same order:
-//! vote vectors are **bit-identical** to [`BoltForest::classify_with`],
-//! which the differential harness pins.
+//! for a batch to amortize, and after the index-side encode there is no
+//! bit vector either: a sample costs one threshold count per constraining
+//! feature group, one bitset row AND per such group, and one compare per
+//! uncommon predicate of each entry it matches, whatever else arrives with
+//! it. So [`ForestView::batch_votes_into`] is a plain loop of the
+//! per-sample body ([`ForestView::votes_with`]'s: constant votes, index
+//! match, bloom filter, verified table lookup, vote adds in ascending entry
+//! order) into each sample's row of one flat `B × n_classes` arena. Same
+//! body, same additions in the same order: vote vectors are
+//! **bit-identical** to [`BoltForest::classify_with`], which the
+//! differential harness pins. (A group-major batch encode, one feature
+//! column against one group's thresholds across the batch, measured slower
+//! than this loop and was deleted; DESIGN.md has the numbers.)
 //!
 //! On top of that, [`BoltForest::classify_batch_sharded`] shards a batch
 //! across OS threads (crossbeam scoped threads), each shard with its own
 //! [`BatchScratch`]; outputs land in disjoint slices so aggregation is a
 //! single pass with no locking.
 
-use crate::engine::{argmax, BoltForest, ForestView};
-use bolt_forest::{BatchEncoding, PredicateUniverse};
+use crate::engine::{argmax, BoltForest, ForestView, MatchBuffers};
+use bolt_forest::PredicateUniverse;
 
 /// Reusable buffers for allocation-free batched inference, mirroring
 /// [`BoltScratch`](crate::BoltScratch) for the single-sample hot path: the
@@ -29,12 +30,11 @@ use bolt_forest::{BatchEncoding, PredicateUniverse};
 /// per serving thread serves every model and batch size the thread sees.
 #[derive(Clone, Debug, Default)]
 pub struct BatchScratch {
-    /// The batch's run starts and predicate bits.
-    encoded: BatchEncoding,
-    /// Index-row accumulator: one bit per dictionary entry.
-    matched: Vec<u64>,
+    /// What each sample is matched in, reused sample after sample.
+    matching: MatchBuffers,
     /// Flat `n_samples × n_classes` vote arena.
     votes: Vec<f64>,
+    n_samples: usize,
     n_classes: usize,
 }
 
@@ -70,23 +70,22 @@ impl BatchScratch {
     /// Number of samples laid out by the most recent run.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.encoded.len()
+        self.n_samples
     }
 
     /// Whether the most recent run was empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.encoded.is_empty()
+        self.n_samples == 0
     }
 }
 
 impl ForestView<'_> {
-    /// Votes for a whole batch: encodes `samples` group-major through
-    /// `universe`, then runs the per-sample index body
-    /// ([`Self::votes_with`]'s) over each, leaving every sample's vote
-    /// vector in the scratch arena ([`BatchScratch::votes`]). This is the
-    /// one batched body, shared by owned forests and memory-mapped
-    /// artifacts.
+    /// Votes for a whole batch: runs the per-sample body
+    /// ([`Self::votes_with`]'s) over each sample in turn, leaving every
+    /// sample's vote vector in the scratch arena
+    /// ([`BatchScratch::votes`]). This is the one batched body, shared by
+    /// owned forests and memory-mapped artifacts.
     ///
     /// # Panics
     ///
@@ -99,16 +98,15 @@ impl ForestView<'_> {
         scratch: &mut BatchScratch,
     ) {
         let n_classes = self.n_classes();
+        scratch.n_samples = samples.len();
         scratch.n_classes = n_classes;
-        scratch.matched.resize(self.index().words(), 0);
         scratch.votes.clear();
         scratch.votes.resize(samples.len() * n_classes, 0.0);
-        universe.evaluate_batch_into(samples, &mut scratch.encoded);
-        for b in 0..samples.len() {
-            self.index_votes_into(
-                scratch.encoded.run_starts(b),
-                scratch.encoded.words(b),
-                &mut scratch.matched,
+        for (b, sample) in samples.iter().enumerate() {
+            self.sample_votes_into(
+                universe,
+                sample,
+                &mut scratch.matching,
                 &mut scratch.votes[b * n_classes..(b + 1) * n_classes],
                 None,
             );

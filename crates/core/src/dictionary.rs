@@ -9,7 +9,7 @@
 
 use crate::cluster::Clustering;
 use bolt_bitpack::Mask;
-use bolt_forest::PredId;
+use bolt_forest::{PredId, PredicateUniverse};
 use serde::{Deserialize, Serialize};
 
 /// The scalar reference compare for one entry: folds
@@ -290,31 +290,50 @@ impl<'a> DictView<'a> {
         }
     }
 
-    /// Hot-path address gather for entry `id` (see
-    /// [`Dictionary::address_of`]).
+    /// Address gather for entry `id` from an encoded input (see
+    /// [`Dictionary::address_of`]): the raw-bits reference.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn address_of(&self, id: u32, bits: &Mask) -> u64 {
-        self.address_of_words(id, bits.as_words())
+        let words = bits.as_words();
+        self.uncommon(id)
+            .iter()
+            .enumerate()
+            .fold(0, |address, (bit, &pred)| {
+                let p = pred as usize;
+                address | (words[p / 64] >> (p % 64) & 1) << bit
+            })
     }
 
-    /// [`Self::address_of`] over the input's packed words, for callers that
-    /// hold a batch's bits as one flat array.
+    /// Hot-path address gather for entry `id` straight from a raw sample:
+    /// bit `i` is one `sample[feature] <= threshold` compare of the entry's
+    /// `i`-th uncommon predicate ([`PredicateUniverse::holds`]) — the bit
+    /// [`Self::address_of`] reads from the sample's encoded mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range or `sample` lacks a feature the
+    /// entry's uncommon predicates test.
     #[inline]
-    pub(crate) fn address_of_words(&self, id: u32, words: &[u64]) -> u64 {
-        let (lo, hi) = (
-            self.uncommon_offsets[id as usize] as usize,
-            self.uncommon_offsets[id as usize + 1] as usize,
-        );
-        let mut address = 0u64;
-        for (bit, &pred) in self.uncommon_flat[lo..hi].iter().enumerate() {
-            let p = pred as usize;
-            address |= (words[p / 64] >> (p % 64) & 1) << bit;
-        }
-        address
+    #[must_use]
+    pub fn address_of_sample(&self, id: u32, universe: &PredicateUniverse, sample: &[f32]) -> u64 {
+        self.uncommon(id)
+            .iter()
+            .enumerate()
+            .fold(0, |address, (bit, &pred)| {
+                address | u64::from(universe.holds(pred, sample)) << bit
+            })
+    }
+
+    /// Entry `id`'s uncommon predicates, in address-bit order.
+    #[inline]
+    fn uncommon(&self, id: u32) -> &'a [u32] {
+        let id = id as usize;
+        &self.uncommon_flat
+            [self.uncommon_offsets[id] as usize..self.uncommon_offsets[id + 1] as usize]
     }
 
     /// Bytes consumed by the packed scan arrays.
@@ -421,9 +440,9 @@ impl Dictionary {
         }
     }
 
-    /// Hot-path address gather for entry `id`: collects the input's bits of
-    /// the entry's uncommon predicates from the flat arrays (equivalent to
-    /// [`DictEntry::address_of`]).
+    /// Address gather for entry `id` from an encoded input: collects the
+    /// input's bits of the entry's uncommon predicates from the flat arrays
+    /// (equivalent to [`DictEntry::address_of`]).
     ///
     /// # Panics
     ///

@@ -96,39 +96,20 @@ pub struct InferenceStats {
 /// ([`BoltForest::classify_with`]). The inference body sizes them to the
 /// model it runs — on first use, and again whenever a model of another
 /// shape comes by — so one scratch per thread serves every model.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BoltScratch {
-    bits: Mask,
-    /// Per feature group, where the input's run of true bits starts.
-    run_starts: Vec<u32>,
-    /// Index-row accumulator: one bit per dictionary entry.
-    matched: Vec<u64>,
+    matching: MatchBuffers,
     votes: Vec<f64>,
 }
 
-impl Default for BoltScratch {
-    /// An empty scratch; the first inference through it sizes it.
-    fn default() -> Self {
-        Self {
-            bits: Mask::zeros(0),
-            run_starts: Vec::new(),
-            matched: Vec::new(),
-            votes: Vec::new(),
-        }
-    }
-}
-
-impl BoltScratch {
-    /// Sizes every buffer to the model about to run; a no-op when the
-    /// scratch last served a model of the same shape.
-    fn fit(&mut self, universe: &PredicateUniverse, view: &ForestView<'_>) {
-        if self.bits.width() != universe.len() {
-            self.bits = Mask::zeros(universe.len());
-        }
-        self.run_starts.resize(universe.n_groups(), 0);
-        self.matched.resize(view.index.words(), 0);
-        self.votes.resize(view.n_classes, 0.0);
-    }
+/// What matching one sample through the index works in, sized to the model
+/// by [`ForestView::for_each_sample_match`] itself.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct MatchBuffers {
+    /// The sample's encoded run starts, one per constraining group.
+    run_starts: Vec<u32>,
+    /// Index-row accumulator: one bit per dictionary entry.
+    matched: Vec<u64>,
 }
 
 /// A borrowed view of a compiled model's inference structures: dictionary,
@@ -226,15 +207,15 @@ impl<'a> ForestView<'a> {
             votes[class as usize] += weight;
         }
         self.dict.scan(bits, |entry_id| {
-            self.matched_entry_votes(entry_id, bits.as_words(), votes, stats.as_deref_mut());
+            let address = self.dict.address_of(entry_id, bits);
+            self.matched_entry_votes(entry_id, address, votes, stats.as_deref_mut());
         });
     }
 
-    /// The shared body of the feature-level single-sample paths: encodes
-    /// `sample` (bits and per-group run starts in one pass), then
-    /// [`Self::index_votes_into`], so the votes left in `scratch` are
-    /// bit-identical to scanning the encoded bits. Every counter of `stats`
-    /// is filled when provided.
+    /// The shared body of the feature-level single-sample paths:
+    /// [`Self::sample_votes_into`] through `scratch`, so the votes left
+    /// there are bit-identical to scanning the sample's encoded bits. Every
+    /// counter of `stats` is filled when provided.
     ///
     /// # Panics
     ///
@@ -247,30 +228,22 @@ impl<'a> ForestView<'a> {
         scratch: &'s mut BoltScratch,
         stats: Option<&mut InferenceStats>,
     ) -> &'s [f64] {
-        scratch.fit(universe, self);
-        let BoltScratch {
-            bits,
-            run_starts,
-            matched,
-            votes,
-        } = scratch;
-        universe.evaluate_into_with_starts(sample, bits, run_starts);
-        votes.fill(0.0);
-        self.index_votes_into(run_starts, bits.as_words(), matched, votes, stats);
+        let BoltScratch { matching, votes } = scratch;
+        votes.clear();
+        votes.resize(self.n_classes, 0.0);
+        self.sample_votes_into(universe, sample, matching, votes, stats);
         votes
     }
 
     /// What every feature-level path, single or batched, does with one
-    /// encoded sample: constant votes, the dictionary matched through the
-    /// entry-bitmap index over `run_starts`, then the same back half as
-    /// [`Self::scan_votes_into`] over the matches in ascending entry order.
-    /// `votes` must be zeroed by the caller; `matched` is the index's
-    /// accumulator ([`IndexView::words`] long).
-    pub(crate) fn index_votes_into(
+    /// sample: constant votes, then [`Self::for_each_sample_match`] with
+    /// the same back half as [`Self::scan_votes_into`] over the matches in
+    /// ascending entry order. `votes` must be zeroed by the caller.
+    pub(crate) fn sample_votes_into(
         &self,
-        run_starts: &[u32],
-        words: &[u64],
-        matched: &mut [u64],
+        universe: &PredicateUniverse,
+        sample: &[f32],
+        matching: &mut MatchBuffers,
         votes: &mut [f64],
         mut stats: Option<&mut InferenceStats>,
     ) {
@@ -281,8 +254,44 @@ impl<'a> ForestView<'a> {
             stats.entries_scanned += self.dict.len();
             stats.index_rows_read += self.index.rows_per_match();
         }
+        self.for_each_sample_match(universe, sample, matching, |entry_id, address| {
+            self.matched_entry_votes(entry_id, address, votes, stats.as_deref_mut());
+        });
+    }
+
+    /// The feature-level front half: encodes `sample`'s run starts on the
+    /// index's constraining groups only
+    /// ([`PredicateUniverse::run_starts_into`]), matches through the
+    /// entry-bitmap index, and hands `on_match` each matched entry, in
+    /// ascending order, with its table address gathered by direct compares
+    /// ([`DictView::address_of_sample`]) — the entries and addresses the
+    /// reference scan derives from the sample's full bit vector, which is
+    /// never built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample` is shorter than the universe's feature count or
+    /// `universe` is not the one this view's model encodes with.
+    pub(crate) fn for_each_sample_match(
+        &self,
+        universe: &PredicateUniverse,
+        sample: &[f32],
+        buffers: &mut MatchBuffers,
+        mut on_match: impl FnMut(u32, u64),
+    ) {
+        let MatchBuffers {
+            run_starts,
+            matched,
+        } = buffers;
+        // No-ops unless the buffers last served a model of another shape.
+        run_starts.resize(self.index.constraining().len(), 0);
+        matched.resize(self.index.words(), 0);
+        universe.run_starts_into(sample, self.index.constraining(), run_starts);
         self.index.for_each_match(run_starts, matched, |entry_id| {
-            self.matched_entry_votes(entry_id, words, votes, stats.as_deref_mut());
+            on_match(
+                entry_id,
+                self.dict.address_of_sample(entry_id, universe, sample),
+            );
         });
     }
 
@@ -301,39 +310,22 @@ impl<'a> ForestView<'a> {
         argmax(self.votes_with(universe, sample, scratch, None))
     }
 
-    /// What every matcher does with a matched entry: count it, gather its
-    /// table address, then bloom-filter, look up and accumulate.
+    /// What every matcher does with a matched entry and its gathered
+    /// address: count it, then bloom-filter, look up and accumulate.
     #[inline]
     fn matched_entry_votes(
         &self,
         entry_id: u32,
-        words: &[u64],
+        address: u64,
         votes: &mut [f64],
         mut stats: Option<&mut InferenceStats>,
     ) {
         if let Some(stats) = stats.as_deref_mut() {
             stats.entries_matched += 1;
         }
-        // Address gather through the contiguous `uncommon_flat` mirror
-        // (no per-entry heap hop).
-        let address = self.dict.address_of_words(entry_id, words);
         // Pull the table line toward L1 while the bloom check runs;
         // pure latency hiding, no effect on results.
         self.table.prefetch(entry_id, address);
-        self.accumulate_entry_votes(entry_id, address, votes, stats);
-    }
-
-    /// Back half of the shared scan body, from a matched entry's gathered
-    /// address onward: bloom filtering, the verified table lookup, and vote
-    /// accumulation.
-    #[inline]
-    fn accumulate_entry_votes(
-        &self,
-        entry_id: u32,
-        address: u64,
-        votes: &mut [f64],
-        stats: Option<&mut InferenceStats>,
-    ) {
         if let Some(bloom) = &self.bloom {
             if !bloom.contains(table_key(entry_id, address)) {
                 if let Some(stats) = stats {
@@ -389,7 +381,7 @@ impl<'a> ForestView<'a> {
     pub fn accumulate_weights(&self, bits: &Mask, init: f64) -> f64 {
         let mut sum = init;
         self.dict.scan(bits, |entry_id| {
-            self.matched_entry_weights(entry_id, bits, &mut sum);
+            self.matched_entry_weights(entry_id, self.dict.address_of(entry_id, bits), &mut sum);
         });
         sum
     }
@@ -409,24 +401,20 @@ impl<'a> ForestView<'a> {
         scratch: &mut BoltScratch,
         init: f64,
     ) -> f64 {
-        scratch.fit(universe, self);
-        let BoltScratch {
-            bits,
-            run_starts,
-            matched,
-            ..
-        } = scratch;
-        universe.evaluate_into_with_starts(sample, bits, run_starts);
         let mut sum = init;
-        self.index.for_each_match(run_starts, matched, |entry_id| {
-            self.matched_entry_weights(entry_id, bits, &mut sum);
-        });
+        self.for_each_sample_match(
+            universe,
+            sample,
+            &mut scratch.matching,
+            |entry_id, address| {
+                self.matched_entry_weights(entry_id, address, &mut sum);
+            },
+        );
         sum
     }
 
     #[inline]
-    fn matched_entry_weights(&self, entry_id: u32, bits: &Mask, sum: &mut f64) {
-        let address = self.dict.address_of(entry_id, bits);
+    fn matched_entry_weights(&self, entry_id: u32, address: u64, sum: &mut f64) {
         self.table.prefetch(entry_id, address);
         if let Some(bloom) = &self.bloom {
             if !bloom.contains(table_key(entry_id, address)) {
@@ -1113,7 +1101,39 @@ mod tests {
         let forest =
             RandomForest::train(&data, &ForestConfig::new(3).with_max_height(3).with_seed(1));
         let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles");
-        let _ = bolt.classify(&[1.0]); // forest expects 3 features
+        // Every other feature-level path refuses it the same way: the
+        // encode checks the length up front, whichever features it reads.
+        let short: &[f32] = &[1.0]; // forest expects 3 features
+        let regressor = {
+            let rows: Vec<Vec<f32>> = data.iter().map(|(s, _)| s.to_vec()).collect();
+            let targets = rows.iter().map(|r| r[0] - r[2]).collect();
+            let data = bolt_forest::RegressionDataset::from_rows(rows, targets).expect("valid");
+            let forest = bolt_forest::RegressionForest::train(
+                &data,
+                &bolt_forest::RegressionConfig::new(3).with_seed(1),
+            );
+            crate::BoltRegressor::compile(&forest, &BoltConfig::default()).expect("compiles")
+        };
+        let expect_panic = |what: &str, run: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).expect_err(what);
+            let message = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                message.contains("sample has 1 features, universe expects 3"),
+                "{what}: {message}"
+            );
+        };
+        expect_panic("batched", &|| {
+            drop(bolt.classify_batch(&[data.sample(0), short]))
+        });
+        expect_panic("stats", &|| {
+            let _ = bolt.classify_with_stats(short);
+        });
+        expect_panic("explained", &|| drop(bolt.classify_explained(short)));
+        expect_panic("proba", &|| drop(bolt.predict_proba(short)));
+        expect_panic("regressor", &|| {
+            let _ = regressor.predict(short);
+        });
+        let _ = bolt.classify(short);
     }
 
     #[test]

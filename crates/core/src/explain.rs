@@ -6,9 +6,8 @@
 //! matched table cell already knows which features its contributing paths
 //! tested, so accumulating salience costs no extra tree traversal.
 
-use crate::engine::BoltForest;
+use crate::engine::{argmax, BoltForest, MatchBuffers};
 use crate::filter::table_key;
-use bolt_bitpack::Mask;
 use std::collections::HashMap;
 
 /// A classification together with its salient-feature attribution.
@@ -42,47 +41,38 @@ impl BoltForest {
     /// Panics if the sample is shorter than the universe's feature count.
     #[must_use]
     pub fn classify_explained(&self, sample: &[f32]) -> Explanation {
-        // Matched through the entry-bitmap index like `classify_with`: the
-        // same entries in the same ascending order as a scan of the bits,
-        // so the `f64` vote and salience sums are the scan's.
-        let (universe, index) = (self.universe(), self.index().view());
-        let mut bits = Mask::zeros(universe.len());
-        let mut run_starts = vec![0u32; universe.n_groups()];
-        let mut matched = vec![0u64; index.words()];
-        universe.evaluate_into_with_starts(sample, &mut bits, &mut run_starts);
+        // Matched and addressed like `classify_with` — run starts of the
+        // constraining groups, direct compares for the address bits — so
+        // the entries come in the scan's ascending order and the `f64` vote
+        // and salience sums are the scan's.
         let mut votes = vec![0.0f64; self.n_classes()];
         for &(class, weight) in self.constant_votes() {
             votes[class as usize] += weight;
         }
         let mut salience: HashMap<u32, f64> = HashMap::new();
-        index.for_each_match(&run_starts, &mut matched, |entry_id| {
-            let entry = &self.dictionary().entries()[entry_id as usize];
-            let address = entry.address_of(&bits);
-            if let Some(bloom) = self.bloom() {
-                if !bloom.contains(table_key(entry.id, address)) {
-                    return;
+        let universe = self.universe();
+        let mut matching = MatchBuffers::default();
+        self.view()
+            .for_each_sample_match(universe, sample, &mut matching, |entry, address| {
+                if let Some(bloom) = self.bloom() {
+                    if !bloom.contains(table_key(entry, address)) {
+                        return;
+                    }
                 }
-            }
-            if let Some(cell) = self.table().lookup(entry.id, address) {
-                for (i, &(class, weight)) in cell.votes.iter().enumerate() {
-                    votes[class as usize] += weight;
-                    if let Some(features) = cell.path_features.get(i) {
-                        for &pred in features {
-                            let feature = self.universe().predicate(pred).feature;
-                            *salience.entry(feature).or_insert(0.0) += weight;
+                if let Some(cell) = self.table().lookup(entry, address) {
+                    for (i, &(class, weight)) in cell.votes.iter().enumerate() {
+                        votes[class as usize] += weight;
+                        if let Some(features) = cell.path_features.get(i) {
+                            for &pred in features {
+                                let feature = universe.predicate(pred).feature;
+                                *salience.entry(feature).or_insert(0.0) += weight;
+                            }
                         }
                     }
                 }
-            }
-        });
+            });
         // Ties go to the lower class index, like the plain inference path.
-        let mut class = 0usize;
-        for (i, &v) in votes.iter().enumerate().skip(1) {
-            if v > votes[class] {
-                class = i;
-            }
-        }
-        let class = class as u32;
+        let class = argmax(&votes);
         let mut salience: Vec<(u32, f64)> = salience.into_iter().collect();
         salience.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)

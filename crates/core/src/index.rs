@@ -5,9 +5,8 @@
 //! feature outcomes for every entry. But a feature-level input is
 //! *thermometer-coded*: within one feature group (the predicates on one
 //! feature, thresholds ascending) the bits are a run of `false` followed by
-//! a run of `true`, so a single number — where the true run starts, which
-//! [`PredicateUniverse::evaluate_into_with_starts`] reports — fixes the
-//! whole group. An entry's common pairs on that group therefore accept an
+//! a run of `true`, so a single number — where the true run starts — fixes
+//! the whole group. An entry's common pairs on that group therefore accept an
 //! *interval* of run starts: every pair expecting `true` at offset `i`
 //! needs the run to start at or before `i`, every pair expecting `false`
 //! needs it to start after `i`.
@@ -22,6 +21,13 @@
 //! entry, so all of its rows are the same bitset and the AND skips it: a
 //! 784-feature forest whose 33 entries share 21 features reads 21 rows per
 //! match, not 79.
+//!
+//! The input side is encoded to match what the index reads. A feature-level
+//! input never becomes a bit vector: [`PredicateUniverse::run_starts_into`]
+//! counts, per constraining group only, how many of the group's ascending
+//! thresholds the value satisfies (run start = group end − count), and a
+//! matched entry's table address is gathered from one `feature <= threshold`
+//! compare per uncommon predicate ([`DictView::address_of_sample`]).
 //!
 //! It is derived data: rebuilt from the dictionary's flat mask/key arrays
 //! and the universe's group boundaries, never serialized, so nothing new
@@ -43,7 +49,6 @@ pub const MATCH_MECHANISM: &str = "index";
 pub struct EntryIndex {
     /// Words per row: `⌈entries / 64⌉`.
     words: usize,
-    n_groups: usize,
     /// Row `s + g` belongs to group `g` and run start `s` (a predicate ID
     /// in `offsets[g]..=offsets[g + 1]`), so group `g`'s rows begin at
     /// `offsets[g] + g` and the index holds `n_preds + n_groups` rows of
@@ -60,7 +65,6 @@ pub struct EntryIndex {
 #[derive(Clone, Copy, Debug)]
 pub struct IndexView<'a> {
     words: usize,
-    n_groups: usize,
     rows: &'a [u64],
     constraining: &'a [u32],
 }
@@ -102,7 +106,6 @@ impl EntryIndex {
         if dict.is_empty() {
             return Self {
                 words,
-                n_groups,
                 rows,
                 constraining: Vec::new(),
             };
@@ -214,7 +217,6 @@ impl EntryIndex {
             .collect();
         Self {
             words,
-            n_groups,
             rows,
             constraining,
         }
@@ -225,7 +227,6 @@ impl EntryIndex {
     pub fn view(&self) -> IndexView<'_> {
         IndexView {
             words: self.words,
-            n_groups: self.n_groups,
             rows: &self.rows,
             constraining: &self.constraining,
         }
@@ -238,7 +239,7 @@ impl EntryIndex {
     }
 }
 
-impl IndexView<'_> {
+impl<'a> IndexView<'a> {
     /// Words per row (`⌈entries / 64⌉`): the length of the accumulator
     /// [`Self::for_each_match`] needs.
     #[must_use]
@@ -246,11 +247,13 @@ impl IndexView<'_> {
         self.words
     }
 
-    /// Feature groups of the universe: the length of the run-start slice
-    /// [`Self::for_each_match`] takes.
+    /// The feature groups on which some live entry rejects some run start,
+    /// ascending: the only groups a match reads a row of, and so the only
+    /// groups an input needs encoded
+    /// ([`PredicateUniverse::run_starts_into`]).
     #[must_use]
-    pub fn n_groups(&self) -> usize {
-        self.n_groups
+    pub fn constraining(&self) -> &'a [u32] {
+        self.constraining
     }
 
     /// Rows one match reads: one per group that constrains some entry, and
@@ -261,37 +264,42 @@ impl IndexView<'_> {
     }
 
     /// Invokes `on_match` with every entry whose common pairs all hold for
-    /// the input whose per-group run starts are `run_starts`, in ascending
-    /// entry order — the same entries, in the same order, as
-    /// [`DictView::scan`] over that input's bits. `acc` is caller-owned
-    /// scratch of [`Self::words`] words.
+    /// the input whose run starts on the [`Self::constraining`] groups are
+    /// `run_starts` (one per group, in that order), in ascending entry
+    /// order — the same entries, in the same order, as [`DictView::scan`]
+    /// over that input's bits. `acc` is caller-owned scratch of
+    /// [`Self::words`] words.
     ///
     /// # Panics
     ///
-    /// Panics if `run_starts` or `acc` has the wrong length, or the run
-    /// start of a constraining group lies outside the index (the starts
-    /// came from another universe).
+    /// Panics if `run_starts` or `acc` has the wrong length, or a run start
+    /// lies outside the index (the starts came from another universe).
     pub fn for_each_match<F: FnMut(u32)>(
         &self,
         run_starts: &[u32],
         acc: &mut [u64],
         mut on_match: F,
     ) {
-        assert_eq!(run_starts.len(), self.n_groups, "run starts per group");
+        assert_eq!(
+            run_starts.len(),
+            self.constraining.len(),
+            "one run start per constraining group"
+        );
         assert_eq!(acc.len(), self.words, "accumulator length");
-        let row = |g: usize, start: u32| {
-            let at = (start as usize + g) * self.words;
+        let row = |g: u32, start: u32| {
+            let at = (start as usize + g as usize) * self.words;
             &self.rows[at..at + self.words]
         };
-        match self.constraining.split_first() {
+        let mut groups = self.constraining.iter().zip(run_starts);
+        match groups.next() {
             // Row 0 holds exactly the live entries: it is the single row of
             // a group-less universe, and otherwise a row of group 0, which
             // constrains nothing here.
             None => acc.copy_from_slice(&self.rows[..self.words]),
-            Some((&first, rest)) => {
-                acc.copy_from_slice(row(first as usize, run_starts[first as usize]));
-                for &g in rest {
-                    for (a, r) in acc.iter_mut().zip(row(g as usize, run_starts[g as usize])) {
+            Some((&first, &start)) => {
+                acc.copy_from_slice(row(first, start));
+                for (&g, &start) in groups {
+                    for (a, r) in acc.iter_mut().zip(row(g, start)) {
                         *a &= r;
                     }
                 }
@@ -311,7 +319,6 @@ impl IndexView<'_> {
 mod tests {
     use super::*;
     use crate::oracle::{next_above, next_below, OracleRng};
-    use bolt_bitpack::Mask;
 
     /// A hand-built dictionary: flat mask/key words plus the (empty)
     /// uncommon lists a `DictView` needs.
@@ -391,12 +398,13 @@ mod tests {
             index.heap_bytes(),
             (universe.len() + universe.n_groups()).max(1) * dict.view().len().div_ceil(64) * 8
         );
-        let mut bits = Mask::zeros(universe.len());
-        let mut starts = vec![0u32; universe.n_groups()];
+        let constraining = index.view().constraining();
+        let mut starts = vec![0u32; constraining.len()];
         let mut acc = vec![0u64; index.view().words()];
         let mut seen = 0;
         for sample in samples {
-            universe.evaluate_into_with_starts(sample, &mut bits, &mut starts);
+            let bits = universe.evaluate(sample);
+            universe.run_starts_into(sample, constraining, &mut starts);
             let mut scanned = Vec::new();
             dict.view().scan(&bits, |id| scanned.push(id));
             let mut indexed = Vec::new();
@@ -497,8 +505,7 @@ mod tests {
         );
         dict.keys[2] |= 1;
         let index = EntryIndex::build(dict.view(), &universe);
-        assert_eq!(index.constraining, [1, 3]);
-        assert_eq!(index.view().n_groups(), 5);
+        assert_eq!(index.view().constraining(), [1, 3]);
         assert_eq!(index.view().rows_per_match(), 2);
         // Every row of a skipped group is the live-entry bitset, so leaving
         // it out of the AND cannot change the result.

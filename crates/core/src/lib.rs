@@ -26,15 +26,15 @@
 //! [`PredicateUniverse`](bolt_forest::PredicateUniverse). Inference is a
 //! linear scan of the dictionary using word-wide masked compares followed by
 //! at most one verified table access per matching entry — no pointer chasing
-//! and no per-node branching. The single-sample paths that start from raw
-//! features match the dictionary through a derived entry-bitmap [`index`]
-//! instead — one bitset row per feature, ANDed — and reach the same entries
-//! in the same order as the scan. When many samples arrive together, the
-//! batched engine ([`BoltForest::classify_batch_with`]) shares the one
-//! stage a batch can share — it evaluates each feature's predicates for the
-//! whole batch at once — and matches every sample through the same index,
-//! and [`BoltForest::classify_batch_sharded`] splits a batch across threads
-//! with per-shard scratch.
+//! and no per-node branching. The paths that start from raw features match
+//! the dictionary through a derived entry-bitmap [`index`] instead — one
+//! bitset row per constraining feature, ANDed — and reach the same entries
+//! in the same order as the scan, without ever building the input's bit
+//! vector: they encode only the run starts those rows are selected by, and
+//! compare a matched entry's few address predicates directly. The batched
+//! engine ([`BoltForest::classify_batch_with`]) is a loop of that
+//! per-sample body, and [`BoltForest::classify_batch_sharded`] splits a
+//! batch across threads with per-shard scratch.
 //!
 //! # Quick start
 //!

@@ -517,10 +517,14 @@ pub fn check_batch(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, Str
     Ok(checked)
 }
 
-/// Pins the entry-bitmap index to the reference dictionary scan
-/// ([`DictView::scan`](crate::DictView::scan)) on the given samples: the
-/// matched entries must be the same, in the same ascending order, and the
-/// feature-level path's vote vector and counters
+/// Pins the entry-bitmap index and its encode to the reference dictionary
+/// scan ([`DictView::scan`](crate::DictView::scan)) over the sample's
+/// `Mask` on the given samples: the entries matched from the constraining
+/// groups' run starts must be the same, in the same ascending order; each
+/// one's address gathered by direct compares
+/// ([`DictView::address_of_sample`](crate::DictView::address_of_sample))
+/// must equal the one gathered from the bits; and the feature-level path's
+/// vote vector and counters
 /// ([`ForestView::votes_with`](crate::ForestView::votes_with)) must equal
 /// the raw-bits scan path's ([`BoltForest::votes_with_stats`]) bit for bit
 /// and count for count — as must votes rebuilt from the scanned entries one
@@ -533,12 +537,12 @@ pub fn check_batch(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, Str
 pub fn check_index(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, String> {
     let (view, universe) = (bolt.view(), bolt.universe());
     let (dict, index) = (view.dict(), view.index());
-    let mut bits = bolt_bitpack::Mask::zeros(universe.len());
-    let mut starts = vec![0u32; universe.n_groups()];
+    let mut starts = vec![0u32; index.constraining().len()];
     let mut acc = vec![0u64; index.words()];
     let mut scratch = bolt.scratch();
     for sample in samples {
-        universe.evaluate_into_with_starts(sample, &mut bits, &mut starts);
+        let bits = universe.evaluate(sample);
+        universe.run_starts_into(sample, index.constraining(), &mut starts);
         let mut scanned = Vec::new();
         dict.scan(&bits, |id| scanned.push(id));
         let mut indexed = Vec::new();
@@ -555,6 +559,12 @@ pub fn check_index(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, Str
         }
         for &id in &scanned {
             let address = dict.address_of(id, &bits);
+            let compared = dict.address_of_sample(id, universe, sample);
+            if compared != address {
+                return Err(format!(
+                    "entry {id}: compared address {compared:#b}, bits give {address:#b} on sample {sample:?}"
+                ));
+            }
             for (class, weight) in view.lookup_entry_votes(id, address).iter() {
                 rebuilt[class as usize] += weight;
             }

@@ -292,17 +292,17 @@ impl PartitionedBolt {
     /// overhead that grows with core count (§4.2: "the overhead of
     /// aggregating results must be considered"). A core matches its
     /// dictionary partition through its slice of the entry-bitmap index, as
-    /// the feature-level engine does.
+    /// the feature-level engine does, reading the rows one match reads.
     #[must_use]
     pub fn estimate_latency_ns(&self, bits: &Mask, model: &CostModel) -> f64 {
         let table_bytes_per_part =
             (self.bolt.table().capacity() * 16).div_ceil(self.plan.table_parts);
-        let groups = self.bolt.universe().n_groups();
+        let rows = self.bolt.index().view().rows_per_match();
         let per_core: Vec<f64> = self
             .work_profile(bits)
             .iter()
             .map(|work| {
-                model.index_match_cost_ns(work.entries_scanned, groups)
+                model.index_match_cost_ns(work.entries_scanned, rows)
                     + model.matched_cost_ns(work.entries_matched)
                     + work.lookups_performed as f64 * model.lookup_cost_ns(table_bytes_per_part)
             })
@@ -474,5 +474,38 @@ mod tests {
         // With a tiny dictionary, 16-way splitting pays aggregation overhead
         // for nothing (the paper's Fig. 13A knee).
         assert!(huge > small * 0.5, "model should include aggregation cost");
+    }
+
+    /// A match ANDs one row per constraining group, not one per feature
+    /// group: on a wide forest (MNIST-like, 10 trees of height 4, like the
+    /// benchmark's `wide`) most groups constrain no entry, and the model
+    /// must price the rows actually read.
+    #[test]
+    fn latency_model_prices_the_rows_a_match_reads() {
+        let data = bolt_data::generate(bolt_data::Workload::MnistLike, 400, 0xB017);
+        let forest = RandomForest::train(
+            &data,
+            &ForestConfig::new(10).with_max_height(4).with_seed(0xB017),
+        );
+        let bolt =
+            Arc::new(BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles"));
+        let (rows, groups) = (
+            bolt.index().view().rows_per_match(),
+            bolt.universe().n_groups(),
+        );
+        assert!(rows < groups, "{rows} rows read of {groups} groups");
+        let model = CostModel::default();
+        let plan =
+            PartitionedBolt::new(Arc::clone(&bolt), PartitionPlan::default()).expect("1x1 plan");
+        let bits = bolt.encode(data.sample(0));
+        let work = plan.work_profile(&bits)[0];
+        let rest = model.matched_cost_ns(work.entries_matched)
+            + work.lookups_performed as f64 * model.lookup_cost_ns(bolt.table().capacity() * 16);
+        let estimate = plan.estimate_latency_ns(&bits, &model);
+        assert_eq!(
+            estimate,
+            model.index_match_cost_ns(work.entries_scanned, rows) + rest
+        );
+        assert!(estimate < model.index_match_cost_ns(work.entries_scanned, groups) + rest);
     }
 }

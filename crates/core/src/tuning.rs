@@ -50,12 +50,13 @@ impl CostModel {
     }
 
     /// Cost of matching `entries` dictionary entries through the
-    /// entry-bitmap index of a universe with `groups` feature groups: one
-    /// load-and-AND per group per 64-entry word, plus one pass over the
+    /// entry-bitmap index, reading `rows` rows
+    /// ([`IndexView::rows_per_match`](crate::index::IndexView::rows_per_match)):
+    /// one load-and-AND per row per 64-entry word, plus one pass over the
     /// result words to pull out the matches.
     #[must_use]
-    pub fn index_match_cost_ns(&self, entries: usize, groups: usize) -> f64 {
-        let ops = (groups + 1) as f64 * entries.div_ceil(64) as f64;
+    pub fn index_match_cost_ns(&self, entries: usize, rows: usize) -> f64 {
+        let ops = (rows + 1) as f64 * entries.div_ceil(64) as f64;
         ops / self.freq_ghz
     }
 

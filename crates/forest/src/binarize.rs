@@ -46,8 +46,9 @@ pub struct PredicateUniverse {
     #[serde(skip)]
     index: HashMap<(u32, u32), PredId>,
     /// Per-feature contiguous runs of predicates (the canonical order sorts
-    /// by feature then threshold), enabling the monotone fast path of
-    /// [`PredicateUniverse::evaluate_into`].
+    /// by feature then threshold), enabling the monotone fast paths of
+    /// [`PredicateUniverse::evaluate_into`] and
+    /// [`PredicateUniverse::run_starts_into`].
     #[serde(skip)]
     groups: FeatureGroup,
     n_features: usize,
@@ -94,68 +95,6 @@ fn set_bit_run(words: &mut [u64], start: usize, end: usize) {
         };
         words[bit / 64] |= mask;
         bit += span;
-    }
-}
-
-/// A batch of samples encoded by [`PredicateUniverse::evaluate_batch_into`]:
-/// per sample, the run start of every feature group and the thermometer
-/// bits of the whole universe — exactly what
-/// [`PredicateUniverse::evaluate_into_with_starts`] reports for that sample
-/// alone. Reusable: a later encode of any universe and batch size resizes
-/// it.
-#[derive(Clone, Debug, Default)]
-pub struct BatchEncoding {
-    n_samples: usize,
-    n_groups: usize,
-    /// Words per sample, as many as a [`Mask`] of the universe's width
-    /// has.
-    stride: usize,
-    /// Sample-major: group `g` of sample `b` at `b * n_groups + g`.
-    run_starts: Vec<u32>,
-    /// Sample-major: word `w` of sample `b` at `b * stride + w`.
-    words: Vec<u64>,
-    /// The current group's feature, gathered across the batch.
-    column: Vec<f32>,
-    /// Per sample, how many of the current group's predicates hold.
-    run_lens: Vec<u32>,
-}
-
-impl BatchEncoding {
-    /// Samples in the most recent encode.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.n_samples
-    }
-
-    /// Whether the most recent encode was of an empty batch.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n_samples == 0
-    }
-
-    /// Sample `b`'s run start per feature group (what
-    /// [`PredicateUniverse::evaluate_into_with_starts`] writes to
-    /// `run_starts`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is outside the most recent batch.
-    #[must_use]
-    pub fn run_starts(&self, b: usize) -> &[u32] {
-        assert!(b < self.n_samples, "sample {b} outside the encoded batch");
-        &self.run_starts[b * self.n_groups..(b + 1) * self.n_groups]
-    }
-
-    /// Sample `b`'s predicate bits as packed words (the words of the
-    /// [`Mask`] [`PredicateUniverse::evaluate_into`] fills).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is outside the most recent batch.
-    #[must_use]
-    pub fn words(&self, b: usize) -> &[u64] {
-        assert!(b < self.n_samples, "sample {b} outside the encoded batch");
-        &self.words[b * self.stride..(b + 1) * self.stride]
     }
 }
 
@@ -272,139 +211,104 @@ impl PredicateUniverse {
     /// ascending thresholds — so each feature costs one comparison search
     /// plus one word-wise bit-run write.
     ///
+    /// The `Mask` is what the reference scan reads; inference paths that
+    /// start from raw features encode only what the entry-bitmap index
+    /// reads ([`Self::run_starts_into`], [`Self::holds`]).
+    ///
     /// # Panics
     ///
     /// Panics if `sample` is shorter than [`Self::n_features`] or `out` was
     /// not sized to [`Self::len`] bits.
     pub fn evaluate_into(&self, sample: &[f32], out: &mut Mask) {
-        self.evaluate_groups(sample, out, |_, _| {});
+        self.check_sample(sample);
+        assert_eq!(out.width(), self.preds.len(), "output mask width mismatch");
+        out.clear();
+        let words = out.as_mut_words();
+        let g = &self.groups;
+        for gi in 0..g.features.len() {
+            let v = sample[g.features[gi] as usize];
+            if v.is_nan() {
+                continue; // NaN <= t is false for every threshold
+            }
+            // First threshold with t >= v: predicates from there on are
+            // true. Groups are tiny, so a forward scan beats binary search.
+            let (lo, hi) = (g.offsets[gi] as usize, g.offsets[gi + 1] as usize);
+            let mut pos = lo;
+            while pos < hi && g.thresholds[pos] < v {
+                pos += 1;
+            }
+            set_bit_run(words, pos, hi);
+        }
     }
 
-    /// [`Self::evaluate_into`] that also reports, per feature group, where
-    /// the run of true bits starts: `run_starts[g]` is the predicate ID of
-    /// group `g`'s first true bit, or the group's end when none is true
-    /// (a NaN feature, or a value above every threshold). Bits of the group
-    /// before that ID are false and bits from it on are true, so the one
-    /// number fixes the group's whole outcome — the bucket an entry-bitmap
-    /// index selects its row by.
+    /// Writes, for each feature group `groups` lists, where the sample's run
+    /// of true bits starts in that group: `run_starts[i]` is the predicate
+    /// ID of group `groups[i]`'s first true bit, or the group's end when
+    /// none is true (a NaN feature, or a value above every threshold). Bits
+    /// of the group before that ID are false and bits from it on are true,
+    /// so the one number fixes the group's whole outcome — the bucket an
+    /// entry-bitmap index selects its row by.
+    ///
+    /// Thresholds ascend, so the predicates that hold are a suffix of the
+    /// group and the run start is the group's end minus how many hold: one
+    /// branch-free count of `v <= t` the compiler vectorizes, in place of
+    /// [`Self::evaluate_into`]'s search. A NaN satisfies no threshold and a
+    /// value exactly on one satisfies it, as in the search. Groups not
+    /// listed are not read, and no bit vector is built.
     ///
     /// # Panics
     ///
-    /// Same contract as [`Self::evaluate_into`], and `run_starts` must be
-    /// [`Self::n_groups`] long.
-    pub fn evaluate_into_with_starts(
-        &self,
-        sample: &[f32],
-        out: &mut Mask,
-        run_starts: &mut [u32],
-    ) {
+    /// Panics if `sample` is shorter than [`Self::n_features`] (whichever
+    /// groups are listed), `run_starts` is not as long as `groups`, or a
+    /// listed group is out of range.
+    pub fn run_starts_into(&self, sample: &[f32], groups: &[u32], run_starts: &mut [u32]) {
+        self.check_sample(sample);
         assert_eq!(
             run_starts.len(),
-            self.n_groups(),
+            groups.len(),
             "run-start buffer length mismatch"
         );
-        self.evaluate_groups(sample, out, |group, start| run_starts[group] = start);
+        let g = &self.groups;
+        for (start, &group) in run_starts.iter_mut().zip(groups) {
+            let group = group as usize;
+            let v = sample[g.features[group] as usize];
+            let (lo, hi) = (g.offsets[group] as usize, g.offsets[group + 1]);
+            let held: u32 = g.thresholds[lo..hi as usize]
+                .iter()
+                .map(|&t| u32::from(v <= t))
+                .sum();
+            *start = hi - held;
+        }
     }
 
-    /// The one encode loop behind both entry points; `on_group` receives
-    /// each group's index and run start.
+    /// Whether predicate `pred` holds for `sample`: the single compare
+    /// `sample[feature] <= threshold`, equal to bit `pred` of
+    /// [`Self::evaluate`]. Callers check the sample's length first
+    /// ([`Self::run_starts_into`] does).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pred` is out of range or `sample` lacks its feature.
     #[inline]
-    fn evaluate_groups(
-        &self,
-        sample: &[f32],
-        out: &mut Mask,
-        mut on_group: impl FnMut(usize, u32),
-    ) {
+    #[must_use]
+    pub fn holds(&self, pred: PredId, sample: &[f32]) -> bool {
+        let p = self.preds[pred as usize];
+        sample[p.feature as usize] <= p.threshold
+    }
+
+    /// The up-front contract of every encode: the sample carries every
+    /// feature the universe reads, and the derived groups exist.
+    fn check_sample(&self, sample: &[f32]) {
         assert!(
             sample.len() >= self.n_features,
             "sample has {} features, universe expects {}",
             sample.len(),
             self.n_features
         );
-        assert_eq!(out.width(), self.preds.len(), "output mask width mismatch");
         assert!(
             self.preds.is_empty() || !self.groups.features.is_empty(),
             "predicate universe used before rebuild_index() after deserialization"
         );
-        out.clear();
-        let words = out.as_mut_words();
-        let g = &self.groups;
-        for gi in 0..g.features.len() {
-            let v = sample[g.features[gi] as usize];
-            let (lo, hi) = (g.offsets[gi] as usize, g.offsets[gi + 1] as usize);
-            if v.is_nan() {
-                on_group(gi, hi as u32); // NaN <= t is false for every threshold
-                continue;
-            }
-            // First threshold with t >= v: predicates from there on are
-            // true. Groups are tiny, so a forward scan beats binary search.
-            let mut pos = lo;
-            while pos < hi && g.thresholds[pos] < v {
-                pos += 1;
-            }
-            on_group(gi, pos as u32);
-            set_bit_run(words, pos, hi);
-        }
-    }
-
-    /// Encodes a whole batch group-major: for each feature group, that
-    /// feature's column is gathered across the batch and compared against
-    /// the group's thresholds in one branch-free pass the compiler
-    /// vectorizes across samples, where the per-sample encode searches each
-    /// group with a data-dependent loop. `out` then holds, for every
-    /// sample, the same run starts and the same bits as
-    /// [`Self::evaluate_into_with_starts`]: thresholds ascend, so the
-    /// predicates that hold (`v <= t`) are a suffix of the group and
-    /// counting them locates the run start; a NaN feature satisfies none,
-    /// which puts its run start on the group's end, and a value exactly on
-    /// a threshold satisfies it, as in the per-sample search.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any sample is shorter than [`Self::n_features`].
-    pub fn evaluate_batch_into(&self, samples: &[&[f32]], out: &mut BatchEncoding) {
-        for sample in samples {
-            assert!(
-                sample.len() >= self.n_features,
-                "sample has {} features, universe expects {}",
-                sample.len(),
-                self.n_features
-            );
-        }
-        assert!(
-            self.preds.is_empty() || !self.groups.features.is_empty(),
-            "predicate universe used before rebuild_index() after deserialization"
-        );
-        let g = &self.groups;
-        let (n, n_groups) = (samples.len(), g.features.len());
-        let stride = self.preds.len().div_ceil(64).max(1);
-        out.n_samples = n;
-        out.n_groups = n_groups;
-        out.stride = stride;
-        // Every run start is overwritten below; the words are OR-ed into.
-        out.run_starts.resize(n * n_groups, 0);
-        out.words.clear();
-        out.words.resize(n * stride, 0);
-        out.column.resize(n, 0.0);
-        out.run_lens.resize(n, 0);
-        for gi in 0..n_groups {
-            let feature = g.features[gi] as usize;
-            for (slot, sample) in out.column.iter_mut().zip(samples) {
-                *slot = sample[feature];
-            }
-            let (lo, hi) = (g.offsets[gi] as usize, g.offsets[gi + 1] as usize);
-            out.run_lens.fill(0);
-            for &t in &g.thresholds[lo..hi] {
-                for (len, &v) in out.run_lens.iter_mut().zip(&out.column) {
-                    *len += u32::from(v <= t);
-                }
-            }
-            for (b, &len) in out.run_lens.iter().enumerate() {
-                let start = hi - len as usize;
-                out.run_starts[b * n_groups + gi] = start as u32;
-                set_bit_run(&mut out.words[b * stride..(b + 1) * stride], start, hi);
-            }
-        }
     }
 
     /// Number of feature groups: distinct features some predicate tests.
@@ -604,6 +508,51 @@ mod tests {
         }
     }
 
+    fn universe_of(thresholds: &[Vec<f32>]) -> PredicateUniverse {
+        let splits = thresholds
+            .iter()
+            .enumerate()
+            .flat_map(|(f, ts)| ts.iter().map(move |&t| (f as u32, t)));
+        PredicateUniverse::from_splits(splits, thresholds.len())
+    }
+
+    /// The index-side encode must agree with the `Mask` reference on every
+    /// sample: each listed group's run start splits that group of
+    /// `evaluate(s)` into false bits below it and true bits from it on (so
+    /// it is the group's first set bit, or its end), and every single
+    /// compare is its predicate's bit. Listed are all groups, and every
+    /// other one — an index hands in the subset that constrains.
+    fn assert_encode_equals_evaluate(universe: &PredicateUniverse, samples: &[Vec<f32>]) {
+        let offsets = universe.group_offsets();
+        let all: Vec<u32> = (0..universe.n_groups() as u32).collect();
+        let odd: Vec<u32> = all.iter().copied().filter(|g| g % 2 == 1).collect();
+        for sample in samples {
+            let bits = universe.evaluate(sample);
+            for groups in [&all, &odd] {
+                let mut starts = vec![u32::MAX; groups.len()];
+                universe.run_starts_into(sample, groups, &mut starts);
+                for (&g, &start) in groups.iter().zip(&starts) {
+                    let (lo, hi) = (offsets[g as usize], offsets[g as usize + 1]);
+                    assert!((lo..=hi).contains(&start), "start inside group {g}");
+                    for p in lo..hi {
+                        assert_eq!(
+                            bits.get(p as usize),
+                            p >= start,
+                            "group {g} is false below its run start and true from it on ({sample:?})"
+                        );
+                    }
+                }
+            }
+            for p in 0..universe.len() {
+                assert_eq!(
+                    universe.holds(p as PredId, sample),
+                    bits.get(p),
+                    "predicate {p} of {sample:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn run_starts_locate_the_first_true_bit_of_each_group() {
         let (data, _, universe) = trained();
@@ -615,48 +564,7 @@ mod tests {
         samples.push(vec![f32::NEG_INFINITY, f32::NAN]);
         // Exactly on the first group's first threshold.
         samples.push(vec![universe.predicate(0).threshold, 0.0]);
-        let mut bits = Mask::zeros(universe.len());
-        let mut starts = vec![0u32; universe.n_groups()];
-        for sample in samples {
-            universe.evaluate_into_with_starts(&sample, &mut bits, &mut starts);
-            assert_eq!(bits, universe.evaluate(&sample), "same bits as evaluate");
-            for (g, &start) in starts.iter().enumerate() {
-                let (lo, hi) = (offsets[g], offsets[g + 1]);
-                assert!((lo..=hi).contains(&start), "start inside group {g}");
-                for p in lo..hi {
-                    assert_eq!(
-                        bits.get(p as usize),
-                        p >= start,
-                        "group {g} is false below its run start and true from it on ({sample:?})"
-                    );
-                }
-            }
-        }
-    }
-
-    fn universe_of(thresholds: &[Vec<f32>]) -> PredicateUniverse {
-        let splits = thresholds
-            .iter()
-            .enumerate()
-            .flat_map(|(f, ts)| ts.iter().map(move |&t| (f as u32, t)));
-        PredicateUniverse::from_splits(splits, thresholds.len())
-    }
-
-    /// The batch encode of `samples` must report, for every sample, exactly
-    /// the bits and run starts of the per-sample encode.
-    fn assert_batch_equals_per_sample(universe: &PredicateUniverse, samples: &[Vec<f32>]) {
-        let slices: Vec<&[f32]> = samples.iter().map(Vec::as_slice).collect();
-        let mut encoded = BatchEncoding::default();
-        universe.evaluate_batch_into(&slices, &mut encoded);
-        assert_eq!(encoded.len(), samples.len());
-        assert_eq!(encoded.is_empty(), samples.is_empty());
-        let mut bits = Mask::zeros(universe.len());
-        let mut starts = vec![0u32; universe.n_groups()];
-        for (b, sample) in samples.iter().enumerate() {
-            universe.evaluate_into_with_starts(sample, &mut bits, &mut starts);
-            assert_eq!(encoded.run_starts(b), starts, "run starts of {sample:?}");
-            assert_eq!(encoded.words(b), bits.as_words(), "bits of {sample:?}");
-        }
+        assert_encode_equals_evaluate(&universe, &samples);
     }
 
     /// Per feature: NaN, both infinities, below and above every threshold,
@@ -670,16 +578,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_encode_equals_per_sample_encode_on_probe_values() {
-        // Feature 0's 70 thresholds straddle a 64-bit word, and feature 2's
-        // group starts mid-word after it.
+    fn encode_equals_evaluate_on_probe_values() {
+        // Feature 0's 70 thresholds straddle a 64-bit word, feature 2's
+        // group starts mid-word after it, and features 2 and 3 carry `-0.0`
+        // thresholds (feature 3 beside `0.0`, which compares equal to it).
         let thresholds = vec![
             (0..70).map(|i| i as f32 * 0.5 - 3.0).collect::<Vec<f32>>(),
             vec![0.5],
             vec![-1.0, -0.0, 2.5],
+            vec![0.0, -0.0],
         ];
         let universe = universe_of(&thresholds);
-        assert_eq!((universe.len(), universe.n_groups()), (74, 3));
+        assert_eq!((universe.len(), universe.n_groups()), (76, 4));
         let probes: Vec<Vec<f32>> = thresholds.iter().map(|ts| probe_values(ts)).collect();
         // Every probe of each feature, against rotating probes of the rest.
         let longest = probes.iter().map(Vec::len).max().expect("features");
@@ -692,60 +602,51 @@ mod tests {
                     .collect()
             })
             .collect();
-        for n in [0usize, 1, 5, 63, 64, 65, samples.len()] {
-            assert_batch_equals_per_sample(&universe, &samples[..n]);
-        }
+        assert_encode_equals_evaluate(&universe, &samples);
     }
 
     #[test]
-    fn batch_encoding_is_reusable_across_universes_and_batch_sizes() {
+    fn encode_handles_empty_groups_and_zero_predicate_universes() {
+        // Feature 1 has no threshold, so it forms no group.
         let wide = universe_of(&[vec![0.0, 1.0], vec![], vec![5.0]]);
+        assert_eq!(wide.n_groups(), 2);
+        let samples = [[0.5f32, 9.0, f32::NAN], [1.0, 0.0, 5.0], [-1.0, 0.0, 6.0]];
+        assert_encode_equals_evaluate(&wide, &samples.map(|s| s.to_vec()));
+        let mut starts = [0u32; 2];
+        wide.run_starts_into(&samples[0], &[0, 1], &mut starts);
+        assert_eq!(starts, [1, 3], "0.5 holds for 1.0 only; NaN for nothing");
+
         let narrow = universe_of(&[vec![2.0]]);
-        let empty = universe_of(&[vec![]]);
-        let mut encoded = BatchEncoding::default();
-        let mut bits = Mask::zeros(wide.len());
-        let mut starts = vec![0u32; wide.n_groups()];
-        for round in 0..2 {
-            let samples = [[0.5f32, 9.0, f32::NAN], [1.0, 0.0, 5.0], [-1.0, 0.0, 6.0]];
-            let slices: Vec<&[f32]> = samples.iter().map(|s| &s[..]).collect();
-            wide.evaluate_batch_into(&slices[..3 - round], &mut encoded);
-            assert_eq!(encoded.len(), 3 - round);
-            wide.evaluate_into_with_starts(&samples[1], &mut bits, &mut starts);
-            assert_eq!(encoded.run_starts(1), starts);
-            assert_eq!(encoded.words(1), bits.as_words());
+        let mut start = [9u32];
+        narrow.run_starts_into(&[2.0], &[0], &mut start);
+        assert_eq!(start, [0]);
+        narrow.run_starts_into(&[2.5], &[0], &mut start);
+        assert_eq!(start, [1]);
 
-            narrow.evaluate_batch_into(&[&[2.0], &[2.5]], &mut encoded);
-            assert_eq!(encoded.run_starts(0), [0]);
-            assert_eq!(encoded.run_starts(1), [1]);
-            assert_eq!(
-                (encoded.words(0), encoded.words(1)),
-                (&[1u64][..], &[0u64][..])
-            );
-
-            // No predicates at all: no groups, and the one all-zero word a
-            // `Mask` of width 0 has.
-            empty.evaluate_batch_into(&[&[7.0]], &mut encoded);
-            assert!(encoded.run_starts(0).is_empty());
-            assert_eq!(encoded.words(0), Mask::zeros(0).as_words());
+        // No predicates at all: no groups to encode, nothing to compare.
+        for empty in [universe_of(&[vec![]]), universe_of(&[])] {
+            assert_eq!((empty.len(), empty.n_groups()), (0, 0));
+            empty.run_starts_into(&[7.0], &[], &mut []);
+            assert_encode_equals_evaluate(&empty, &[vec![7.0], vec![f32::NAN]]);
         }
     }
 
     #[test]
     #[should_panic(expected = "sample has 1 features, universe expects 2")]
-    fn batch_encode_rejects_a_short_sample() {
+    fn encode_rejects_a_short_sample_whichever_groups_it_reads() {
         let universe = universe_of(&[vec![0.0], vec![1.0]]);
-        let mut encoded = BatchEncoding::default();
-        universe.evaluate_batch_into(&[&[0.0, 1.0], &[0.0]], &mut encoded);
+        // Group 0 reads only feature 0, which the sample has.
+        universe.run_starts_into(&[0.0], &[0], &mut [0]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Random universes (up to 90 thresholds on a feature, so groups
-        /// straddle words) and random batches mixing ordinary values with
+        /// straddle words) and random samples mixing ordinary values with
         /// NaN, infinities and exact thresholds.
         #[test]
-        fn batch_encode_equals_per_sample_encode(
+        fn encode_equals_evaluate(
             seed in any::<u64>(),
             n_features in 1usize..=5,
             n_samples in 0usize..=70,
@@ -781,7 +682,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            assert_batch_equals_per_sample(&universe, &samples);
+            assert_encode_equals_evaluate(&universe, &samples);
         }
     }
 

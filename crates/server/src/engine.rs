@@ -51,6 +51,10 @@ impl InferenceEngine for BoltEngine {
         "BOLT"
     }
 
+    fn n_features(&self) -> usize {
+        self.bolt.universe().n_features()
+    }
+
     fn classify(&self, sample: &[f32]) -> u32 {
         SCRATCH.with_borrow_mut(|scratch| self.bolt.classify_with(sample, scratch))
     }
@@ -95,6 +99,10 @@ impl ArtifactEngine {
 impl InferenceEngine for ArtifactEngine {
     fn name(&self) -> &'static str {
         "BOLT-BLT"
+    }
+
+    fn n_features(&self) -> usize {
+        self.model.n_features()
     }
 
     fn classify(&self, sample: &[f32]) -> u32 {

@@ -39,9 +39,11 @@
 //! **Malformed requests.** A payload that is framed correctly but decodes
 //! as no known message answers [`ERR_MALFORMED_REQUEST`] and the
 //! connection survives — other requests in flight on it are unaffected.
-//! Framing-level corruption (oversized length declaration, EOF mid-frame)
-//! still tears the connection down, as no frame boundary can be trusted
-//! afterwards.
+//! So does a classify request carrying a sample shorter than its model's
+//! feature count: it is refused at admission, before it can join a
+//! micro-batch group or reach a worker. Framing-level corruption
+//! (oversized length declaration, EOF mid-frame) still tears the
+//! connection down, as no frame boundary can be trusted afterwards.
 
 use crate::admin::{self, AdminRequest};
 use crate::microbatch::{Completion, FlushGroup, MicroBatchConfig, MicroBatcher, QueuedSample};
@@ -50,7 +52,7 @@ use crate::proto::{
     ERR_INTERNAL, ERR_MALFORMED_REQUEST, ERR_OVERLOADED, ERR_UNSUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 use crate::registry::ModelHandle;
-use crate::server::{route_error_frame, Shared};
+use crate::server::{resolve_classify, Shared};
 use bytes::Bytes;
 use epoll::{Interest, Poller};
 use std::collections::VecDeque;
@@ -786,11 +788,10 @@ impl EventLoop {
     }
 
     fn submit_single(&mut self, index: usize, model: Option<String>, features: Vec<f32>, v2: bool) {
-        let resolved = self.shared.store.resolve(model.as_deref());
-        let model = match resolved {
+        let model = match resolve_classify(&self.shared, model.as_deref(), [features.as_slice()]) {
             Ok(model) => model,
-            Err(e) => {
-                self.respond_now(index, route_error_frame(&e).encode());
+            Err(frame) => {
+                self.respond_now(index, frame.encode());
                 return;
             }
         };
@@ -821,11 +822,14 @@ impl EventLoop {
         samples: Vec<Vec<f32>>,
         v2: bool,
     ) {
-        let resolved = self.shared.store.resolve(model.as_deref());
-        let model = match resolved {
+        let model = match resolve_classify(
+            &self.shared,
+            model.as_deref(),
+            samples.iter().map(Vec::as_slice),
+        ) {
             Ok(model) => model,
-            Err(e) => {
-                self.respond_now(index, route_error_frame(&e).encode());
+            Err(frame) => {
+                self.respond_now(index, frame.encode());
                 return;
             }
         };

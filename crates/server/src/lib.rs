@@ -12,7 +12,8 @@
 //! batch frames ([`ClassifyBatchRequest`]): many samples in one round trip,
 //! served by the engine's batched kernel
 //! ([`InferenceEngine::classify_batch`](bolt_baselines::InferenceEngine::classify_batch),
-//! Bolt's batch encode + index match for [`BoltEngine`]).
+//! Bolt's per-sample index body looped over one scratch for
+//! [`BoltEngine`]).
 //!
 //! # Model registry
 //!

@@ -222,6 +222,9 @@ mod tests {
         fn name(&self) -> &'static str {
             "Fixed"
         }
+        fn n_features(&self) -> usize {
+            0
+        }
         fn classify(&self, _sample: &[f32]) -> u32 {
             self.0
         }

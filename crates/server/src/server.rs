@@ -3,8 +3,9 @@
 use crate::event_loop::{self, EventLoopHandle, Listener, ServingMode};
 use crate::proto::{
     write_frame, ClassifyBatchResponse, ClassifyResponse, ErrorFrame, FrameReader,
-    ListModelsResponse, ProtoError, Request, ERR_INTERNAL, ERR_NO_DEFAULT_MODEL, ERR_RETIRED_MODEL,
-    ERR_UNKNOWN_MODEL, ERR_UNSUPPORTED_VERSION, PROTOCOL_VERSION,
+    ListModelsResponse, ProtoError, Request, ERR_INTERNAL, ERR_MALFORMED_REQUEST,
+    ERR_NO_DEFAULT_MODEL, ERR_RETIRED_MODEL, ERR_UNKNOWN_MODEL, ERR_UNSUPPORTED_VERSION,
+    PROTOCOL_VERSION,
 };
 use crate::registry::{ModelHandle, ModelRegistry, RouteError};
 use crate::store::ModelStore;
@@ -312,6 +313,39 @@ pub(crate) fn route_error_frame(error: &RouteError) -> ErrorFrame {
     }
 }
 
+/// Resolves a classify request's model and checks its samples against it:
+/// the one dispatch-time gate both front-ends pass every classify request
+/// through. A sample shorter than the model's feature count is refused with
+/// [`ERR_MALFORMED_REQUEST`] (the connection stays up) before it reaches an
+/// engine, whose contract is to panic on it — which would cost the client
+/// its reply, the service a worker, and a micro-batch group every request
+/// coalesced with it. Longer samples are accepted; engines read the prefix.
+pub(crate) fn resolve_classify<'s>(
+    shared: &Shared,
+    model: Option<&str>,
+    samples: impl IntoIterator<Item = &'s [f32]>,
+) -> Result<Arc<ModelHandle>, ErrorFrame> {
+    let model = shared
+        .store
+        .resolve(model)
+        .map_err(|e| route_error_frame(&e))?;
+    let need = model.engine().n_features();
+    match samples
+        .into_iter()
+        .enumerate()
+        .find(|(_, s)| s.len() < need)
+    {
+        Some((i, short)) => Err(ErrorFrame {
+            code: ERR_MALFORMED_REQUEST,
+            detail: format!(
+                "sample {i} has {} features, model expects {need}",
+                short.len()
+            ),
+        }),
+        None => Ok(model),
+    }
+}
+
 /// Classifies one sample on a resolved model, booking its latency.
 fn classify_one(model: &ModelHandle, features: &[f32]) -> ClassifyResponse {
     // Latency measured from receipt to aggregation output (§6).
@@ -348,9 +382,10 @@ fn classify_many(model: &ModelHandle, samples: &[Vec<f32>]) -> ClassifyBatchResp
 /// Serves framed requests on any byte stream whose read timeout has been
 /// configured by the caller (both Unix and TCP transports funnel here).
 ///
-/// Routing failures (unknown model, retired model, no default) answer
-/// with a structured [`ErrorFrame`] and keep the connection alive; only
-/// transport failures and malformed frames tear it down.
+/// Routing failures (unknown model, retired model, no default) and samples
+/// shorter than the model's feature count answer with a structured
+/// [`ErrorFrame`] and keep the connection alive; only transport failures
+/// and malformed frames tear it down.
 pub(crate) fn handle_stream<S: std::io::Read + std::io::Write>(
     mut stream: S,
     shared: &Shared,
@@ -378,63 +413,44 @@ pub(crate) fn handle_stream<S: std::io::Read + std::io::Write>(
             }
             Err(e) => return Err(e),
         };
-        match Request::decode(&payload)? {
-            Request::Single(request) => match shared.store.resolve(None) {
-                Ok(model) => {
-                    let response = classify_one(&model, &request.features);
-                    write_frame(&mut stream, &response.encode())?;
-                }
-                Err(e) => write_frame(&mut stream, &route_error_frame(&e).encode())?,
-            },
-            Request::Batch(request) => match shared.store.resolve(None) {
-                Ok(model) => {
-                    let response = classify_many(&model, &request.samples);
-                    write_frame(&mut stream, &response.encode())?;
-                }
-                Err(e) => write_frame(&mut stream, &route_error_frame(&e).encode())?,
-            },
-            Request::SingleWith(request) => match shared.store.resolve(Some(&request.model)) {
-                Ok(model) => {
-                    let response = classify_one(&model, &request.features);
-                    write_frame(&mut stream, &response.encode_v2())?;
-                }
-                Err(e) => write_frame(&mut stream, &route_error_frame(&e).encode())?,
-            },
-            Request::BatchWith(request) => match shared.store.resolve(Some(&request.model)) {
-                Ok(model) => {
-                    let response = classify_many(&model, &request.samples);
-                    write_frame(&mut stream, &response.encode_v2())?;
-                }
-                Err(e) => write_frame(&mut stream, &route_error_frame(&e).encode())?,
-            },
-            Request::ListModels { extended } => {
-                let response = ListModelsResponse {
-                    models: shared.store.list(),
-                };
-                match response.encode(if extended { 3 } else { 2 }) {
-                    Ok(framed) => write_frame(&mut stream, &framed)?,
-                    Err(e) => {
-                        // A registry too large to enumerate in one frame;
-                        // report rather than kill the connection.
-                        let frame = ErrorFrame {
-                            code: ERR_INTERNAL,
-                            detail: format!("model list does not fit in a frame: {e}"),
-                        };
-                        write_frame(&mut stream, &frame.encode())?;
-                    }
-                }
+        let frame = match Request::decode(&payload)? {
+            Request::Single(request) => {
+                resolve_classify(shared, None, [request.features.as_slice()])
+                    .map(|model| classify_one(&model, &request.features).encode())
             }
-            Request::UnsupportedVersion { requested } => {
-                let frame = ErrorFrame {
-                    code: ERR_UNSUPPORTED_VERSION,
-                    detail: format!(
-                        "protocol version {requested} not supported; \
-                         this server speaks up to {PROTOCOL_VERSION}"
-                    ),
-                };
-                write_frame(&mut stream, &frame.encode())?;
+            Request::Batch(request) => {
+                resolve_classify(shared, None, request.samples.iter().map(Vec::as_slice))
+                    .map(|model| classify_many(&model, &request.samples).encode())
             }
-        }
+            Request::SingleWith(request) => {
+                resolve_classify(shared, Some(&request.model), [request.features.as_slice()])
+                    .map(|model| classify_one(&model, &request.features).encode_v2())
+            }
+            Request::BatchWith(request) => resolve_classify(
+                shared,
+                Some(&request.model),
+                request.samples.iter().map(Vec::as_slice),
+            )
+            .map(|model| classify_many(&model, &request.samples).encode_v2()),
+            // A registry too large to enumerate in one frame: report rather
+            // than kill the connection.
+            Request::ListModels { extended } => ListModelsResponse {
+                models: shared.store.list(),
+            }
+            .encode(if extended { 3 } else { 2 })
+            .map_err(|e| ErrorFrame {
+                code: ERR_INTERNAL,
+                detail: format!("model list does not fit in a frame: {e}"),
+            }),
+            Request::UnsupportedVersion { requested } => Err(ErrorFrame {
+                code: ERR_UNSUPPORTED_VERSION,
+                detail: format!(
+                    "protocol version {requested} not supported; \
+                     this server speaks up to {PROTOCOL_VERSION}"
+                ),
+            }),
+        };
+        write_frame(&mut stream, &frame.unwrap_or_else(|e| e.encode()))?;
     }
 }
 

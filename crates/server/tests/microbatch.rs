@@ -33,6 +33,10 @@ impl InferenceEngine for SlowEngine {
         "Slow"
     }
 
+    fn n_features(&self) -> usize {
+        1
+    }
+
     fn classify(&self, sample: &[f32]) -> u32 {
         self.classify_batch(&[sample])[0]
     }
