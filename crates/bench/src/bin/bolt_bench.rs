@@ -1,14 +1,14 @@
 //! `bolt-bench` — open-loop load harness for the classification server.
 //!
 //! The criterion benches measure the engine in-process; this binary
-//! measures the *serving path* — framing, routing, per-connection threads
-//! — under concurrent open-loop load, and records the latency
-//! distribution as versioned `BENCH_<workload>.json` snapshots (schema in
-//! DESIGN.md) so tail behaviour is tracked across PRs, not just means.
+//! measures the *serving path* — framing, routing, the event loop — under
+//! concurrent open-loop load, and records the latency distribution, tails
+//! included, as versioned `BENCH_<workload>.json` snapshots (schema in
+//! DESIGN.md).
 //!
 //! ```text
-//! # Self-hosted suite: spin up in-process UDS + TCP servers sharing one
-//! # registry, run every workload mix, write snapshots under results/:
+//! # Self-hosted suite: spin up one in-process server with UDS + TCP
+//! # listeners, run every workload mix, write snapshots under results/:
 //! bolt-bench [--out DIR] [--quick]
 //!
 //! # Drive an external boltd (what scripts/run_loadgen.sh does):
@@ -19,12 +19,7 @@
 //!            [--hostile-every N] [--out DIR]
 //!
 //! # Validate snapshot files against the current schema (CI):
-//! bolt-bench --check results/BENCH_uds_single.json ...
-//!
-//! # Compare two snapshot sets (files or directories) by workload and
-//! # exit nonzero when p99 grows or throughput shrinks past the
-//! # threshold (default 25 %):
-//! bolt-bench --compare results OLD_DIR [--threshold PCT]
+//! bolt-bench --check OUT_DIR/BENCH_uds_single.json ...
 //! ```
 //!
 //! The suite covers the mixes the serving path must survive together:
@@ -55,8 +50,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = if args.first().map(String::as_str) == Some("--check") {
         check(&args[1..])
-    } else if args.first().map(String::as_str) == Some("--compare") {
-        compare_cmd(&args[1..])
     } else {
         match Cli::parse(&args) {
             Ok(cli) if cli.connect.is_some() => connect_run(&cli),
@@ -74,9 +67,7 @@ fn main() -> ExitCode {
                  [--data lstw|mnist|yelp] [--samples N] [--requests N] [--rate R] \
                  [--threads N] [--batch N] [--model NAME]... [--error-every N] \
                  [--duration-secs S] [--reconnect-every N] [--hostile-every N] [--out DIR]\n\
-                 \x20      bolt-bench --check FILE...\n\
-                 \x20      bolt-bench --compare OLD NEW [--threshold PCT]   \
-                 (OLD/NEW: BENCH_*.json files or directories)"
+                 \x20      bolt-bench --check FILE..."
             );
             ExitCode::FAILURE
         }
@@ -243,88 +234,6 @@ fn check(files: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `--compare OLD NEW [--threshold PCT]`: per-workload p50/p99/throughput
-/// deltas between two snapshot sets, failing the invocation when any
-/// workload regresses past the threshold.
-fn compare_cmd(args: &[String]) -> Result<(), String> {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut threshold = bolt_bench::compare::DEFAULT_THRESHOLD_PCT;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--threshold" {
-            let value = iter.next().ok_or("--threshold needs a value")?;
-            threshold = value
-                .parse::<f64>()
-                .map_err(|_| format!("--threshold wants a number, got {value:?}"))?;
-            if !threshold.is_finite() || threshold <= 0.0 {
-                return Err("--threshold must be a positive finite number".to_owned());
-            }
-        } else {
-            paths.push(arg);
-        }
-    }
-    let [old_path, new_path] = paths.as_slice() else {
-        return Err("--compare wants exactly two paths: OLD NEW".to_owned());
-    };
-    let old = bolt_bench::compare::load_snapshots(std::path::Path::new(old_path.as_str()))?;
-    let new = bolt_bench::compare::load_snapshots(std::path::Path::new(new_path.as_str()))?;
-    let cmp = bolt_bench::compare::compare(&old, &new, threshold)?;
-
-    let us = |ns: u64| format!("{:.1}", ns as f64 / 1000.0);
-    let signed = |pct: f64| format!("{pct:+.1}%");
-    let rows: Vec<Vec<String>> = cmp
-        .deltas
-        .iter()
-        .map(|d| {
-            vec![
-                d.workload.clone(),
-                us(d.old_p50_ns),
-                us(d.new_p50_ns),
-                signed(d.p50_pct),
-                us(d.old_p99_ns),
-                us(d.new_p99_ns),
-                signed(d.p99_pct),
-                format!("{:.0}", d.old_fps),
-                format!("{:.0}", d.new_fps),
-                signed(d.fps_pct),
-                if d.regressed { "REGRESSED" } else { "ok" }.to_owned(),
-            ]
-        })
-        .collect();
-    print_table(
-        &format!("{old_path} -> {new_path} (client latency µs, threshold {threshold}%)"),
-        &[
-            "workload", "p50 old", "p50 new", "Δp50", "p99 old", "p99 new", "Δp99", "fps old",
-            "fps new", "Δfps", "verdict",
-        ],
-        &rows,
-    );
-    for gone in &cmp.only_in_old {
-        println!("warning: workload {gone} present only in {old_path} (coverage dropped)");
-    }
-    for added in &cmp.only_in_new {
-        println!("note: workload {added} present only in {new_path}");
-    }
-    let regressions = cmp.regressions();
-    if regressions.is_empty() {
-        println!(
-            "compare clean: {} workload(s) within {threshold}% on p99 and throughput",
-            cmp.deltas.len()
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "{} workload(s) regressed past {threshold}%: {}",
-            regressions.len(),
-            regressions
-                .iter()
-                .map(|d| d.workload.as_str())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ))
-    }
-}
-
 /// One workload against an external server (`--connect` mode). No ground
 /// truth is available for an external model, so responses are counted but
 /// not class-checked.
@@ -402,7 +311,8 @@ fn suite(cli: &Cli) -> Result<(), String> {
         .map(|i| trained.forest.predict(trained.test.sample(i)))
         .collect();
 
-    // One registry behind both transports, as boltd deploys it.
+    // One server with both listeners over one registry, as boltd deploys
+    // it.
     let registry = ModelRegistry::new();
     registry
         .register("bolt", Arc::new(BoltEngine::new(Arc::clone(&bolt))))
@@ -417,14 +327,13 @@ fn suite(cli: &Cli) -> Result<(), String> {
         .set_default("bolt")
         .map_err(|e| format!("set default: {e}"))?;
     let uds_path = std::env::temp_dir().join(format!("bolt-bench-{}.sock", std::process::id()));
-    let uds = ServerBuilder::with_registry(registry.clone())
+    let server = ServerBuilder::with_registry(registry.clone())
+        .tcp("127.0.0.1:0")
         .bind_uds(&uds_path)
-        .map_err(|e| format!("bind uds: {e}"))?;
-    let tcp = ServerBuilder::with_registry(registry.clone())
-        .bind_tcp("127.0.0.1:0")
-        .map_err(|e| format!("bind tcp: {e}"))?;
+        .map_err(|e| format!("bind uds + tcp: {e}"))?;
+    let tcp_addr = server.local_addr().expect("the TCP listener is bound");
     let uds_target = Target::Uds(uds_path.clone());
-    let tcp_target = Target::Tcp(tcp.local_addr());
+    let tcp_target = Target::Tcp(tcp_addr);
 
     // Model-churn fleet: 16 copies of the compiled artifact served from
     // a model directory through a resident-bytes budget that admits only
@@ -453,9 +362,8 @@ fn suite(cli: &Cli) -> Result<(), String> {
     let churn_refs: Vec<&str> = churn_names.iter().map(String::as_str).collect();
     let rev = git_rev();
     println!(
-        "servers up: uds {} + tcp {}, {requests} frames per workload at {rate} fps",
-        uds_path.display(),
-        tcp.local_addr()
+        "servers up: uds {} + tcp {tcp_addr}, {requests} frames per workload at {rate} fps",
+        uds_path.display()
     );
 
     let mk = |name: &str, batch: usize, models: &[&str], error_every: u64| {
@@ -543,8 +451,7 @@ fn suite(cli: &Cli) -> Result<(), String> {
             "model_churn: {churn_resident} resident bytes over the {churn_budget} budget"
         ));
     }
-    uds.shutdown();
-    tcp.shutdown();
+    server.shutdown();
     churn_server.shutdown();
     std::fs::remove_dir_all(&churn_dir).ok();
     print_reports(&snapshots);

@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod hist;
 pub mod loadgen;
 

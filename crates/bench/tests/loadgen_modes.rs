@@ -9,11 +9,7 @@ use bolt_server::ServerBuilder;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn serve() -> (
-    bolt_server::TcpClassificationServer,
-    Vec<Vec<f32>>,
-    Vec<u32>,
-) {
+fn serve() -> (bolt_server::ClassificationServer, Vec<Vec<f32>>, Vec<u32>) {
     let rows: Vec<Vec<f32>> = (0..120)
         .map(|i| vec![(i % 6) as f32, (i % 5) as f32])
         .collect();
@@ -32,7 +28,7 @@ fn serve() -> (
 #[test]
 fn duration_bounds_the_run_instead_of_the_request_count() {
     let (server, samples, expected) = serve();
-    let target = Target::Tcp(server.local_addr());
+    let target = Target::Tcp(server.local_addr().expect("tcp listener bound"));
     let mut cfg = OpenLoopConfig::new("duration_mode", 2, 2000.0, 0);
     cfg.duration = Some(Duration::from_millis(250));
     let report = run_open_loop(&target, &samples, Some(&expected), &cfg).expect("runs");
@@ -53,7 +49,7 @@ fn duration_bounds_the_run_instead_of_the_request_count() {
 #[test]
 fn duration_caps_a_request_bounded_run_early() {
     let (server, samples, _) = serve();
-    let target = Target::Tcp(server.local_addr());
+    let target = Target::Tcp(server.local_addr().expect("tcp listener bound"));
     // 1M requests at 2k fps would take ~8 minutes; the 200 ms deadline
     // must cut it off.
     let mut cfg = OpenLoopConfig::new("duration_cap", 2, 2000.0, 1_000_000);
@@ -67,7 +63,7 @@ fn duration_caps_a_request_bounded_run_early() {
 #[test]
 fn reconnect_storm_churns_connections_without_errors() {
     let (server, samples, expected) = serve();
-    let target = Target::Tcp(server.local_addr());
+    let target = Target::Tcp(server.local_addr().expect("tcp listener bound"));
     let mut cfg = OpenLoopConfig::new("reconnect_mode", 2, 4000.0, 120);
     cfg.reconnect_every = 3;
     let report = run_open_loop(&target, &samples, Some(&expected), &cfg).expect("runs");

@@ -1,7 +1,7 @@
 //! The control plane: local-only fleet administration over an admin
 //! socket.
 //!
-//! The data plane ([`crate::event_loop`], [`crate::server`]) answers
+//! The data plane (the event loop) answers
 //! classification traffic; this module is everything an *operator* does
 //! to a live daemon — activate a freshly dropped artifact, retire a name,
 //! move the default route, compact the registry log, rescan the model
@@ -39,15 +39,13 @@
 //!
 //! # Scheduling
 //!
-//! In the event-loop serving mode the admin listener is registered with
-//! the same poller as the data listener but under its **own reserved
-//! token**, and decoded admin ops are executed on a **dedicated control
-//! thread** — never on the loop thread (a WAL fsync or compaction would
-//! stall every connection) and never behind the inference worker queue
-//! (a saturated data plane must not delay an emergency `retire`).
-//! Replies flow back through the ordinary completion path. In
-//! thread-per-connection mode a separate accept loop serves admin
-//! connections with the same handler.
+//! The admin listener is registered with the same poller as the data
+//! listeners but under its **own reserved token**, and decoded admin ops
+//! are executed on a **dedicated control thread** — never on the loop
+//! thread (a WAL fsync or compaction would stall every connection) and
+//! never behind the inference worker queue (a saturated data plane must
+//! not delay an emergency `retire`). Replies flow back through the
+//! ordinary completion path.
 //!
 //! Background maintenance rides the same store API: [`spawn_rescan`]
 //! polls the directory mtime and rescans on change, [`spawn_compactor`]
@@ -60,7 +58,6 @@ use crate::proto::{FrameReader, ProtoError, MAX_MODEL_NAME_BYTES};
 use crate::server::ServerStats;
 use crate::store::{CompactStats, ModelStore, RescanStats, StoreError, StoreMetrics};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -650,40 +647,6 @@ pub fn bind(path: impl AsRef<Path>) -> std::io::Result<UnixListener> {
     let listener = UnixListener::bind(path)?;
     std::fs::set_permissions(path, std::fs::Permissions::from_mode(0o600))?;
     Ok(listener)
-}
-
-/// Serves admin frames on one blocking connection until EOF (the
-/// thread-per-connection admin path; the event loop has its own
-/// non-blocking integration). The caller configures the read timeout.
-pub(crate) fn handle_admin_stream<S: Read + Write>(
-    mut stream: S,
-    store: &ModelStore,
-    shutdown: &AtomicBool,
-) -> Result<(), ProtoError> {
-    let mut frames = FrameReader::new();
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let payload = match frames.read_frame(&mut stream) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => return Ok(()),
-            Err(ProtoError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        let reply = match AdminRequest::decode(&payload) {
-            Ok(request) => handle(store, &request),
-            Err(e) => malformed_reply(&e),
-        };
-        write_frame(&mut stream, &reply.encode())?;
-    }
 }
 
 /// A synchronous admin-socket client: one connection, one in-flight

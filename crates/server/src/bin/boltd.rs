@@ -7,7 +7,7 @@
 //! boltd --forest forest.json --engine ranger --socket /tmp/rf.sock
 //!
 //! # many named models behind one socket, with a default for legacy
-//! # (unrouted) clients and a TCP front-end sharing the same registry:
+//! # (unrouted) clients and a TCP listener on the same event loop:
 //! boltd --artifact bolt.json --forest forest.json \
 //!       --model fast=bolt --model fast2=bolt --model ref=scikit \
 //!       --default fast --socket /tmp/bolt.sock --tcp 127.0.0.1:9000
@@ -40,15 +40,15 @@
 //!       --socket /tmp/bolt.sock
 //! ```
 //!
-//! The front-end hosts any engine, mirroring §4.5: "the
-//! front-end can connect to other forest implementations".
+//! One event loop serves every listener (`--socket`, `--tcp` and the
+//! admin socket) from one worker pool and one model store. The front-end
+//! hosts any engine, mirroring §4.5: "the front-end can connect to other
+//! forest implementations".
 
 use bolt_baselines::{ForestPackingForest, InferenceEngine, RangerLikeForest, ScikitLikeForest};
 use bolt_core::BoltForest;
 use bolt_forest::{csv, RandomForest};
-use bolt_server::{
-    ArtifactEngine, BoltEngine, EventLoopOptions, MicroBatchConfig, ServerBuilder, ServingMode,
-};
+use bolt_server::{ArtifactEngine, BoltEngine, EventLoopOptions, MicroBatchConfig, ServerBuilder};
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::process::ExitCode;
@@ -92,15 +92,11 @@ control-plane flags (fleet administration without a restart; see boltctl):
                        does not serve its first requests cold.
                        [default: 0]
 
-serving flags (event-loop front-end with adaptive micro-batching is the default):
-  --serving threads|event-loop
-                       threads: one blocking thread per connection, no
-                       batching (the paper's §6 methodology).
-                       event-loop: non-blocking front-end; concurrent
-                       single-sample requests coalesce into batch-kernel
-                       calls. [default: event-loop]
-  --no-microbatch      keep the event loop but dispatch every request
-                       individually (no coalescing).
+serving flags (one non-blocking event loop serves every connection; a lone
+request is served alone, concurrent single-sample requests coalesce into
+batch-kernel calls):
+  --tcp ADDR           also listen on ADDR over TCP, served by the same
+                       event loop, workers and store as --socket.
   --mb-flush-samples N flush a micro-batch at N pending samples.
                        [default: 64]
   --mb-flush-micros T  flush a micro-batch T µs after its oldest sample
@@ -124,16 +120,14 @@ fn main() -> ExitCode {
     }
 }
 
-/// Builds the serving mode from the parsed `--serving`/`--mb-*`/`--workers`
-/// flags, rejecting combinations that would silently do nothing.
-fn serving_mode(
-    serving: Option<&str>,
-    no_microbatch: bool,
+/// Builds the event-loop options from the parsed `--mb-*`/`--workers`
+/// flags.
+fn serving_options(
     flush_samples: Option<&str>,
     flush_micros: Option<&str>,
     queue_depth: Option<&str>,
     workers: Option<&str>,
-) -> Result<ServingMode, String> {
+) -> Result<EventLoopOptions, String> {
     let parse = |flag: &str, value: Option<&str>| -> Result<Option<u64>, String> {
         value
             .map(|v| {
@@ -146,39 +140,16 @@ fn serving_mode(
     let flush_micros = parse("--mb-flush-micros", flush_micros)?;
     let queue_depth = parse("--mb-queue-depth", queue_depth)?;
     let workers = parse("--workers", workers)?;
-    match serving.unwrap_or("event-loop") {
-        "threads" => {
-            if no_microbatch
-                || flush_samples.is_some()
-                || flush_micros.is_some()
-                || queue_depth.is_some()
-                || workers.is_some()
-            {
-                return Err(
-                    "micro-batching/worker flags only apply to --serving event-loop".to_owned(),
-                );
-            }
-            Ok(ServingMode::ThreadPerConnection)
-        }
-        "event-loop" => {
-            let defaults = MicroBatchConfig::default();
-            let opts = EventLoopOptions {
-                microbatch: MicroBatchConfig {
-                    enabled: !no_microbatch,
-                    flush_samples: flush_samples
-                        .map_or(defaults.flush_samples, |n| n.max(1) as usize),
-                    flush_wait: flush_micros.map_or(defaults.flush_wait, Duration::from_micros),
-                    queue_depth: queue_depth.map_or(defaults.queue_depth, |n| n.max(1) as usize),
-                },
-                workers: workers.unwrap_or(0) as usize,
-                ..EventLoopOptions::default()
-            };
-            Ok(ServingMode::EventLoop(opts))
-        }
-        other => Err(format!(
-            "unknown serving mode {other:?} (threads|event-loop)"
-        )),
-    }
+    let defaults = MicroBatchConfig::default();
+    Ok(EventLoopOptions {
+        microbatch: MicroBatchConfig {
+            flush_samples: flush_samples.map_or(defaults.flush_samples, |n| n.max(1) as usize),
+            flush_wait: flush_micros.map_or(defaults.flush_wait, Duration::from_micros),
+            queue_depth: queue_depth.map_or(defaults.queue_depth, |n| n.max(1) as usize),
+        },
+        workers: workers.unwrap_or(0) as usize,
+        ..EventLoopOptions::default()
+    })
 }
 
 /// Lazily builds engines from the artifact/forest files, constructing
@@ -328,8 +299,6 @@ fn run() -> Result<(), String> {
     let mut rescan_interval: Option<String> = None;
     let mut compact_interval: Option<String> = None;
     let mut warm_top: Option<String> = None;
-    let mut serving = None;
-    let mut no_microbatch = false;
     let mut flush_samples = None;
     let mut flush_micros = None;
     let mut queue_depth = None;
@@ -341,10 +310,6 @@ fn run() -> Result<(), String> {
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(());
-            }
-            "--no-microbatch" => {
-                no_microbatch = true;
-                continue;
             }
             "--no-admin-socket" => {
                 no_admin_socket = true;
@@ -369,7 +334,6 @@ fn run() -> Result<(), String> {
             "--rescan-interval" => rescan_interval = Some(value),
             "--compact-interval" => compact_interval = Some(value),
             "--warm-top" => warm_top = Some(value),
-            "--serving" => serving = Some(value),
             "--mb-flush-samples" => flush_samples = Some(value),
             "--mb-flush-micros" => flush_micros = Some(value),
             "--mb-queue-depth" => queue_depth = Some(value),
@@ -377,9 +341,7 @@ fn run() -> Result<(), String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    let mode = serving_mode(
-        serving.as_deref(),
-        no_microbatch,
+    let opts = serving_options(
         flush_samples.as_deref(),
         flush_micros.as_deref(),
         queue_depth.as_deref(),
@@ -493,11 +455,17 @@ fn run() -> Result<(), String> {
     if warm_top > 0 {
         builder = builder.warm_top(warm_top);
     }
+    if let Some(addr) = &tcp {
+        builder = builder.tcp(addr);
+    }
 
-    let registry_builder = builder.serving(mode.clone());
-    let server = registry_builder
+    let server = builder
+        .serving(opts.clone())
         .bind_uds(&socket)
-        .map_err(|e| format!("bind {socket}: {e}"))?;
+        .map_err(|e| match &tcp {
+            Some(addr) => format!("bind {socket} + tcp {addr}: {e}"),
+            None => format!("bind {socket}: {e}"),
+        })?;
     let store = server.store();
     if let Some(dir) = &model_dir {
         let listed = store.list();
@@ -545,48 +513,25 @@ fn run() -> Result<(), String> {
         ));
     }
     std::mem::forget(maintenance);
-    // Logged once at startup so operators can tell how connections are
-    // scheduled.
-    match &mode {
-        ServingMode::ThreadPerConnection => {
-            println!("boltd serving: one thread per connection (no batching)");
+    // Logged once at startup so operators can tell how requests are
+    // batched.
+    println!(
+        "boltd serving: event loop, micro-batch flush at {} samples / {} µs, \
+         queue depth {}, workers {}",
+        opts.microbatch.flush_samples,
+        opts.microbatch.flush_wait.as_micros(),
+        opts.microbatch.queue_depth,
+        if opts.workers == 0 {
+            "auto".to_owned()
+        } else {
+            opts.workers.to_string()
         }
-        ServingMode::EventLoop(opts) if opts.microbatch.enabled => {
-            println!(
-                "boltd serving: event loop, micro-batch flush at {} samples / {} µs, \
-                 queue depth {}, workers {}",
-                opts.microbatch.flush_samples,
-                opts.microbatch.flush_wait.as_micros(),
-                opts.microbatch.queue_depth,
-                if opts.workers == 0 {
-                    "auto".to_owned()
-                } else {
-                    opts.workers.to_string()
-                }
-            );
-        }
-        ServingMode::EventLoop(opts) => {
-            println!(
-                "boltd serving: event loop, micro-batching off, queue depth {}",
-                opts.microbatch.queue_depth
-            );
-        }
-        _ => {}
-    }
+    );
+    // Printed once every listener is bound: one bind call bound them all.
     println!("boltd listening on {socket} (Ctrl-C to stop)");
-    let _tcp_server = match tcp {
-        Some(addr) => {
-            // Both transports share ONE store: one catalog, one
-            // write-ahead log, one resident budget.
-            let tcp_server = ServerBuilder::with_store(store.clone())
-                .serving(mode)
-                .bind_tcp(&addr)
-                .map_err(|e| format!("bind tcp {addr}: {e}"))?;
-            println!("boltd also listening on tcp {}", tcp_server.local_addr());
-            Some(tcp_server)
-        }
-        None => None,
-    };
+    if let Some(addr) = server.local_addr() {
+        println!("boltd also listening on tcp {addr}");
+    }
 
     // Serve until interrupted; report stats whenever they change.
     let mut last = server.stats();
@@ -629,56 +574,32 @@ fn run() -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_bytes, push_model, serving_mode};
-    use bolt_server::ServingMode;
+    use super::{parse_bytes, push_model, serving_options};
     use std::time::Duration;
 
     #[test]
     fn serving_defaults_to_event_loop_microbatching() {
-        let mode = serving_mode(None, false, None, None, None, None).unwrap();
-        match mode {
-            ServingMode::EventLoop(opts) => {
-                assert!(opts.microbatch.enabled);
-                assert_eq!(opts.microbatch.flush_samples, 64);
-                assert_eq!(opts.workers, 0);
-            }
-            other => panic!("expected event loop default, got {other:?}"),
-        }
+        let opts = serving_options(None, None, None, None).unwrap();
+        assert_eq!(opts.microbatch.flush_samples, 64);
+        assert_eq!(opts.microbatch.flush_wait, Duration::from_micros(200));
+        assert_eq!(opts.workers, 0);
     }
 
     #[test]
     fn serving_flags_parse_into_options() {
-        let mode = serving_mode(
-            Some("event-loop"),
-            true,
-            Some("128"),
-            Some("500"),
-            Some("1024"),
-            Some("4"),
-        )
-        .unwrap();
-        match mode {
-            ServingMode::EventLoop(opts) => {
-                assert!(!opts.microbatch.enabled);
-                assert_eq!(opts.microbatch.flush_samples, 128);
-                assert_eq!(opts.microbatch.flush_wait, Duration::from_micros(500));
-                assert_eq!(opts.microbatch.queue_depth, 1024);
-                assert_eq!(opts.workers, 4);
-            }
-            other => panic!("expected event loop, got {other:?}"),
-        }
+        let opts = serving_options(Some("128"), Some("500"), Some("1024"), Some("4")).unwrap();
+        assert_eq!(opts.microbatch.flush_samples, 128);
+        assert_eq!(opts.microbatch.flush_wait, Duration::from_micros(500));
+        assert_eq!(opts.microbatch.queue_depth, 1024);
+        assert_eq!(opts.workers, 4);
     }
 
     #[test]
-    fn thread_mode_rejects_microbatch_flags() {
-        assert!(matches!(
-            serving_mode(Some("threads"), false, None, None, None, None),
-            Ok(ServingMode::ThreadPerConnection)
-        ));
-        assert!(serving_mode(Some("threads"), true, None, None, None, None).is_err());
-        assert!(serving_mode(Some("threads"), false, Some("8"), None, None, None).is_err());
-        assert!(serving_mode(Some("warp"), false, None, None, None, None).is_err());
-        assert!(serving_mode(None, false, Some("not-a-number"), None, None, None).is_err());
+    fn malformed_serving_flags_are_rejected() {
+        assert!(serving_options(Some("not-a-number"), None, None, None).is_err());
+        assert!(serving_options(None, Some("-5"), None, None).is_err());
+        assert!(serving_options(None, None, Some("1e3"), None).is_err());
+        assert!(serving_options(None, None, None, Some("auto")).is_err());
     }
 
     #[test]

@@ -1,21 +1,20 @@
 //! One builder for every transport: assemble a [`ModelStore`], pick a
-//! default model, then bind a Unix-domain-socket or TCP front-end (or
-//! both, sharing one store).
+//! default model, then bind one server over a Unix socket, TCP addresses,
+//! or both.
 
-use crate::event_loop::ServingMode;
+use crate::event_loop::EventLoopOptions;
 use crate::registry::ModelRegistry;
 use crate::server::ClassificationServer;
 use crate::store::ModelStore;
-use crate::tcp::TcpClassificationServer;
 use bolt_baselines::InferenceEngine;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Builds classification servers over a shared model store.
+/// Builds a classification server over one model store.
 ///
 /// Engines are registered as `Arc<dyn InferenceEngine>`, so one compiled
-/// forest can back multiple registered names — and multiple servers —
-/// without re-compilation. The first registered model becomes the default
+/// forest can back multiple registered names without re-compilation. The first registered model becomes the default
 /// unless [`default_model`](Self::default_model) picks another; the
 /// default is what legacy (unrouted) `Classify`/`ClassifyBatch` frames
 /// fall back to.
@@ -44,20 +43,23 @@ use std::sync::Arc;
 ///     .register("scikit", Arc::new(ScikitLikeForest::from_forest(&forest)))
 ///     .default_model("bolt")
 ///     .bind_tcp("127.0.0.1:0")?;
-/// println!("serving {} models on {}", server.registry().list().len(), server.local_addr());
+/// let addr = server.local_addr().expect("bound on TCP");
+/// println!("serving {} models on {addr}", server.registry().list().len());
 /// server.shutdown();
 /// # Ok(())
 /// # }
 /// ```
 pub struct ServerBuilder {
-    store: Option<ModelStore>,
     registry: ModelRegistry,
     pending: Vec<(String, Arc<dyn InferenceEngine>)>,
     default_model: Option<String>,
     model_dir: Option<PathBuf>,
     resident_bytes: Option<u64>,
     keep_versions: usize,
-    serving: ServingMode,
+    serving: EventLoopOptions,
+    /// TCP listeners to bind, each an address resolved at the call to
+    /// [`tcp`](Self::tcp); a resolution error surfaces from the bind.
+    tcp: Vec<std::io::Result<Vec<SocketAddr>>>,
     admin_socket: Option<PathBuf>,
     warm_top: usize,
 }
@@ -69,42 +71,19 @@ impl ServerBuilder {
         Self::with_registry(ModelRegistry::new())
     }
 
-    /// A builder over an existing registry — use this to share one live
-    /// registry between a UDS and a TCP front-end, or to pre-assemble the
-    /// registry elsewhere.
+    /// A builder over an existing registry — use this to pre-assemble the
+    /// registry elsewhere, or to keep a handle to it.
     #[must_use]
     pub fn with_registry(registry: ModelRegistry) -> Self {
         Self {
-            store: None,
             registry,
             pending: Vec::new(),
             default_model: None,
             model_dir: None,
             resident_bytes: None,
             keep_versions: 0,
-            serving: ServingMode::default(),
-            admin_socket: None,
-            warm_top: 0,
-        }
-    }
-
-    /// A builder over an existing store — use this to share one live
-    /// store (one model directory, one write-ahead log) between a UDS
-    /// and a TCP front-end. Mutually exclusive with
-    /// [`model_dir`](Self::model_dir): the store already has (or lacks)
-    /// a directory.
-    #[must_use]
-    pub fn with_store(store: ModelStore) -> Self {
-        let registry = store.registry().clone();
-        Self {
-            store: Some(store),
-            registry,
-            pending: Vec::new(),
-            default_model: None,
-            model_dir: None,
-            resident_bytes: None,
-            keep_versions: 0,
-            serving: ServingMode::default(),
+            serving: EventLoopOptions::default(),
+            tcp: Vec::new(),
             admin_socket: None,
             warm_top: 0,
         }
@@ -158,12 +137,21 @@ impl ServerBuilder {
         self
     }
 
-    /// Picks how connections are scheduled: the event-loop front-end with
-    /// adaptive micro-batching (the default), or one blocking thread per
-    /// connection (the paper's §6 methodology).
+    /// Tunes the event loop: micro-batching, worker count, connection and
+    /// write-buffer caps.
     #[must_use]
-    pub fn serving(mut self, mode: ServingMode) -> Self {
-        self.serving = mode;
+    pub fn serving(mut self, opts: EventLoopOptions) -> Self {
+        self.serving = opts;
+        self
+    }
+
+    /// Adds a TCP listener on `addr` (port 0 picks an ephemeral port) to
+    /// the server being bound. Every listener shares the one event loop,
+    /// worker pool and store; [`ClassificationServer::local_addr`] reports
+    /// the first TCP listener's address.
+    #[must_use]
+    pub fn tcp(mut self, addr: impl ToSocketAddrs) -> Self {
+        self.tcp.push(addr.to_socket_addrs().map(Iterator::collect));
         self
     }
 
@@ -188,28 +176,18 @@ impl ServerBuilder {
     }
 
     /// Assembles the store, applies queued registrations and the chosen
-    /// default, and hands the store out.
-    fn finish(self) -> std::io::Result<(ModelStore, ServingMode)> {
+    /// default, warms it, and binds one server over the Unix socket (when
+    /// given) and every TCP listener.
+    fn bind(self, uds: Option<PathBuf>) -> std::io::Result<ClassificationServer> {
         let invalid = |e: crate::store::StoreError| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
         };
-        let store = match self.store {
-            Some(store) => {
-                if self.model_dir.is_some() {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        "with_store and model_dir are mutually exclusive: \
-                         the store already owns its directory",
-                    ));
-                }
-                store
+        let tcp = self.tcp.into_iter().collect::<std::io::Result<Vec<_>>>()?;
+        let store = match self.model_dir {
+            Some(dir) => {
+                ModelStore::open(self.registry, &dir, self.resident_bytes, self.keep_versions)?
             }
-            None => match self.model_dir {
-                Some(dir) => {
-                    ModelStore::open(self.registry, &dir, self.resident_bytes, self.keep_versions)?
-                }
-                None => ModelStore::detached(self.registry),
-            },
+            None => ModelStore::detached(self.registry),
         };
         for (name, engine) in self.pending {
             store.register(name, engine).map_err(invalid)?;
@@ -217,48 +195,38 @@ impl ServerBuilder {
         if let Some(name) = &self.default_model {
             store.set_default(name).map_err(invalid)?;
         }
-        Ok((store, self.serving))
-    }
-
-    /// Binds a Unix-domain-socket server (removing any stale socket file)
-    /// serving the assembled store.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidInput` if a queued registration or the chosen
-    /// default model is rejected, or the I/O error if the model directory
-    /// cannot be opened or the socket cannot be bound.
-    pub fn bind_uds(self, path: impl AsRef<Path>) -> std::io::Result<ClassificationServer> {
-        let admin = self.admin_socket.clone();
-        let warm = self.warm_top;
-        let (store, serving) = self.finish()?;
-        if warm > 0 {
-            // Warm before the listener exists: the first accepted request
+        if self.warm_top > 0 {
+            // Warm before the listeners exist: the first accepted request
             // finds its pages mapped.
-            let _ = store.warm(warm);
+            let _ = store.warm(self.warm_top);
         }
-        ClassificationServer::bind_store(path, store, serving, admin)
+        ClassificationServer::bind(store, uds, tcp, self.admin_socket, self.serving)
     }
 
-    /// Binds a TCP server (use port 0 for an ephemeral port) serving the
+    /// Binds a server on a Unix domain socket (removing any stale socket
+    /// file), plus every [`tcp`](Self::tcp) listener, serving the
     /// assembled store.
     ///
     /// # Errors
     ///
     /// Returns `InvalidInput` if a queued registration or the chosen
     /// default model is rejected, or the I/O error if the model directory
-    /// cannot be opened or the address cannot be bound.
-    pub fn bind_tcp(
-        self,
-        addr: impl std::net::ToSocketAddrs,
-    ) -> std::io::Result<TcpClassificationServer> {
-        let admin = self.admin_socket.clone();
-        let warm = self.warm_top;
-        let (store, serving) = self.finish()?;
-        if warm > 0 {
-            let _ = store.warm(warm);
-        }
-        TcpClassificationServer::bind_store(addr, store, serving, admin)
+    /// cannot be opened or a socket cannot be bound.
+    pub fn bind_uds(self, path: impl AsRef<Path>) -> std::io::Result<ClassificationServer> {
+        self.bind(Some(path.as_ref().to_path_buf()))
+    }
+
+    /// Binds a server on a TCP address (use port 0 for an ephemeral
+    /// port), plus every [`tcp`](Self::tcp) listener, serving the
+    /// assembled store.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidInput` if a queued registration or the chosen
+    /// default model is rejected, or the I/O error if the model directory
+    /// cannot be opened or an address cannot be bound.
+    pub fn bind_tcp(self, addr: impl ToSocketAddrs) -> std::io::Result<ClassificationServer> {
+        self.tcp(addr).bind(None)
     }
 }
 
@@ -281,6 +249,7 @@ impl std::fmt::Debug for ServerBuilder {
             .field("resident_bytes", &self.resident_bytes)
             .field("keep_versions", &self.keep_versions)
             .field("serving", &self.serving)
+            .field("tcp", &self.tcp)
             .field("admin_socket", &self.admin_socket)
             .field("warm_top", &self.warm_top)
             .finish_non_exhaustive()
@@ -335,33 +304,47 @@ mod tests {
             "bolt-test-builder-shared-{}.sock",
             std::process::id()
         ));
-        let uds = ServerBuilder::with_registry(registry.clone())
+        let server = ServerBuilder::with_registry(registry.clone())
+            .tcp("127.0.0.1:0")
             .bind_uds(&uds_path)
-            .expect("binds uds");
-        let tcp = ServerBuilder::with_registry(registry.clone())
-            .bind_tcp("127.0.0.1:0")
-            .expect("binds tcp");
+            .expect("binds uds + tcp");
+        assert_eq!(server.path(), Some(uds_path.as_path()));
+        let addr = server.local_addr().expect("tcp listener bound");
         let mut uds_client = ClassificationClient::connect(&uds_path).expect("connects");
-        let mut tcp_client = ClassificationClient::connect_tcp(tcp.local_addr()).expect("connects");
+        let mut tcp_client = ClassificationClient::connect_tcp(addr).expect("connects");
         let want = f.predict(&[3.0]);
         assert_eq!(uds_client.classify(&[3.0]).expect("uds").class, want);
         assert_eq!(tcp_client.classify(&[3.0]).expect("tcp").class, want);
         // Both transports booked into the same per-model stats.
         assert_eq!(registry.stats("m").expect("stats").requests, 2);
-        // Hot-swapping through either server's handle affects both.
-        tcp.registry()
+        assert_eq!(server.stats().requests, 2);
+        // Hot-swapping through the server's handle affects both listeners.
+        server
+            .registry()
             .swap("m", Arc::new(RangerLikeForest::from_forest(&f)))
             .expect("swaps");
         assert_eq!(uds_client.classify(&[3.0]).expect("uds").class, want);
+        assert_eq!(tcp_client.classify(&[3.0]).expect("tcp").class, want);
         assert_eq!(
-            uds.registry()
-                .resolve(Some("m"))
-                .expect("m")
-                .engine()
-                .name(),
+            registry.resolve(Some("m")).expect("m").engine().name(),
             "Ranger"
         );
-        uds.shutdown();
-        tcp.shutdown();
+        server.shutdown();
+        assert!(!uds_path.exists(), "socket file removed on shutdown");
+    }
+
+    #[test]
+    fn unresolvable_tcp_address_is_an_error_at_bind() {
+        let f = forest();
+        let path = std::env::temp_dir().join(format!(
+            "bolt-test-builder-badaddr-{}.sock",
+            std::process::id()
+        ));
+        ServerBuilder::new()
+            .register("m", Arc::new(ScikitLikeForest::from_forest(&f)))
+            .tcp("not an address")
+            .bind_uds(&path)
+            .expect_err("unresolvable address");
+        assert!(!path.exists(), "nothing bound on error");
     }
 }

@@ -13,9 +13,8 @@ use std::path::Path;
 trait Transport: Read + Write + Send + std::fmt::Debug {}
 impl<T: Read + Write + Send + std::fmt::Debug> Transport for T {}
 
-/// A blocking client holding one connection to a classification server
-/// ([`ClassificationServer`] over Unix sockets or
-/// [`TcpClassificationServer`] over TCP).
+/// A blocking client holding one connection to a
+/// [`ClassificationServer`], over its Unix socket or a TCP listener.
 ///
 /// Legacy methods ([`classify`](Self::classify),
 /// [`classify_batch`](Self::classify_batch)) route to the server's
@@ -26,7 +25,6 @@ impl<T: Read + Write + Send + std::fmt::Debug> Transport for T {}
 /// unsupported protocol version) surface as [`ProtoError::Rejected`].
 ///
 /// [`ClassificationServer`]: crate::ClassificationServer
-/// [`TcpClassificationServer`]: crate::TcpClassificationServer
 #[derive(Debug)]
 pub struct ClassificationClient {
     stream: Box<dyn Transport>,

@@ -1,12 +1,9 @@
-//! Non-blocking event-loop front-end with adaptive micro-batching.
+//! The classification front-end: one non-blocking event loop with adaptive
+//! micro-batching, the only way this crate serves connections.
 //!
-//! The thread-per-connection front-end ([`super::server`]) spends its
-//! concurrency budget on parked OS threads and hands the engine one sample
-//! at a time, so what a batch shares never reaches the serving path. This
-//! module replaces it with one event-loop
-//! thread multiplexing every connection through a level-triggered
-//! [`epoll::Poller`], plus a small worker pool that runs the actual
-//! inference:
+//! One event-loop thread multiplexes every connection of every listener
+//! (Unix socket, TCP, the admin socket) through a level-triggered
+//! [`epoll::Poller`], and a small worker pool runs the actual inference:
 //!
 //! ```text
 //!             ┌────────────────────────── event-loop thread ─────────────┐
@@ -21,6 +18,10 @@
 //!             └──────────────────────────────────────────────────────────┘
 //! ```
 //!
+//! A lone request on one connection is served sequentially, without
+//! batching — the paper's §6 method: the zero-timeout poll after it comes
+//! back empty, and an idle input flushes a batch of one.
+//!
 //! **Connection state machine.** Each connection is `reading ⇄ writing`
 //! with both sides always willing: reads resume mid-frame across
 //! `WouldBlock` via [`FrameReader`], and responses that do not fit the
@@ -32,9 +33,11 @@
 //! **Backpressure.** Admission is bounded by the micro-batcher's
 //! `queue_depth`; a request past the bound is answered immediately with a
 //! structured [`ERR_OVERLOADED`] frame — the connection stays open and the
-//! client may retry, instead of the old model's unbounded thread growth. A
-//! connection whose peer stops reading accumulates a write buffer up to
-//! `max_write_buffer` and is then closed as a slow consumer.
+//! client may retry. Connections past `max_connections`, and connections
+//! that arrive while the process is out of file descriptors, are answered
+//! with the same frame and closed. A connection whose peer stops reading
+//! accumulates a write buffer up to `max_write_buffer` and is then closed
+//! as a slow consumer.
 //!
 //! **Malformed requests.** A payload that is framed correctly but decodes
 //! as no known message answers [`ERR_MALFORMED_REQUEST`] and the
@@ -56,6 +59,7 @@ use crate::server::{resolve_classify, Shared};
 use bytes::Bytes;
 use epoll::{Interest, Poller};
 use std::collections::VecDeque;
+use std::fs::File;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -64,26 +68,6 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How a server front-end schedules its connections.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub enum ServingMode {
-    /// One blocking OS thread per connection, requests handled one at a
-    /// time (the paper's §6 methodology, and this crate's original
-    /// front-end).
-    ThreadPerConnection,
-    /// One non-blocking event-loop thread multiplexing every connection,
-    /// with concurrent single-sample requests coalesced into batch-kernel
-    /// calls by an adaptive micro-batcher.
-    EventLoop(EventLoopOptions),
-}
-
-impl Default for ServingMode {
-    fn default() -> Self {
-        Self::EventLoop(EventLoopOptions::default())
-    }
-}
 
 /// Tuning for the event-loop front-end.
 #[derive(Clone, Debug)]
@@ -123,6 +107,13 @@ impl Listener {
         match self {
             Self::Uds(l) => l.as_raw_fd(),
             Self::Tcp(l) => l.as_raw_fd(),
+        }
+    }
+
+    fn set_nonblocking(&self) -> std::io::Result<()> {
+        match self {
+            Self::Uds(l) => l.set_nonblocking(true),
+            Self::Tcp(l) => l.set_nonblocking(true),
         }
     }
 
@@ -187,16 +178,21 @@ impl Write for Stream {
 
 /// Connection tokens pack `(generation << 32) | slab index`. A slab index
 /// never reaches `u32::MAX` (connections are bounded far below it), so
-/// tokens with all-ones low bits are reserved for the loop's own fds —
-/// completions for a connection that died and whose slot was reused carry
-/// a stale generation and are discarded instead of answering the wrong
-/// peer.
-const TOKEN_LISTENER: u64 = u32::MAX as u64;
-const TOKEN_WAKEUP: u64 = (1 << 32) | u32::MAX as u64;
-/// The control-plane listener: its own reserved token, so admin accepts
-/// are dispatched as a distinct listener class and never queue behind
-/// inference traffic.
-const TOKEN_ADMIN_LISTENER: u64 = (2 << 32) | u32::MAX as u64;
+/// tokens with all-ones low bits are reserved for the loop's own fds: the
+/// wake pipe, then one per listener — completions for a connection that
+/// died and whose slot was reused carry a stale generation and are
+/// discarded instead of answering the wrong peer.
+const TOKEN_WAKEUP: u64 = u32::MAX as u64;
+
+/// The reserved token of listener `index` (its position in the loop's
+/// listener list).
+fn listener_token(index: usize) -> u64 {
+    ((index as u64 + 1) << 32) | u64::from(u32::MAX)
+}
+
+/// Linux `errno` values of descriptor exhaustion: per process, system-wide.
+const EMFILE: i32 = 24;
+const ENFILE: i32 = 23;
 
 fn pack_token(index: usize, generation: u32) -> u64 {
     (u64::from(generation) << 32) | index as u64
@@ -367,13 +363,14 @@ impl EventLoopHandle {
 }
 
 /// Binds the poller, wake pipe, and worker pool, then starts the loop
-/// thread over an already-listening socket. When `admin` is given, its
-/// listener joins the same poller under [`TOKEN_ADMIN_LISTENER`] and a
-/// dedicated control thread executes the decoded ops — WAL fsyncs and
+/// thread over already-listening sockets: every data listener, plus the
+/// admin listener when one is given. Each listener is polled under its own
+/// reserved token ([`listener_token`]). Admin connections decode admin
+/// ops, which a dedicated control thread executes — WAL fsyncs and
 /// compaction never run on the loop thread and never wait behind queued
 /// inference jobs.
 pub(crate) fn spawn(
-    listener: Listener,
+    listeners: Vec<Listener>,
     admin: Option<UnixListener>,
     shared: Arc<Shared>,
     opts: EventLoopOptions,
@@ -382,17 +379,22 @@ pub(crate) fn spawn(
     let (wake_tx, wake_rx) = UnixStream::pair()?;
     wake_tx.set_nonblocking(true)?;
     wake_rx.set_nonblocking(true)?;
-    listener_nonblocking(&listener)?;
-    poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
     poller.register(wake_rx.as_raw_fd(), TOKEN_WAKEUP, Interest::READABLE)?;
-    let admin_listener = match admin {
-        Some(l) => {
-            l.set_nonblocking(true)?;
-            poller.register(l.as_raw_fd(), TOKEN_ADMIN_LISTENER, Interest::READABLE)?;
-            Some(Listener::Uds(l))
-        }
-        None => None,
-    };
+    let has_admin = admin.is_some();
+    let listeners: Vec<(Listener, bool)> = listeners
+        .into_iter()
+        .map(|listener| (listener, false))
+        .chain(admin.map(|listener| (Listener::Uds(listener), true)))
+        .collect();
+    for (index, (listener, _)) in listeners.iter().enumerate() {
+        listener.set_nonblocking()?;
+        poller.register(
+            listener.as_raw_fd(),
+            listener_token(index),
+            Interest::READABLE,
+        )?;
+    }
+    let spare_fd = Some(File::open("/dev/null")?);
 
     let worker_count = if opts.workers == 0 {
         std::thread::available_parallelism()
@@ -426,7 +428,7 @@ pub(crate) fn spawn(
     // The control thread: one per loop, executing admin ops serially in
     // arrival order (activate-then-set-default scripts behave) and
     // pushing replies through the ordinary completion path.
-    let admin_jobs = if admin_listener.is_some() {
+    let admin_jobs = if has_admin {
         let (admin_tx, admin_rx) = mpsc::channel::<AdminJob>();
         let admin_shared = Arc::clone(&shared);
         let admin_completions = Arc::clone(&completions);
@@ -457,8 +459,8 @@ pub(crate) fn spawn(
     let loop_thread = std::thread::spawn(move || {
         let mut event_loop = EventLoop {
             poller,
-            listener,
-            admin_listener,
+            listeners,
+            spare_fd,
             shared: loop_shared,
             conns: Vec::new(),
             generations: Vec::new(),
@@ -481,18 +483,13 @@ pub(crate) fn spawn(
     })
 }
 
-fn listener_nonblocking(listener: &Listener) -> std::io::Result<()> {
-    match listener {
-        Listener::Uds(l) => l.set_nonblocking(true),
-        Listener::Tcp(l) => l.set_nonblocking(true),
-    }
-}
-
 struct EventLoop {
     poller: Poller,
-    listener: Listener,
-    /// The control-plane listener, when an admin socket was configured.
-    admin_listener: Option<Listener>,
+    /// Every listener, in token order; `true` marks the admin socket.
+    listeners: Vec<(Listener, bool)>,
+    /// A descriptor held in reserve (`/dev/null`), released to accept and
+    /// refuse a connection when the process runs out of descriptors.
+    spare_fd: Option<File>,
     shared: Arc<Shared>,
     /// Connection slab; `free` holds vacated indices for reuse.
     conns: Vec<Option<Conn>>,
@@ -530,9 +527,10 @@ impl EventLoop {
             let had_events = !events.is_empty();
             for &event in &events {
                 match event.token {
-                    TOKEN_LISTENER => self.accept_ready(false),
-                    TOKEN_ADMIN_LISTENER => self.accept_ready(true),
                     TOKEN_WAKEUP => self.drain_wakeups(),
+                    token if token as u32 == u32::MAX => {
+                        self.accept_ready((token >> 32) as usize - 1);
+                    }
                     token => self.conn_event(token, event.readable, event.writable, event.error),
                 }
             }
@@ -550,44 +548,43 @@ impl EventLoop {
         }
     }
 
-    fn accept_ready(&mut self, admin: bool) {
+    fn accept_ready(&mut self, index: usize) {
+        let admin = self.listeners[index].1;
         loop {
-            let accepted = if admin {
-                let Some(listener) = &self.admin_listener else {
-                    return;
-                };
-                listener.accept()
-            } else {
-                self.listener.accept()
-            };
-            match accepted {
+            match self.listeners[index].0.accept() {
                 Ok(stream) => {
                     // Admin connections are exempt from the data-plane
                     // connection cap: the socket is local-only and mode
                     // 0600, and an emergency `retire` must get through a
                     // daemon that is drowning in data traffic.
                     if !admin && self.active >= self.opts.max_connections {
-                        // Best-effort structured refusal; a fresh socket
-                        // buffer virtually always takes one small frame.
-                        let frame = ErrorFrame {
-                            code: ERR_OVERLOADED,
-                            detail: format!(
-                                "connection limit {} reached",
-                                self.opts.max_connections
-                            ),
-                        }
-                        .encode();
-                        let mut stream = stream;
-                        let _ = stream.write(&frame);
+                        let limit = self.opts.max_connections;
+                        refuse(stream, &format!("connection limit {limit} reached"));
                         continue;
                     }
                     self.insert_conn(stream, admin);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                // Transient pressure (EMFILE, aborted handshake, EINTR):
-                // the listener stays level-triggered readable while a
-                // connection is still queued, so the next iteration
-                // retries — same resilience as run_accept_loop.
+                // Out of descriptors: the connection stays queued and the
+                // level-triggered listener stays readable, so returning
+                // would spin the loop. Spend the spare descriptor on
+                // accepting and refusing it, then take the spare back.
+                Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => {
+                    self.spare_fd = None;
+                    let refused = match self.listeners[index].0.accept() {
+                        Ok(stream) => {
+                            refuse(stream, "file descriptor limit reached");
+                            true
+                        }
+                        Err(_) => false,
+                    };
+                    self.spare_fd = File::open("/dev/null").ok();
+                    if !refused {
+                        return;
+                    }
+                }
+                // An aborted handshake or an interrupt: that connection is
+                // gone, and the next poll retries whatever is still queued.
                 Err(_) => return,
             }
         }
@@ -1026,6 +1023,18 @@ impl EventLoop {
             // their admission released there.
         }
     }
+}
+
+/// Answers a connection the loop will not serve with a best-effort
+/// [`ERR_OVERLOADED`] frame (a fresh socket buffer virtually always takes
+/// one small frame), then closes it.
+fn refuse(mut stream: Stream, detail: &str) {
+    let frame = ErrorFrame {
+        code: ERR_OVERLOADED,
+        detail: detail.to_owned(),
+    }
+    .encode();
+    let _ = stream.write_all(&frame);
 }
 
 fn overload_frame(samples: usize) -> ErrorFrame {

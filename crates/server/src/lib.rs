@@ -8,6 +8,13 @@
 //! service-side latency measured "from the time input samples are received
 //! to the moment inference finishes, not including network delays".
 //!
+//! One front-end does that job: a [`ClassificationServer`] runs one
+//! non-blocking event loop over every listener it was bound with — a Unix
+//! socket, TCP addresses and the admin socket — and one worker pool. A
+//! lone request on a connection is served sequentially, without batching,
+//! as in the paper; concurrent single-sample requests are coalesced into
+//! batch-kernel calls by an adaptive micro-batcher ([`MicroBatchConfig`]).
+//!
 //! Beyond the paper's sequential methodology, the protocol also accepts
 //! batch frames ([`ClassifyBatchRequest`]): many samples in one round trip,
 //! served by the engine's batched kernel
@@ -25,7 +32,7 @@
 //! front-end can connect to other forest implementations", made
 //! first-class. Model-routed requests travel in versioned protocol-v2
 //! frames (see [`proto`]); [`ServerBuilder`] assembles a registry and
-//! binds either transport over it.
+//! binds one server over it on either transport or both.
 //!
 //! # Examples
 //!
@@ -47,6 +54,7 @@
 //!     .register("bolt", Arc::new(BoltEngine::new(bolt)))
 //!     .register("scikit", Arc::new(ScikitLikeForest::from_forest(&forest)))
 //!     .default_model("bolt")
+//!     .tcp("127.0.0.1:0")
 //!     .bind_uds("/tmp/bolt.sock")?;
 //! let mut client = ClassificationClient::connect("/tmp/bolt.sock")?;
 //! let fast = client.classify_with("bolt", &[3.0])?;       // routed
@@ -54,6 +62,10 @@
 //! assert_eq!(fast.class, slow.class);
 //! let default = client.classify(&[3.0])?;                 // legacy frame
 //! assert_eq!(default.class, fast.class);
+//! // The TCP listener shares the loop, the store and the statistics.
+//! let addr = server.local_addr().expect("bound on TCP");
+//! let remote = ClassificationClient::connect_tcp(addr)?.classify(&[3.0])?;
+//! assert_eq!(remote.class, fast.class);
 //! for model in client.list_models()?.models {
 //!     println!("{} ({}) served {}", model.name, model.engine, model.requests);
 //! }
@@ -75,13 +87,12 @@ pub mod proto;
 mod registry;
 mod server;
 pub mod store;
-mod tcp;
 
 pub use admin::{AdminClient, AdminError, AdminReply, AdminRequest, StatsReport, StatusReport};
 pub use builder::ServerBuilder;
 pub use client::ClassificationClient;
 pub use engine::{ArtifactEngine, BoltEngine};
-pub use event_loop::{EventLoopOptions, ServingMode};
+pub use event_loop::EventLoopOptions;
 pub use microbatch::MicroBatchConfig;
 pub use proto::{
     ClassifyBatchRequest, ClassifyBatchResponse, ClassifyBatchWithRequest, ClassifyRequest,
@@ -92,4 +103,3 @@ pub use proto::{
 pub use registry::{ModelHandle, ModelRegistry, RouteError};
 pub use server::{ClassificationServer, ServerStats};
 pub use store::{ModelStore, RescanStats, StoreError, StoreMetrics};
-pub use tcp::TcpClassificationServer;

@@ -2,8 +2,7 @@
 //!
 //! Three layers of guarantee:
 //!
-//! 1. Every admin opcode round-trips over the socket in both serving
-//!    modes, the socket is 0600, garbage on it gets a typed refusal (or a
+//! 1. Every admin opcode round-trips over the socket, the socket is 0600, garbage on it gets a typed refusal (or a
 //!    drop for corrupt framing) and never a stall.
 //! 2. Admin churn — activate / retire / rescan / compact / status — runs
 //!    concurrently with sustained inference traffic with zero protocol
@@ -26,7 +25,7 @@ use bolt_core::{BoltConfig, BoltForest};
 use bolt_forest::{Dataset, ForestConfig, RandomForest};
 use bolt_server::{
     AdminClient, AdminReply, AdminRequest, ClassificationClient, EventLoopOptions, ModelRegistry,
-    ModelStore, ServerBuilder, ServingMode,
+    ModelStore, ServerBuilder,
 };
 
 /// A tiny forest whose predictions depend on `seed`, so a misrouted or
@@ -75,197 +74,186 @@ fn project(store: &ModelStore) -> Vec<(String, u32, bool)> {
     rows
 }
 
-fn both_modes() -> [ServingMode; 2] {
-    [
-        ServingMode::ThreadPerConnection,
-        ServingMode::EventLoop(EventLoopOptions::default()),
-    ]
-}
-
 #[test]
-fn every_admin_opcode_round_trips_in_both_serving_modes() {
-    for (mode_idx, mode) in both_modes().into_iter().enumerate() {
-        let dir = unique_dir(&format!("opcodes{mode_idx}"));
-        write_artifact(&dir, "fraud", 1, &artifact(1, 1));
-        write_artifact(&dir, "fraud", 2, &artifact(1, 2));
-        let sock = dir.join("data.sock");
-        let admin_sock = dir.join("admin.sock");
-        let server = ServerBuilder::new()
-            .model_dir(&dir)
-            .serving(mode)
-            .admin_socket(&admin_sock)
-            .bind_uds(&sock)
-            .expect("binds");
-        assert_eq!(server.admin_path(), Some(admin_sock.as_path()));
+fn every_admin_opcode_round_trips() {
+    let dir = unique_dir("opcodes");
+    write_artifact(&dir, "fraud", 1, &artifact(1, 1));
+    write_artifact(&dir, "fraud", 2, &artifact(1, 2));
+    let sock = dir.join("data.sock");
+    let admin_sock = dir.join("admin.sock");
+    let server = ServerBuilder::new()
+        .model_dir(&dir)
+        .admin_socket(&admin_sock)
+        .bind_uds(&sock)
+        .expect("binds");
+    assert_eq!(server.admin_path(), Some(admin_sock.as_path()));
 
-        // The socket is owner-only: possession is the credential.
-        {
-            use std::os::unix::fs::PermissionsExt;
-            let mode = std::fs::metadata(&admin_sock)
-                .expect("socket")
-                .permissions()
-                .mode();
-            assert_eq!(mode & 0o777, 0o600, "admin socket must be 0600");
-        }
-
-        let mut admin = AdminClient::connect(&admin_sock).expect("admin connects");
-
-        // Status sees the cataloged model before any mutation.
-        match admin.call(&AdminRequest::Status).expect("status") {
-            AdminReply::Status(report) => {
-                assert_eq!(report.models.len(), 1);
-                assert_eq!(report.models[0].name, "fraud");
-            }
-            other => panic!("expected Status, got {other:?}"),
-        }
-
-        // Activate a newer version, make it the default.
-        assert_eq!(
-            admin
-                .call(&AdminRequest::Activate {
-                    name: "fraud".into(),
-                    version: 2
-                })
-                .expect("activate"),
-            AdminReply::Ok
-        );
-        assert_eq!(
-            admin
-                .call(&AdminRequest::SetDefault("fraud".into()))
-                .expect("set-default"),
-            AdminReply::Ok
-        );
-
-        // Drop a brand-new artifact into the directory on the *running*
-        // daemon: rescan catalogs it, activate serves it — no restart.
-        write_artifact(&dir, "spam", 1, &artifact(2, 1));
-        match admin.call(&AdminRequest::Rescan).expect("rescan") {
-            AdminReply::Rescanned(stats) => {
-                assert_eq!(stats.names_added, 1);
-                assert_eq!(stats.versions_added, 1);
-            }
-            other => panic!("expected Rescanned, got {other:?}"),
-        }
-        assert_eq!(
-            admin
-                .call(&AdminRequest::Activate {
-                    name: "spam".into(),
-                    version: 1
-                })
-                .expect("activate spam"),
-            AdminReply::Ok
-        );
-        let spam_forest = forest(2);
-        let mut data = ClassificationClient::connect(&sock).expect("data connects");
-        for sample in [[0.0_f32, 1.0], [3.0, 2.0], [5.0, 4.0]] {
-            let got = data.classify_with("spam", &sample).expect("serves");
-            assert_eq!(got.class, spam_forest.predict(&sample), "bit-identical");
-        }
-
-        // Retiring the default is refused with a typed error; a
-        // non-default retires cleanly and stops serving.
-        match admin
-            .call(&AdminRequest::Retire("fraud".into()))
-            .expect("retire default")
-        {
-            AdminReply::Refused(e) => {
-                assert_eq!(e.code, bolt_server::admin::ADMIN_ERR_DEFAULT_IN_USE)
-            }
-            other => panic!("expected Refused, got {other:?}"),
-        }
-        assert_eq!(
-            admin
-                .call(&AdminRequest::Retire("spam".into()))
-                .expect("retire spam"),
-            AdminReply::Ok
-        );
-        assert!(
-            data.classify_with("spam", &[0.0, 1.0]).is_err(),
-            "a retired model must answer a structured rejection"
-        );
-
-        // Compact prunes the superseded fraud@1 and rewrites the log.
-        match admin.call(&AdminRequest::Compact).expect("compact") {
-            AdminReply::Compacted(stats) => {
-                assert!(stats.wal_bytes_after > 0);
-            }
-            other => panic!("expected Compacted, got {other:?}"),
-        }
-
-        // The stats drain accounts for the traffic this test sent.
-        match admin.call(&AdminRequest::DrainStats).expect("stats") {
-            AdminReply::Stats(report) => assert!(report.total.requests >= 3),
-            other => panic!("expected Stats, got {other:?}"),
-        }
-
-        server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
+    // The socket is owner-only: possession is the credential.
+    {
+        use std::os::unix::fs::PermissionsExt;
+        let mode = std::fs::metadata(&admin_sock)
+            .expect("socket")
+            .permissions()
+            .mode();
+        assert_eq!(mode & 0o777, 0o600, "admin socket must be 0600");
     }
+
+    let mut admin = AdminClient::connect(&admin_sock).expect("admin connects");
+
+    // Status sees the cataloged model before any mutation.
+    match admin.call(&AdminRequest::Status).expect("status") {
+        AdminReply::Status(report) => {
+            assert_eq!(report.models.len(), 1);
+            assert_eq!(report.models[0].name, "fraud");
+        }
+        other => panic!("expected Status, got {other:?}"),
+    }
+
+    // Activate a newer version, make it the default.
+    assert_eq!(
+        admin
+            .call(&AdminRequest::Activate {
+                name: "fraud".into(),
+                version: 2
+            })
+            .expect("activate"),
+        AdminReply::Ok
+    );
+    assert_eq!(
+        admin
+            .call(&AdminRequest::SetDefault("fraud".into()))
+            .expect("set-default"),
+        AdminReply::Ok
+    );
+
+    // Drop a brand-new artifact into the directory on the *running*
+    // daemon: rescan catalogs it, activate serves it — no restart.
+    write_artifact(&dir, "spam", 1, &artifact(2, 1));
+    match admin.call(&AdminRequest::Rescan).expect("rescan") {
+        AdminReply::Rescanned(stats) => {
+            assert_eq!(stats.names_added, 1);
+            assert_eq!(stats.versions_added, 1);
+        }
+        other => panic!("expected Rescanned, got {other:?}"),
+    }
+    assert_eq!(
+        admin
+            .call(&AdminRequest::Activate {
+                name: "spam".into(),
+                version: 1
+            })
+            .expect("activate spam"),
+        AdminReply::Ok
+    );
+    let spam_forest = forest(2);
+    let mut data = ClassificationClient::connect(&sock).expect("data connects");
+    for sample in [[0.0_f32, 1.0], [3.0, 2.0], [5.0, 4.0]] {
+        let got = data.classify_with("spam", &sample).expect("serves");
+        assert_eq!(got.class, spam_forest.predict(&sample), "bit-identical");
+    }
+
+    // Retiring the default is refused with a typed error; a
+    // non-default retires cleanly and stops serving.
+    match admin
+        .call(&AdminRequest::Retire("fraud".into()))
+        .expect("retire default")
+    {
+        AdminReply::Refused(e) => {
+            assert_eq!(e.code, bolt_server::admin::ADMIN_ERR_DEFAULT_IN_USE)
+        }
+        other => panic!("expected Refused, got {other:?}"),
+    }
+    assert_eq!(
+        admin
+            .call(&AdminRequest::Retire("spam".into()))
+            .expect("retire spam"),
+        AdminReply::Ok
+    );
+    assert!(
+        data.classify_with("spam", &[0.0, 1.0]).is_err(),
+        "a retired model must answer a structured rejection"
+    );
+
+    // Compact prunes the superseded fraud@1 and rewrites the log.
+    match admin.call(&AdminRequest::Compact).expect("compact") {
+        AdminReply::Compacted(stats) => {
+            assert!(stats.wal_bytes_after > 0);
+        }
+        other => panic!("expected Compacted, got {other:?}"),
+    }
+
+    // The stats drain accounts for the traffic this test sent.
+    match admin.call(&AdminRequest::DrainStats).expect("stats") {
+        AdminReply::Stats(report) => assert!(report.total.requests >= 3),
+        other => panic!("expected Stats, got {other:?}"),
+    }
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn garbage_on_the_admin_socket_is_refused_or_dropped_never_stalls() {
-    for (mode_idx, mode) in both_modes().into_iter().enumerate() {
-        let dir = unique_dir(&format!("hostile{mode_idx}"));
-        write_artifact(&dir, "fraud", 1, &artifact(1, 1));
-        let sock = dir.join("data.sock");
-        let admin_sock = dir.join("admin.sock");
-        let server = ServerBuilder::new()
-            .model_dir(&dir)
-            .serving(mode)
-            .admin_socket(&admin_sock)
-            .bind_uds(&sock)
-            .expect("binds");
+    let dir = unique_dir("hostile");
+    write_artifact(&dir, "fraud", 1, &artifact(1, 1));
+    let sock = dir.join("data.sock");
+    let admin_sock = dir.join("admin.sock");
+    let server = ServerBuilder::new()
+        .model_dir(&dir)
+        .admin_socket(&admin_sock)
+        .bind_uds(&sock)
+        .expect("binds");
 
-        // Well-delimited garbage: a typed MALFORMED refusal comes back
-        // and the connection keeps working for a real request after it.
-        let mut stream = UnixStream::connect(&admin_sock).expect("connects");
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .expect("timeout");
-        let payload = [0xAB_u8; 9];
-        stream
-            .write_all(&(payload.len() as u32).to_le_bytes())
-            .and_then(|()| stream.write_all(&payload))
-            .expect("write garbage");
-        let reply = bolt_server::proto::read_frame(&mut stream)
-            .expect("a frame, not a stall")
-            .expect("a frame, not a drop");
-        match AdminReply::decode(&reply).expect("typed reply") {
-            AdminReply::Refused(e) => {
-                assert_eq!(e.code, bolt_server::admin::ADMIN_ERR_MALFORMED);
-            }
-            other => panic!("expected Refused, got {other:?}"),
+    // Well-delimited garbage: a typed MALFORMED refusal comes back
+    // and the connection keeps working for a real request after it.
+    let mut stream = UnixStream::connect(&admin_sock).expect("connects");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("timeout");
+    let payload = [0xAB_u8; 9];
+    stream
+        .write_all(&(payload.len() as u32).to_le_bytes())
+        .and_then(|()| stream.write_all(&payload))
+        .expect("write garbage");
+    let reply = bolt_server::proto::read_frame(&mut stream)
+        .expect("a frame, not a stall")
+        .expect("a frame, not a drop");
+    match AdminReply::decode(&reply).expect("typed reply") {
+        AdminReply::Refused(e) => {
+            assert_eq!(e.code, bolt_server::admin::ADMIN_ERR_MALFORMED);
         }
-        let framed = AdminRequest::Status.encode().expect("encodes");
-        stream.write_all(&framed).expect("write status");
-        let reply = bolt_server::proto::read_frame(&mut stream)
-            .expect("frame")
-            .expect("connection survived the garbage");
-        assert!(matches!(
-            AdminReply::decode(&reply).expect("decodes"),
-            AdminReply::Status(_)
-        ));
-
-        // Corrupt framing (oversized declaration): the server must drop
-        // the connection — EOF or reset, never a reply, never a hang.
-        let mut stream = UnixStream::connect(&admin_sock).expect("connects");
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .expect("timeout");
-        stream
-            .write_all(&u32::MAX.to_le_bytes())
-            .and_then(|()| stream.write_all(&[0xCD; 8]))
-            .expect("write corrupt framing");
-        let mut sink = [0u8; 16];
-        match stream.read(&mut sink) {
-            Ok(0) | Err(_) => {}
-            Ok(n) => panic!("server answered {n} byte(s) after corrupt framing"),
-        }
-
-        server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
+        other => panic!("expected Refused, got {other:?}"),
     }
+    let framed = AdminRequest::Status.encode().expect("encodes");
+    stream.write_all(&framed).expect("write status");
+    let reply = bolt_server::proto::read_frame(&mut stream)
+        .expect("frame")
+        .expect("connection survived the garbage");
+    assert!(matches!(
+        AdminReply::decode(&reply).expect("decodes"),
+        AdminReply::Status(_)
+    ));
+
+    // Corrupt framing (oversized declaration): the server must drop
+    // the connection — EOF or reset, never a reply, never a hang.
+    let mut stream = UnixStream::connect(&admin_sock).expect("connects");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("timeout");
+    stream
+        .write_all(&u32::MAX.to_le_bytes())
+        .expect("write corrupt framing");
+    // The server may drop the connection as soon as it reads the
+    // declaration, so the trailing bytes can meet a closed socket.
+    let _ = stream.write_all(&[0xCD; 8]);
+    let mut sink = [0u8; 16];
+    match stream.read(&mut sink) {
+        Ok(0) | Err(_) => {}
+        Ok(n) => panic!("server answered {n} byte(s) after corrupt framing"),
+    }
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -280,7 +268,7 @@ fn admin_churn_under_sustained_load_stays_bit_identical() {
     let admin_sock = dir.join("admin.sock");
     let server = ServerBuilder::new()
         .model_dir(&dir)
-        .serving(ServingMode::EventLoop(EventLoopOptions::default()))
+        .serving(EventLoopOptions::default())
         .admin_socket(&admin_sock)
         .bind_uds(&sock)
         .expect("binds");
@@ -376,7 +364,7 @@ fn wal_replay_projects_the_live_state_after_every_admin_step() {
     let admin_sock = dir.join("admin.sock");
     let server = ServerBuilder::new()
         .model_dir(&dir)
-        .serving(ServingMode::EventLoop(EventLoopOptions::default()))
+        .serving(EventLoopOptions::default())
         .admin_socket(&admin_sock)
         .bind_uds(&sock)
         .expect("binds");

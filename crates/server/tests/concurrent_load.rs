@@ -1,6 +1,6 @@
-//! Concurrent-load smoke: one registry behind a UDS server *and* a TCP
-//! server, hammered by client threads on both transports at once with a
-//! mixed workload — single classifies, `ClassifyBatch` frames, v2 named
+//! Concurrent-load smoke: one server with a UDS *and* a TCP listener on
+//! one event loop, hammered by client threads on both transports at once
+//! with a mixed workload — single classifies, `ClassifyBatch` frames, v2 named
 //! routing across two models, and deliberate unknown-model traffic.
 //! The serving path must come through with zero protocol errors, every
 //! classification bit-identical to the direct `forest.predict` answer,
@@ -103,7 +103,7 @@ fn mixed_concurrent_load_on_both_transports_is_clean() {
     let samples: Vec<Vec<f32>> = (0..data.len()).map(|i| data.sample(i).to_vec()).collect();
     let expected: Vec<u32> = samples.iter().map(|s| forest.predict(s)).collect();
 
-    // One registry shared by both transports, as boltd deploys it.
+    // One server, one registry, both listeners — as boltd deploys it.
     let registry = ModelRegistry::new();
     registry
         .register("bolt", Arc::new(BoltEngine::new(Arc::clone(&bolt))))
@@ -116,13 +116,11 @@ fn mixed_concurrent_load_on_both_transports_is_clean() {
         "bolt-test-concurrent-load-{}.sock",
         std::process::id()
     ));
-    let uds = ServerBuilder::with_registry(registry.clone())
+    let server = ServerBuilder::with_registry(registry.clone())
+        .tcp("127.0.0.1:0")
         .bind_uds(&path)
-        .expect("binds uds");
-    let tcp = ServerBuilder::with_registry(registry.clone())
-        .bind_tcp("127.0.0.1:0")
-        .expect("binds tcp");
-    let addr = tcp.local_addr();
+        .expect("binds uds + tcp");
+    let addr = server.local_addr().expect("tcp listener bound");
 
     let samples = Arc::new(samples);
     let expected = Arc::new(expected);
@@ -160,7 +158,11 @@ fn mixed_concurrent_load_on_both_transports_is_clean() {
     let ranger_requests = registry.stats("ranger").expect("ranger stats").requests;
     assert!(bolt_requests > 0 && ranger_requests > 0);
     assert_eq!(bolt_requests + ranger_requests, total.requests);
+    assert_eq!(
+        server.stats(),
+        total,
+        "the server reports the registry's books"
+    );
 
-    uds.shutdown();
-    tcp.shutdown();
+    server.shutdown();
 }

@@ -1,16 +1,14 @@
 //! Edge cases of the event-loop front-end's adaptive micro-batching:
 //! flush policy under pipelining, per-request malformed-payload errors,
-//! bounded-queue overload shedding, reconnect churn, and the retained
-//! thread-per-connection mode.
+//! bounded-queue overload shedding, reconnect churn, and lone sequential
+//! requests on both transports.
 
 use bolt_baselines::InferenceEngine;
 use bolt_server::proto::{
     is_v2, read_frame, ClassifyBatchRequest, ClassifyRequest, ClassifyResponse, V2Response,
     ERR_MALFORMED_REQUEST, ERR_OVERLOADED,
 };
-use bolt_server::{
-    ClassificationClient, EventLoopOptions, MicroBatchConfig, ServerBuilder, ServingMode,
-};
+use bolt_server::{ClassificationClient, EventLoopOptions, MicroBatchConfig, ServerBuilder};
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -73,13 +71,13 @@ fn pipelined_singles_coalesce_and_answer_in_order() {
     let path = unique_socket("pipeline");
     let server = ServerBuilder::new()
         .register("m", engine(Duration::ZERO))
-        .serving(ServingMode::EventLoop(EventLoopOptions {
+        .serving(EventLoopOptions {
             microbatch: MicroBatchConfig {
                 flush_samples: 8, // force several size-triggered flushes
                 ..MicroBatchConfig::default()
             },
             ..EventLoopOptions::default()
-        }))
+        })
         .bind_uds(&path)
         .expect("binds");
     let mut stream = UnixStream::connect(&path).expect("connects");
@@ -163,13 +161,13 @@ fn overload_sheds_with_structured_errors_never_drops() {
     let server = ServerBuilder::new()
         // Slow enough that the queue stays full while the flood arrives.
         .register("m", engine(Duration::from_millis(80)))
-        .serving(ServingMode::EventLoop(EventLoopOptions {
+        .serving(EventLoopOptions {
             microbatch: MicroBatchConfig {
                 queue_depth: 2,
                 ..MicroBatchConfig::default()
             },
             ..EventLoopOptions::default()
-        }))
+        })
         .bind_uds(&path)
         .expect("binds");
     let mut stream = UnixStream::connect(&path).expect("connects");
@@ -277,13 +275,13 @@ fn kernel_sized_batches_take_the_same_thread_fast_path() {
     let path = unique_socket("fastpath");
     let server = ServerBuilder::new()
         .register("m", engine(Duration::ZERO))
-        .serving(ServingMode::EventLoop(EventLoopOptions {
+        .serving(EventLoopOptions {
             microbatch: MicroBatchConfig {
                 flush_samples: 4, // batches of >= 4 execute inline
                 ..MicroBatchConfig::default()
             },
             ..EventLoopOptions::default()
-        }))
+        })
         .bind_uds(&path)
         .expect("binds");
     let mut stream = UnixStream::connect(&path).expect("connects");
@@ -334,66 +332,27 @@ fn kernel_sized_batches_take_the_same_thread_fast_path() {
     server.shutdown();
 }
 
+/// One client, one request at a time: every request is served alone, as
+/// a batch of one (the input goes idle behind it), on either transport.
 #[test]
-fn disabled_microbatching_still_serves_concurrently() {
-    let path = unique_socket("mb-off");
+fn sequential_singles_are_answered_on_both_transports() {
+    let path = unique_socket("sequential");
     let server = ServerBuilder::new()
         .register("m", engine(Duration::ZERO))
-        .serving(ServingMode::EventLoop(EventLoopOptions {
-            microbatch: MicroBatchConfig {
-                enabled: false,
-                ..MicroBatchConfig::default()
-            },
-            ..EventLoopOptions::default()
-        }))
-        .bind_uds(&path)
-        .expect("binds");
-    let handles: Vec<_> = (0..4)
-        .map(|t| {
-            let path = path.clone();
-            std::thread::spawn(move || {
-                let mut client = ClassificationClient::connect(&path).expect("connects");
-                for i in 0..50u32 {
-                    let want = (t * 50 + i) % 32;
-                    let response = client.classify(&[want as f32]).expect("classifies");
-                    assert_eq!(response.class, want);
-                }
-            })
-        })
-        .collect();
-    for handle in handles {
-        handle.join().expect("client thread");
-    }
-    assert_eq!(server.stats().requests, 200);
-    server.shutdown();
-}
-
-#[test]
-fn thread_per_connection_mode_is_retained() {
-    let path = unique_socket("threads");
-    let uds = ServerBuilder::new()
-        .register("m", engine(Duration::ZERO))
-        .serving(ServingMode::ThreadPerConnection)
+        .tcp("127.0.0.1:0")
         .bind_uds(&path)
         .expect("binds");
     let mut client = ClassificationClient::connect(&path).expect("connects");
     for i in 0..10u32 {
         assert_eq!(client.classify(&[i as f32]).expect("classifies").class, i);
     }
-    assert_eq!(uds.stats().requests, 10);
-    uds.shutdown();
-
-    let tcp = ServerBuilder::new()
-        .register("m", engine(Duration::ZERO))
-        .serving(ServingMode::ThreadPerConnection)
-        .bind_tcp("127.0.0.1:0")
-        .expect("binds");
-    let mut client = ClassificationClient::connect_tcp(tcp.local_addr()).expect("connects");
+    let addr = server.local_addr().expect("tcp listener bound");
+    let mut client = ClassificationClient::connect_tcp(addr).expect("connects");
     for i in 0..10u32 {
         assert_eq!(client.classify(&[i as f32]).expect("classifies").class, i);
     }
-    assert_eq!(tcp.stats().requests, 10);
-    tcp.shutdown();
+    assert_eq!(server.stats().requests, 20);
+    server.shutdown();
 }
 
 #[test]
@@ -402,7 +361,8 @@ fn event_loop_tcp_pipelining_and_hot_swap() {
         .register("m", engine(Duration::ZERO))
         .bind_tcp("127.0.0.1:0")
         .expect("binds");
-    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connects");
+    let mut stream = std::net::TcpStream::connect(server.local_addr().expect("tcp listener bound"))
+        .expect("connects");
     let mut wire = Vec::new();
     for i in 0..30u32 {
         wire.extend_from_slice(

@@ -139,7 +139,9 @@ fn served_classifications_match_reference_forest_tcp() {
     let server = builder_for(&case, bolt)
         .bind_tcp("127.0.0.1:0")
         .expect("binds");
-    let mut client = ClassificationClient::connect_tcp(server.local_addr()).expect("connects");
+    let mut client =
+        ClassificationClient::connect_tcp(server.local_addr().expect("tcp listener bound"))
+            .expect("connects");
 
     let expected = sweep(&mut client, &case);
 
@@ -160,7 +162,7 @@ fn one_worker_alternates_batches_across_two_model_shapes() {
     use bolt_server::proto::{
         read_frame, ClassifyBatchWithRequest, ClassifyWithRequest, V2Response,
     };
-    use bolt_server::{ArtifactEngine, EventLoopOptions, ServingMode};
+    use bolt_server::{ArtifactEngine, EventLoopOptions};
     use std::io::Write;
 
     let cases = [
@@ -179,10 +181,10 @@ fn one_worker_alternates_batches_across_two_model_shapes() {
     let server = ServerBuilder::new()
         .register("m0", Arc::new(BoltEngine::new(Arc::clone(&bolts[0]))))
         .register("m1", Arc::new(ArtifactEngine::new(Arc::new(mapped))))
-        .serving(ServingMode::EventLoop(EventLoopOptions {
+        .serving(EventLoopOptions {
             workers: 1,
             ..EventLoopOptions::default()
-        }))
+        })
         .bind_uds(&path)
         .expect("binds");
     let mut stream = std::os::unix::net::UnixStream::connect(&path).expect("connects");

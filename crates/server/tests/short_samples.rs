@@ -16,7 +16,7 @@ use bolt_server::proto::{
     ClassifyResponse, ClassifyWithRequest, V2Response, ERR_MALFORMED_REQUEST,
 };
 use bolt_server::{
-    ArtifactEngine, BoltEngine, ClassificationClient, EventLoopOptions, ServerBuilder, ServingMode,
+    ArtifactEngine, BoltEngine, ClassificationClient, EventLoopOptions, ServerBuilder,
 };
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -35,11 +35,8 @@ fn fixture() -> (RandomForest, Arc<BoltForest>, Vec<Vec<f32>>) {
     (forest, bolt, samples)
 }
 
-fn server(
-    mode: ServingMode,
-    bolt: &Arc<BoltForest>,
-    path: &Path,
-) -> bolt_server::ClassificationServer {
+/// Serves an owned and a mapped copy of `bolt` with one inference worker.
+fn server(bolt: &Arc<BoltForest>, path: &Path) -> bolt_server::ClassificationServer {
     let mapped = MappedForest::from_artifact(
         Artifact::from_bytes(&ArtifactWriter::serialize_forest(bolt)).expect("valid"),
     )
@@ -48,7 +45,10 @@ fn server(
         .register("owned", Arc::new(BoltEngine::new(Arc::clone(bolt))))
         .register("mapped", Arc::new(ArtifactEngine::new(Arc::new(mapped))))
         .default_model("owned")
-        .serving(mode)
+        .serving(EventLoopOptions {
+            workers: 1,
+            ..EventLoopOptions::default()
+        })
         .bind_uds(path)
         .expect("binds")
 }
@@ -119,13 +119,13 @@ fn read_reply(mut stream: &UnixStream) -> Result<u32, u8> {
     }
 }
 
-fn short_samples_are_refused_and_the_daemon_keeps_serving(mode: ServingMode, tag: &str) {
+#[test]
+fn event_loop_with_one_worker_refuses_short_samples() {
     let (forest, bolt, samples) = fixture();
     let n_features = bolt.universe().n_features();
     assert_eq!(n_features, 11);
-    let path =
-        std::env::temp_dir().join(format!("bolt-test-short-{tag}-{}.sock", std::process::id()));
-    let server = server(mode, &bolt, &path);
+    let path = std::env::temp_dir().join(format!("bolt-test-short-{}.sock", std::process::id()));
+    let server = server(&bolt, &path);
     let connect = || {
         let stream = UnixStream::connect(&path).expect("connects");
         stream
@@ -228,20 +228,4 @@ fn short_samples_are_refused_and_the_daemon_keeps_serving(mode: ServingMode, tag
         "refused samples are not booked"
     );
     server.shutdown();
-}
-
-#[test]
-fn thread_per_connection_refuses_short_samples() {
-    short_samples_are_refused_and_the_daemon_keeps_serving(ServingMode::ThreadPerConnection, "tpc");
-}
-
-#[test]
-fn event_loop_with_one_worker_refuses_short_samples() {
-    short_samples_are_refused_and_the_daemon_keeps_serving(
-        ServingMode::EventLoop(EventLoopOptions {
-            workers: 1,
-            ..EventLoopOptions::default()
-        }),
-        "loop",
-    );
 }
