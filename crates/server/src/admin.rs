@@ -42,10 +42,9 @@
 //! The admin listener is registered with the same poller as the data
 //! listeners but under its **own reserved token**, and decoded admin ops
 //! are executed on a **dedicated control thread** — never on the loop
-//! thread (a WAL fsync or compaction would stall every connection) and
-//! never behind the inference worker queue (a saturated data plane must
-//! not delay an emergency `retire`). Replies flow back through the
-//! ordinary completion path.
+//! thread, where a WAL fsync or compaction would stall every connection.
+//! Replies flow back to the loop through a completion queue and the loop's
+//! wake pipe, and fill their ordered slot on the connection.
 //!
 //! Background maintenance rides the same store API: [`spawn_rescan`]
 //! polls the directory mtime and rescans on change, [`spawn_compactor`]

@@ -41,14 +41,15 @@
 //! ```
 //!
 //! One event loop serves every listener (`--socket`, `--tcp` and the
-//! admin socket) from one worker pool and one model store. The front-end
+//! admin socket) from one model store, classifying each request on its own
+//! thread as it decodes it. The front-end
 //! hosts any engine, mirroring §4.5: "the front-end can connect to other
 //! forest implementations".
 
 use bolt_baselines::{ForestPackingForest, InferenceEngine, RangerLikeForest, ScikitLikeForest};
 use bolt_core::BoltForest;
 use bolt_forest::{csv, RandomForest};
-use bolt_server::{ArtifactEngine, BoltEngine, EventLoopOptions, MicroBatchConfig, ServerBuilder};
+use bolt_server::{ArtifactEngine, BoltEngine, ServerBuilder};
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::process::ExitCode;
@@ -58,7 +59,7 @@ use std::time::Duration;
 const USAGE: &str = "usage: boltd [--artifact BOLT.json] [--forest FOREST.json] \
 [--engine scikit|ranger|fp] [--calibration-csv FILE] \
 [--model NAME=KIND]... [--default NAME] [store flags] \
---socket PATH [--tcp ADDR] [serving flags]
+--socket PATH [--tcp ADDR]
 KIND: bolt | artifact:PATH.blt | scikit | ranger | fp
 
 store flags (fleet-scale artifact serving):
@@ -92,22 +93,11 @@ control-plane flags (fleet administration without a restart; see boltctl):
                        does not serve its first requests cold.
                        [default: 0]
 
-serving flags (one non-blocking event loop serves every connection; a lone
-request is served alone, concurrent single-sample requests coalesce into
-batch-kernel calls):
+serving (one non-blocking event loop serves every connection and runs
+each request to completion as it decodes it, samples one after another
+without batching; nothing about it is tunable):
   --tcp ADDR           also listen on ADDR over TCP, served by the same
-                       event loop, workers and store as --socket.
-  --mb-flush-samples N flush a micro-batch at N pending samples.
-                       [default: 64]
-  --mb-flush-micros T  flush a micro-batch T µs after its oldest sample
-                       (upper bound; an idle input flushes immediately).
-                       [default: 200]
-  --mb-queue-depth N   admit at most N samples (queued + in flight);
-                       beyond it requests are answered with a structured
-                       overload error instead of queueing without bound.
-                       [default: 8192]
-  --workers N          inference worker threads (0 = auto from available
-                       parallelism). [default: 0]";
+                       event loop and store as --socket.";
 
 fn main() -> ExitCode {
     match run() {
@@ -118,38 +108,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Builds the event-loop options from the parsed `--mb-*`/`--workers`
-/// flags.
-fn serving_options(
-    flush_samples: Option<&str>,
-    flush_micros: Option<&str>,
-    queue_depth: Option<&str>,
-    workers: Option<&str>,
-) -> Result<EventLoopOptions, String> {
-    let parse = |flag: &str, value: Option<&str>| -> Result<Option<u64>, String> {
-        value
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("{flag} wants a non-negative integer, got {v:?}"))
-            })
-            .transpose()
-    };
-    let flush_samples = parse("--mb-flush-samples", flush_samples)?;
-    let flush_micros = parse("--mb-flush-micros", flush_micros)?;
-    let queue_depth = parse("--mb-queue-depth", queue_depth)?;
-    let workers = parse("--workers", workers)?;
-    let defaults = MicroBatchConfig::default();
-    Ok(EventLoopOptions {
-        microbatch: MicroBatchConfig {
-            flush_samples: flush_samples.map_or(defaults.flush_samples, |n| n.max(1) as usize),
-            flush_wait: flush_micros.map_or(defaults.flush_wait, Duration::from_micros),
-            queue_depth: queue_depth.map_or(defaults.queue_depth, |n| n.max(1) as usize),
-        },
-        workers: workers.unwrap_or(0) as usize,
-        ..EventLoopOptions::default()
-    })
 }
 
 /// Lazily builds engines from the artifact/forest files, constructing
@@ -299,10 +257,6 @@ fn run() -> Result<(), String> {
     let mut rescan_interval: Option<String> = None;
     let mut compact_interval: Option<String> = None;
     let mut warm_top: Option<String> = None;
-    let mut flush_samples = None;
-    let mut flush_micros = None;
-    let mut queue_depth = None;
-    let mut workers = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         // Boolean flags first; everything else takes one value.
@@ -334,19 +288,9 @@ fn run() -> Result<(), String> {
             "--rescan-interval" => rescan_interval = Some(value),
             "--compact-interval" => compact_interval = Some(value),
             "--warm-top" => warm_top = Some(value),
-            "--mb-flush-samples" => flush_samples = Some(value),
-            "--mb-flush-micros" => flush_micros = Some(value),
-            "--mb-queue-depth" => queue_depth = Some(value),
-            "--workers" => workers = Some(value),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    let opts = serving_options(
-        flush_samples.as_deref(),
-        flush_micros.as_deref(),
-        queue_depth.as_deref(),
-        workers.as_deref(),
-    )?;
     let socket = socket.ok_or("need --socket")?;
     let keep_versions = keep_versions
         .as_deref()
@@ -459,13 +403,10 @@ fn run() -> Result<(), String> {
         builder = builder.tcp(addr);
     }
 
-    let server = builder
-        .serving(opts.clone())
-        .bind_uds(&socket)
-        .map_err(|e| match &tcp {
-            Some(addr) => format!("bind {socket} + tcp {addr}: {e}"),
-            None => format!("bind {socket}: {e}"),
-        })?;
+    let server = builder.bind_uds(&socket).map_err(|e| match &tcp {
+        Some(addr) => format!("bind {socket} + tcp {addr}: {e}"),
+        None => format!("bind {socket}: {e}"),
+    })?;
     let store = server.store();
     if let Some(dir) = &model_dir {
         let listed = store.list();
@@ -513,20 +454,6 @@ fn run() -> Result<(), String> {
         ));
     }
     std::mem::forget(maintenance);
-    // Logged once at startup so operators can tell how requests are
-    // batched.
-    println!(
-        "boltd serving: event loop, micro-batch flush at {} samples / {} µs, \
-         queue depth {}, workers {}",
-        opts.microbatch.flush_samples,
-        opts.microbatch.flush_wait.as_micros(),
-        opts.microbatch.queue_depth,
-        if opts.workers == 0 {
-            "auto".to_owned()
-        } else {
-            opts.workers.to_string()
-        }
-    );
     // Printed once every listener is bound: one bind call bound them all.
     println!("boltd listening on {socket} (Ctrl-C to stop)");
     if let Some(addr) = server.local_addr() {
@@ -574,33 +501,7 @@ fn run() -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_bytes, push_model, serving_options};
-    use std::time::Duration;
-
-    #[test]
-    fn serving_defaults_to_event_loop_microbatching() {
-        let opts = serving_options(None, None, None, None).unwrap();
-        assert_eq!(opts.microbatch.flush_samples, 64);
-        assert_eq!(opts.microbatch.flush_wait, Duration::from_micros(200));
-        assert_eq!(opts.workers, 0);
-    }
-
-    #[test]
-    fn serving_flags_parse_into_options() {
-        let opts = serving_options(Some("128"), Some("500"), Some("1024"), Some("4")).unwrap();
-        assert_eq!(opts.microbatch.flush_samples, 128);
-        assert_eq!(opts.microbatch.flush_wait, Duration::from_micros(500));
-        assert_eq!(opts.microbatch.queue_depth, 1024);
-        assert_eq!(opts.workers, 4);
-    }
-
-    #[test]
-    fn malformed_serving_flags_are_rejected() {
-        assert!(serving_options(Some("not-a-number"), None, None, None).is_err());
-        assert!(serving_options(None, Some("-5"), None, None).is_err());
-        assert!(serving_options(None, None, Some("1e3"), None).is_err());
-        assert!(serving_options(None, None, None, Some("auto")).is_err());
-    }
+    use super::{parse_bytes, push_model};
 
     #[test]
     fn model_flags_parse_and_accumulate() {

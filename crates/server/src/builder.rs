@@ -2,7 +2,6 @@
 //! default model, then bind one server over a Unix socket, TCP addresses,
 //! or both.
 
-use crate::event_loop::EventLoopOptions;
 use crate::registry::ModelRegistry;
 use crate::server::ClassificationServer;
 use crate::store::ModelStore;
@@ -56,7 +55,6 @@ pub struct ServerBuilder {
     model_dir: Option<PathBuf>,
     resident_bytes: Option<u64>,
     keep_versions: usize,
-    serving: EventLoopOptions,
     /// TCP listeners to bind, each an address resolved at the call to
     /// [`tcp`](Self::tcp); a resolution error surfaces from the bind.
     tcp: Vec<std::io::Result<Vec<SocketAddr>>>,
@@ -82,7 +80,6 @@ impl ServerBuilder {
             model_dir: None,
             resident_bytes: None,
             keep_versions: 0,
-            serving: EventLoopOptions::default(),
             tcp: Vec::new(),
             admin_socket: None,
             warm_top: 0,
@@ -137,17 +134,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Tunes the event loop: micro-batching, worker count, connection and
-    /// write-buffer caps.
-    #[must_use]
-    pub fn serving(mut self, opts: EventLoopOptions) -> Self {
-        self.serving = opts;
-        self
-    }
-
     /// Adds a TCP listener on `addr` (port 0 picks an ephemeral port) to
-    /// the server being bound. Every listener shares the one event loop,
-    /// worker pool and store; [`ClassificationServer::local_addr`] reports
+    /// the server being bound. Every listener shares the one event loop
+    /// and store; [`ClassificationServer::local_addr`] reports
     /// the first TCP listener's address.
     #[must_use]
     pub fn tcp(mut self, addr: impl ToSocketAddrs) -> Self {
@@ -200,7 +189,7 @@ impl ServerBuilder {
             // finds its pages mapped.
             let _ = store.warm(self.warm_top);
         }
-        ClassificationServer::bind(store, uds, tcp, self.admin_socket, self.serving)
+        ClassificationServer::bind(store, uds, tcp, self.admin_socket)
     }
 
     /// Binds a server on a Unix domain socket (removing any stale socket
@@ -248,7 +237,6 @@ impl std::fmt::Debug for ServerBuilder {
             .field("model_dir", &self.model_dir)
             .field("resident_bytes", &self.resident_bytes)
             .field("keep_versions", &self.keep_versions)
-            .field("serving", &self.serving)
             .field("tcp", &self.tcp)
             .field("admin_socket", &self.admin_socket)
             .field("warm_top", &self.warm_top)

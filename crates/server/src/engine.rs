@@ -12,9 +12,8 @@ thread_local! {
     /// model of another shape is resized by the inference body itself.
     static SCRATCH: RefCell<BoltScratch> = RefCell::new(BoltScratch::default());
 
-    /// Its batched counterpart, for batch frames and micro-batch groups:
-    /// they run on the calling worker, whose pool is already the service's
-    /// parallelism.
+    /// Its batched counterpart, for batch frames: they run on the calling
+    /// thread (the server's event loop), which spawns nothing for them.
     static BATCH_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::default());
 }
 

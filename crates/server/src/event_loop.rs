@@ -1,60 +1,64 @@
-//! The classification front-end: one non-blocking event loop with adaptive
-//! micro-batching, the only way this crate serves connections.
+//! The classification front-end: one non-blocking event loop that runs
+//! every request to completion, the only way this crate serves
+//! connections.
 //!
 //! One event-loop thread multiplexes every connection of every listener
 //! (Unix socket, TCP, the admin socket) through a level-triggered
-//! [`epoll::Poller`], and a small worker pool runs the actual inference:
+//! [`epoll::Poller`] and classifies each request in the pass that decodes
+//! it — the paper's §6 front-end, whose samples "are executed sequentially
+//! without batching". Only admin ops leave the loop, for the control
+//! thread:
 //!
 //! ```text
-//!             ┌────────────────────────── event-loop thread ─────────────┐
+//!             ┌──────────────────────── event-loop thread ───────────────┐
 //!  accept ───▶│ slab of connections                                      │
-//!  readable ─▶│   FrameReader (resumable) ──▶ decode ──▶ admit ──▶ queue │
-//!             │   micro-batcher: flush at N samples / T µs / input idle  │
-//!             │   ordered response slots ──▶ write buffer ──▶ flush      │
+//!  readable ─▶│   FrameReader (resumable) ──▶ decode ──▶ classify        │
+//!             │   ordered response slots ──▶ write buffer ──▶ one flush  │
 //!             └───────▲──────────────────────────────┬───────────────────┘
-//!                     │ completions (wake pipe)      │ FlushGroup / Batch
+//!                     │ admin replies (wake pipe)    │ admin ops
 //!             ┌───────┴──────────────────────────────▼───────────────────┐
-//!             │ worker pool: classify_batch, one scratch per worker      │
+//!             │ control thread: WAL fsync, compaction, rescan, status    │
 //!             └──────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! A lone request on one connection is served sequentially, without
-//! batching — the paper's §6 method: the zero-timeout poll after it comes
-//! back empty, and an idle input flushes a batch of one.
+//! A single is answered by the engine's `classify`, a batch frame by its
+//! `classify_batch`; each response fills its ordered slot, and a
+//! connection's write buffer is flushed once per readable pass, so a burst
+//! of pipelined requests costs one `write`.
 //!
 //! **Connection state machine.** Each connection is `reading ⇄ writing`
 //! with both sides always willing: reads resume mid-frame across
 //! `WouldBlock` via [`FrameReader`], and responses that do not fit the
 //! socket buffer park in a per-connection write buffer mirrored by
 //! `EPOLLOUT` interest until drained. Responses are delivered strictly in
-//! request order through a slot queue, no matter how the worker pool
-//! reorders completions.
+//! request order through a slot queue, whenever the control thread
+//! answers an admin op.
 //!
-//! **Backpressure.** Admission is bounded by the micro-batcher's
-//! `queue_depth`; a request past the bound is answered immediately with a
-//! structured [`ERR_OVERLOADED`] frame — the connection stays open and the
-//! client may retry. Connections past `max_connections`, and connections
-//! that arrive while the process is out of file descriptors, are answered
-//! with the same frame and closed. A connection whose peer stops reading
-//! accumulates a write buffer up to `max_write_buffer` and is then closed
-//! as a slow consumer.
+//! **Backpressure.** The loop reads no more frames from a connection than
+//! it answers in the same pass, so requests it has not reached wait in the
+//! kernel socket buffer, and a client that sends faster than the loop
+//! classifies meets a full socket: flow control is the backpressure.
+//! Connections past [`MAX_CONNECTIONS`], and connections that arrive while
+//! the process is out of file descriptors, are answered with a structured
+//! [`ERR_OVERLOADED`] frame and closed. A connection whose peer stops
+//! reading accumulates a write buffer up to [`MAX_WRITE_BUFFER`] and is
+//! then closed as a slow consumer.
 //!
 //! **Malformed requests.** A payload that is framed correctly but decodes
 //! as no known message answers [`ERR_MALFORMED_REQUEST`] and the
-//! connection survives — other requests in flight on it are unaffected.
-//! So does a classify request carrying a sample shorter than its model's
-//! feature count: it is refused at admission, before it can join a
-//! micro-batch group or reach a worker. Framing-level corruption
-//! (oversized length declaration, EOF mid-frame) still tears the
-//! connection down, as no frame boundary can be trusted afterwards.
+//! connection survives — the requests around it on the connection are
+//! unaffected. So does a classify request carrying a sample shorter than
+//! its model's feature count: it is refused before it reaches an engine.
+//! Framing-level corruption (oversized length declaration, EOF mid-frame)
+//! still tears the connection down, as no frame boundary can be trusted
+//! afterwards.
 
 use crate::admin::{self, AdminRequest};
-use crate::microbatch::{Completion, FlushGroup, MicroBatchConfig, MicroBatcher, QueuedSample};
 use crate::proto::{
-    ClassifyBatchResponse, ErrorFrame, FrameReader, ListModelsResponse, ProtoError, Request,
-    ERR_INTERNAL, ERR_MALFORMED_REQUEST, ERR_OVERLOADED, ERR_UNSUPPORTED_VERSION, PROTOCOL_VERSION,
+    ClassifyBatchResponse, ClassifyResponse, ErrorFrame, FrameReader, ListModelsResponse,
+    ProtoError, Request, ERR_INTERNAL, ERR_MALFORMED_REQUEST, ERR_OVERLOADED,
+    ERR_UNSUPPORTED_VERSION, PROTOCOL_VERSION,
 };
-use crate::registry::ModelHandle;
 use crate::server::{resolve_classify, Shared};
 use bytes::Bytes;
 use epoll::{Interest, Poller};
@@ -65,36 +69,9 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Tuning for the event-loop front-end.
-#[derive(Clone, Debug)]
-pub struct EventLoopOptions {
-    /// Micro-batching flush policy and admission bound.
-    pub microbatch: MicroBatchConfig,
-    /// Inference worker threads; `0` picks from the machine's available
-    /// parallelism.
-    pub workers: usize,
-    /// Most simultaneous connections; beyond it, new connections are
-    /// answered with an overload error and closed.
-    pub max_connections: usize,
-    /// Per-connection write-buffer cap; a peer that stops reading its
-    /// responses past this is closed as a slow consumer.
-    pub max_write_buffer: usize,
-}
-
-impl Default for EventLoopOptions {
-    fn default() -> Self {
-        Self {
-            microbatch: MicroBatchConfig::default(),
-            workers: 0,
-            max_connections: 4096,
-            max_write_buffer: 4 << 20,
-        }
-    }
-}
 
 /// Either listener the event loop can front.
 pub(crate) enum Listener {
@@ -179,8 +156,8 @@ impl Write for Stream {
 /// Connection tokens pack `(generation << 32) | slab index`. A slab index
 /// never reaches `u32::MAX` (connections are bounded far below it), so
 /// tokens with all-ones low bits are reserved for the loop's own fds: the
-/// wake pipe, then one per listener — completions for a connection that
-/// died and whose slot was reused carry a stale generation and are
+/// wake pipe, then one per listener — an admin reply for a connection that
+/// died and whose slot was reused carries a stale generation and is
 /// discarded instead of answering the wrong peer.
 const TOKEN_WAKEUP: u64 = u32::MAX as u64;
 
@@ -202,10 +179,18 @@ fn unpack_token(token: u64) -> (usize, u32) {
     ((token & u64::from(u32::MAX)) as usize, (token >> 32) as u32)
 }
 
-/// Most frames decoded per readable event before yielding back to the
-/// poller, so one firehose connection cannot starve the others (the data
-/// left in its socket buffer keeps it level-triggered readable).
+/// Most frames decoded (and answered) per readable event before yielding
+/// back to the poller, so one firehose connection cannot starve the others
+/// (the data left in its socket buffer keeps it level-triggered readable).
 const FRAMES_PER_WAKE: usize = 64;
+
+/// Most simultaneous data connections; beyond it, new connections are
+/// answered with an overload error and closed.
+const MAX_CONNECTIONS: usize = 4096;
+
+/// Per-connection write-buffer cap; a peer that stops reading its
+/// responses past this is closed as a slow consumer.
+const MAX_WRITE_BUFFER: usize = 4 << 20;
 
 /// Idle poll period: an upper bound on how stale the shutdown flag can go
 /// unnoticed when no wake byte arrives.
@@ -221,14 +206,15 @@ struct Conn {
     out: Vec<u8>,
     out_pos: usize,
     /// In-order response slots: `pending[i]` answers request
-    /// `base_seq + i`; `None` is still being classified.
+    /// `base_seq + i`; `None` is an admin op the control thread has not
+    /// answered yet.
     pending: VecDeque<Option<Bytes>>,
     base_seq: u64,
     next_seq: u64,
     generation: u32,
     interest: Interest,
     /// Accepted on the admin listener: frames decode as admin ops and
-    /// execute on the control thread, not the inference pool.
+    /// execute on the control thread.
     admin: bool,
 }
 
@@ -250,130 +236,50 @@ struct AdminJob {
     request: AdminRequest,
 }
 
-/// Work handed to the inference pool.
-enum Job {
-    /// Coalesced single-sample requests for one resolved model.
-    Group(FlushGroup),
-    /// A client-submitted batch frame, passed through whole.
-    Batch {
-        model: Arc<ModelHandle>,
-        token: u64,
-        slot: u64,
-        v2: bool,
-        samples: Vec<Vec<f32>>,
-    },
-}
-
-impl Job {
-    fn samples(&self) -> usize {
-        match self {
-            Self::Group(group) => group.items.len(),
-            Self::Batch { samples, .. } => samples.len(),
-        }
-    }
-}
-
-/// Classifies one job and returns its completions (one per request).
-fn run_job(job: Job) -> Vec<Completion> {
-    match job {
-        Job::Group(group) => {
-            let borrowed: Vec<&[f32]> = group
-                .items
-                .iter()
-                .map(|item| item.features.as_slice())
-                .collect();
-            let start = Instant::now();
-            let classes = group.model.engine().classify_batch(&borrowed);
-            let elapsed = start.elapsed().as_nanos() as u64;
-            let n = group.items.len() as u64;
-            group.model.book(n, elapsed);
-            // Each coalesced request reports the amortized share of the
-            // batch's wall clock — the same accounting `classify_many`
-            // applies to client-submitted batches.
-            let latency_ns = (elapsed / n.max(1)).max(1);
-            group
-                .items
-                .into_iter()
-                .zip(classes)
-                .map(|(item, class)| {
-                    let response = crate::proto::ClassifyResponse { class, latency_ns };
-                    Completion {
-                        token: item.token,
-                        slot: item.slot,
-                        frame: if item.v2 {
-                            response.encode_v2()
-                        } else {
-                            response.encode()
-                        },
-                        samples: 1,
-                    }
-                })
-                .collect()
-        }
-        Job::Batch {
-            model,
-            token,
-            slot,
-            v2,
-            samples,
-        } => {
-            let borrowed: Vec<&[f32]> = samples.iter().map(Vec::as_slice).collect();
-            let start = Instant::now();
-            let classes = model.engine().classify_batch(&borrowed);
-            let latency_ns = start.elapsed().as_nanos() as u64;
-            model.book(borrowed.len() as u64, latency_ns);
-            let response = ClassifyBatchResponse {
-                classes,
-                latency_ns,
-            };
-            vec![Completion {
-                token,
-                slot,
-                frame: if v2 {
-                    response.encode_v2()
-                } else {
-                    response.encode()
-                },
-                samples: samples.len(),
-            }]
-        }
-    }
+/// An admin reply headed back to the loop.
+struct Completion {
+    /// Connection token the frame belongs to.
+    token: u64,
+    /// Response slot on that connection.
+    slot: u64,
+    /// The encoded reply frame.
+    frame: Bytes,
 }
 
 /// A running event-loop front-end; joining it tears everything down.
 pub(crate) struct EventLoopHandle {
     loop_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    control_thread: Option<JoinHandle<()>>,
     /// Write end of the loop's wake pipe, to interrupt a poll on shutdown.
     wake: UnixStream,
 }
 
 impl EventLoopHandle {
     /// Wakes the loop (the caller must have set the shared shutdown flag
-    /// first) and joins the loop thread and worker pool.
+    /// first) and joins the loop and control threads.
     pub(crate) fn stop(&mut self) {
         let _ = (&self.wake).write(&[1]);
-        if let Some(handle) = self.loop_thread.take() {
-            let _ = handle.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        // The loop drops the control thread's job channel on exit, which
+        // stops the control thread.
+        for thread in [self.loop_thread.take(), self.control_thread.take()]
+            .into_iter()
+            .flatten()
+        {
+            let _ = thread.join();
         }
     }
 }
 
-/// Binds the poller, wake pipe, and worker pool, then starts the loop
-/// thread over already-listening sockets: every data listener, plus the
-/// admin listener when one is given. Each listener is polled under its own
-/// reserved token ([`listener_token`]). Admin connections decode admin
-/// ops, which a dedicated control thread executes — WAL fsyncs and
-/// compaction never run on the loop thread and never wait behind queued
-/// inference jobs.
+/// Binds the poller and wake pipe, then starts the loop thread over
+/// already-listening sockets: every data listener, plus the admin listener
+/// when one is given. Each listener is polled under its own reserved token
+/// ([`listener_token`]). Admin connections decode admin ops, which a
+/// dedicated control thread executes — WAL fsyncs and compaction never run
+/// on the loop thread.
 pub(crate) fn spawn(
     listeners: Vec<Listener>,
     admin: Option<UnixListener>,
     shared: Arc<Shared>,
-    opts: EventLoopOptions,
 ) -> std::io::Result<EventLoopHandle> {
     let poller = Poller::new()?;
     let (wake_tx, wake_rx) = UnixStream::pair()?;
@@ -396,44 +302,15 @@ pub(crate) fn spawn(
     }
     let spare_fd = Some(File::open("/dev/null")?);
 
-    let worker_count = if opts.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(8)
-    } else {
-        opts.workers
-    };
-    let (job_tx, job_rx) = mpsc::channel::<Job>();
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut workers = Vec::with_capacity(worker_count);
-    for _ in 0..worker_count {
-        let job_rx = Arc::clone(&job_rx);
-        let completions = Arc::clone(&completions);
-        let wake = wake_tx.try_clone()?;
-        workers.push(std::thread::spawn(move || loop {
-            // Sender dropped (loop thread exited) ⇒ drain and stop.
-            let Ok(job) = job_rx.lock().expect("job queue").recv() else {
-                return;
-            };
-            let done = run_job(job);
-            completions.lock().expect("completion queue").extend(done);
-            // A full wake pipe means a wakeup is already pending; the
-            // loop will drain the completion queue either way.
-            let _ = (&wake).write(&[1]);
-        }));
-    }
-
     // The control thread: one per loop, executing admin ops serially in
-    // arrival order (activate-then-set-default scripts behave) and
-    // pushing replies through the ordinary completion path.
-    let admin_jobs = if has_admin {
+    // arrival order (activate-then-set-default scripts behave) and waking
+    // the loop with each reply.
+    let (completion_tx, completions) = mpsc::channel::<Completion>();
+    let (admin_jobs, control_thread) = if has_admin {
         let (admin_tx, admin_rx) = mpsc::channel::<AdminJob>();
         let admin_shared = Arc::clone(&shared);
-        let admin_completions = Arc::clone(&completions);
         let wake = wake_tx.try_clone()?;
-        workers.push(std::thread::spawn(move || {
+        let control = std::thread::spawn(move || {
             // Sender dropped (loop thread exited) ⇒ stop.
             while let Ok(job) = admin_rx.recv() {
                 let reply = admin::handle(&admin_shared.store, &job.request);
@@ -441,44 +318,40 @@ pub(crate) fn spawn(
                     token: job.token,
                     slot: job.slot,
                     frame: reply.encode(),
-                    samples: 0,
                 };
-                admin_completions
-                    .lock()
-                    .expect("completion queue")
-                    .push(done);
+                if completion_tx.send(done).is_err() {
+                    return;
+                }
+                // A full wake pipe means a wakeup is already pending; the
+                // loop drains the completion queue either way.
                 let _ = (&wake).write(&[1]);
             }
-        }));
-        Some(admin_tx)
+        });
+        (Some(admin_tx), Some(control))
     } else {
-        None
+        (None, None)
     };
 
-    let loop_shared = Arc::clone(&shared);
     let loop_thread = std::thread::spawn(move || {
         let mut event_loop = EventLoop {
             poller,
             listeners,
             spare_fd,
-            shared: loop_shared,
+            shared,
             conns: Vec::new(),
             generations: Vec::new(),
             free: Vec::new(),
             active: 0,
-            batcher: MicroBatcher::new(opts.microbatch.clone()),
-            jobs: job_tx,
             admin_jobs,
             completions,
             wake_rx,
-            opts,
         };
         event_loop.run();
     });
 
     Ok(EventLoopHandle {
         loop_thread: Some(loop_thread),
-        workers,
+        control_thread,
         wake: wake_tx,
     })
 }
@@ -493,38 +366,25 @@ struct EventLoop {
     shared: Arc<Shared>,
     /// Connection slab; `free` holds vacated indices for reuse.
     conns: Vec<Option<Conn>>,
-    /// Per-slot generation, bumped on every close, so a completion for a
+    /// Per-slot generation, bumped on every close, so an admin reply for a
     /// dead tenant never answers the slot's next occupant.
     generations: Vec<u32>,
     free: Vec<usize>,
     active: usize,
-    batcher: MicroBatcher,
-    jobs: mpsc::Sender<Job>,
     /// Channel to the control thread; `None` without an admin socket.
     admin_jobs: Option<mpsc::Sender<AdminJob>>,
-    completions: Arc<Mutex<Vec<Completion>>>,
+    /// Admin replies from the control thread.
+    completions: mpsc::Receiver<Completion>,
     wake_rx: UnixStream,
-    opts: EventLoopOptions,
 }
 
 impl EventLoop {
     fn run(&mut self) {
         let mut events = Vec::new();
         while !self.shared.shutdown.load(Ordering::Acquire) {
-            // With samples pending, poll without blocking: the moment the
-            // input goes idle we flush, so a lone request pays
-            // microseconds, not the full flush_wait. Under sustained
-            // arrivals the loop keeps finding ready connections and the
-            // size/time caps below bound the coalescing delay.
-            let timeout = if self.batcher.deadline().is_some() {
-                Duration::ZERO
-            } else {
-                IDLE_TIMEOUT
-            };
-            if self.poller.wait(&mut events, Some(timeout)).is_err() {
+            if self.poller.wait(&mut events, Some(IDLE_TIMEOUT)).is_err() {
                 break;
             }
-            let had_events = !events.is_empty();
             for &event in &events {
                 match event.token {
                     TOKEN_WAKEUP => self.drain_wakeups(),
@@ -534,17 +394,9 @@ impl EventLoop {
                     token => self.conn_event(token, event.readable, event.writable, event.error),
                 }
             }
-            // Completions may have landed while we were busy even without
+            // Admin replies may have landed while we were busy even without
             // a fresh wake byte in this batch of events.
             self.apply_completions();
-            let groups = if had_events {
-                self.batcher.flush_due(Instant::now())
-            } else {
-                // The zero-timeout poll came back empty: input is idle,
-                // nothing more will coalesce — flush now.
-                self.batcher.flush_all()
-            };
-            self.dispatch(groups);
         }
     }
 
@@ -557,9 +409,11 @@ impl EventLoop {
                     // connection cap: the socket is local-only and mode
                     // 0600, and an emergency `retire` must get through a
                     // daemon that is drowning in data traffic.
-                    if !admin && self.active >= self.opts.max_connections {
-                        let limit = self.opts.max_connections;
-                        refuse(stream, &format!("connection limit {limit} reached"));
+                    if !admin && self.active >= MAX_CONNECTIONS {
+                        refuse(
+                            stream,
+                            &format!("connection limit {MAX_CONNECTIONS} reached"),
+                        );
                         continue;
                     }
                     self.insert_conn(stream, admin);
@@ -648,287 +502,75 @@ impl EventLoop {
         self.update_interest(index);
     }
 
+    /// Decodes up to [`FRAMES_PER_WAKE`] frames and answers each in turn —
+    /// data requests right here, admin ops by handing them to the control
+    /// thread — then flushes the connection's responses with one write.
     fn read_ready(&mut self, index: usize) {
+        let Some(Some(conn)) = self.conns.get_mut(index) else {
+            return;
+        };
+        let mut close = false;
         for _ in 0..FRAMES_PER_WAKE {
-            let Some(Some(conn)) = self.conns.get_mut(index) else {
-                return;
-            };
-            let is_admin = conn.admin;
             let payload = match conn.frames.read_frame(&mut conn.stream) {
                 Ok(Some(payload)) => payload,
-                Ok(None) => {
-                    // Clean EOF: the peer is gone, any responses still in
-                    // flight have no reader.
-                    self.close_conn(index);
-                    return;
-                }
                 Err(ProtoError::Io(e))
                     if matches!(
                         e.kind(),
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    return; // drained; partial frame stays buffered
+                    break; // drained; a partial frame stays buffered
                 }
-                // Framing-level corruption (oversized declaration, EOF
-                // mid-frame, transport error): no trustworthy frame
-                // boundary remains, drop the connection.
-                Err(_) => {
-                    self.close_conn(index);
-                    return;
+                // Clean EOF (the peer is gone), or framing-level corruption
+                // (oversized declaration, EOF mid-frame, transport error):
+                // no trustworthy frame boundary remains, drop the
+                // connection once what it already asked is answered.
+                Ok(None) | Err(_) => {
+                    close = true;
+                    break;
                 }
             };
-            if is_admin {
-                self.on_admin_request(index, &payload);
-            } else {
-                self.on_request(index, &payload);
-            }
-            if self.conns.get(index).is_none_or(Option::is_none) {
-                return; // the request handler closed the connection
-            }
-        }
-    }
-
-    fn on_request(&mut self, index: usize, payload: &[u8]) {
-        match Request::decode(payload) {
-            Ok(Request::Single(request)) => {
-                self.submit_single(index, None, request.features, false);
-            }
-            Ok(Request::SingleWith(request)) => {
-                self.submit_single(index, Some(request.model), request.features, true);
-            }
-            Ok(Request::Batch(request)) => {
-                self.submit_batch(index, None, request.samples, false);
-            }
-            Ok(Request::BatchWith(request)) => {
-                self.submit_batch(index, Some(request.model), request.samples, true);
-            }
-            Ok(Request::ListModels { extended }) => {
-                let response = ListModelsResponse {
-                    models: self.shared.store.list(),
-                };
-                let frame = match response.encode(if extended { 3 } else { 2 }) {
-                    Ok(frame) => frame,
-                    Err(e) => ErrorFrame {
-                        code: ERR_INTERNAL,
-                        detail: format!("model list does not fit in a frame: {e}"),
+            let slot = alloc_slot(conn);
+            let frame = if conn.admin {
+                match AdminRequest::decode(&payload) {
+                    // The frame was well-delimited: a typed refusal, and
+                    // the connection survives.
+                    Err(e) => admin::malformed_reply(&e).encode(),
+                    Ok(request) => {
+                        let job = AdminJob {
+                            token: conn.token(index),
+                            slot,
+                            request,
+                        };
+                        match self.admin_jobs.as_ref().map(|jobs| jobs.send(job)) {
+                            // The control thread fills the slot.
+                            Some(Ok(())) => continue,
+                            // Control thread gone — only during teardown.
+                            // Fail the slot so the ordered queue does not
+                            // wedge behind it.
+                            _ => admin::AdminReply::Refused(admin::AdminError {
+                                code: admin::ADMIN_ERR_INTERNAL,
+                                detail: "control thread unavailable".into(),
+                            })
+                            .encode(),
+                        }
                     }
-                    .encode(),
-                };
-                self.respond_now(index, frame);
-            }
-            Ok(Request::UnsupportedVersion { requested }) => {
-                let frame = ErrorFrame {
-                    code: ERR_UNSUPPORTED_VERSION,
-                    detail: format!(
-                        "protocol version {requested} not supported; \
-                         this server speaks up to {PROTOCOL_VERSION}"
-                    ),
                 }
-                .encode();
-                self.respond_now(index, frame);
-            }
-            // The frame was well-delimited, so the stream is still in
-            // sync: reject the one bad request, keep the connection.
-            Err(e) => {
-                let frame = ErrorFrame {
-                    code: ERR_MALFORMED_REQUEST,
-                    detail: e.to_string(),
-                }
-                .encode();
-                self.respond_now(index, frame);
-            }
-        }
-    }
-
-    /// Routes one admin frame: decode failures answer a typed refusal
-    /// inline (the connection survives — the frame was well-delimited);
-    /// decoded ops ship to the control thread, which fills the reserved
-    /// slot through the completion path like any inference reply.
-    fn on_admin_request(&mut self, index: usize, payload: &[u8]) {
-        let request = match AdminRequest::decode(payload) {
-            Ok(request) => request,
-            Err(e) => {
-                let frame = admin::malformed_reply(&e).encode();
-                self.respond_now(index, frame);
-                return;
-            }
-        };
-        let Some(Some(conn)) = self.conns.get_mut(index) else {
-            return;
-        };
-        let token = conn.token(index);
-        let slot = alloc_slot(conn);
-        let sent = self.admin_jobs.as_ref().is_some_and(|jobs| {
-            jobs.send(AdminJob {
-                token,
-                slot,
-                request,
-            })
-            .is_ok()
-        });
-        if !sent {
-            // Control thread gone — only during teardown. Fail the slot
-            // so the ordered queue does not wedge behind it.
-            let frame = admin::AdminReply::Refused(admin::AdminError {
-                code: admin::ADMIN_ERR_INTERNAL,
-                detail: "control thread unavailable".into(),
-            })
-            .encode();
-            let Some(Some(conn)) = self.conns.get_mut(index) else {
-                return;
+            } else {
+                answer(&self.shared, &payload)
             };
             fill_slot(conn, slot, frame);
-            drain_ready(conn);
-            self.flush_out(index);
         }
-    }
-
-    fn submit_single(&mut self, index: usize, model: Option<String>, features: Vec<f32>, v2: bool) {
-        let model = match resolve_classify(&self.shared, model.as_deref(), [features.as_slice()]) {
-            Ok(model) => model,
-            Err(frame) => {
-                self.respond_now(index, frame.encode());
-                return;
-            }
-        };
-        if !self.batcher.admit(1) {
-            self.respond_now(index, overload_frame(1).encode());
-            return;
-        }
-        let Some(Some(conn)) = self.conns.get_mut(index) else {
-            self.batcher.release(1);
-            return;
-        };
-        let token = conn.token(index);
-        let slot = alloc_slot(conn);
-        let sample = QueuedSample {
-            token,
-            slot,
-            v2,
-            features,
-        };
-        let groups = self.batcher.enqueue(model, sample, Instant::now());
-        self.dispatch(groups);
-    }
-
-    fn submit_batch(
-        &mut self,
-        index: usize,
-        model: Option<String>,
-        samples: Vec<Vec<f32>>,
-        v2: bool,
-    ) {
-        let model = match resolve_classify(
-            &self.shared,
-            model.as_deref(),
-            samples.iter().map(Vec::as_slice),
-        ) {
-            Ok(model) => model,
-            Err(frame) => {
-                self.respond_now(index, frame.encode());
-                return;
-            }
-        };
-        if samples.is_empty() {
-            // Answer inline without touching engine or statistics, like
-            // `classify_many`.
-            let response = ClassifyBatchResponse {
-                classes: Vec::new(),
-                latency_ns: 0,
-            };
-            let frame = if v2 {
-                response.encode_v2()
-            } else {
-                response.encode()
-            };
-            self.respond_now(index, frame);
-            return;
-        }
-        let n = samples.len();
-        if !self.batcher.admit(n) {
-            self.respond_now(index, overload_frame(n).encode());
-            return;
-        }
-        let Some(Some(conn)) = self.conns.get_mut(index) else {
-            self.batcher.release(n);
-            return;
-        };
-        let token = conn.token(index);
-        let slot = alloc_slot(conn);
-        // Client-submitted batches are already kernel-sized; hand them
-        // through whole instead of re-coalescing. Batches at or above the
-        // flush threshold take the same-thread fast path: they gain
-        // nothing from coalescing, so the loop→worker handoff (queue,
-        // wake pipe, completion lock) is pure added latency for them —
-        // the `uds_batch` p99 regression recorded in EXPERIMENTS.md
-        // entry 2. Running the kernel inline trades one batch of loop
-        // availability for a shorter, lock-free response path.
-        let job = Job::Batch {
-            model,
-            token,
-            slot,
-            v2,
-            samples,
-        };
-        if n >= self.batcher.flush_samples() {
-            let done = run_job(job);
-            self.batcher.release(n);
-            let Some(Some(conn)) = self.conns.get_mut(index) else {
-                return;
-            };
-            for completion in done {
-                fill_slot(conn, completion.slot, completion.frame);
-            }
-            drain_ready(conn);
-            self.flush_out(index);
-            self.update_interest(index);
-            return;
-        }
-        self.send_job(job);
-    }
-
-    fn dispatch(&mut self, groups: Vec<FlushGroup>) {
-        for group in groups {
-            self.send_job(Job::Group(group));
-        }
-    }
-
-    fn send_job(&mut self, job: Job) {
-        let samples = job.samples();
-        if self.jobs.send(job).is_err() {
-            // Worker pool gone — only during teardown. Release the
-            // admission so accounting stays exact.
-            self.batcher.release(samples);
-        }
-    }
-
-    /// Answers a request inline (errors, model lists, empty batches):
-    /// claims the next slot, fills it immediately, and pushes whatever is
-    /// deliverable onto the wire.
-    fn respond_now(&mut self, index: usize, frame: Bytes) {
-        let Some(Some(conn)) = self.conns.get_mut(index) else {
-            return;
-        };
-        let slot = alloc_slot(conn);
-        fill_slot(conn, slot, frame);
         drain_ready(conn);
         self.flush_out(index);
+        if close {
+            self.close_conn(index);
+        }
     }
 
     fn apply_completions(&mut self) {
-        let done = {
-            let mut queue = self.completions.lock().expect("completion queue");
-            std::mem::take(&mut *queue)
-        };
-        if done.is_empty() {
-            return;
-        }
         let mut touched = Vec::new();
-        for completion in done {
-            // Admission is released even when the connection died while
-            // the job was in flight — capacity must not leak.
-            self.batcher.release(completion.samples);
+        for completion in self.completions.try_iter() {
             let (index, generation) = unpack_token(completion.token);
             let Some(Some(conn)) = self.conns.get_mut(index) else {
                 continue;
@@ -951,7 +593,6 @@ impl EventLoop {
     /// Writes buffered response bytes until the socket refuses; closes
     /// the connection on transport failure or slow-consumer overflow.
     fn flush_out(&mut self, index: usize) {
-        let max_write_buffer = self.opts.max_write_buffer;
         let close = {
             let Some(Some(conn)) = self.conns.get_mut(index) else {
                 return;
@@ -980,8 +621,8 @@ impl EventLoop {
                 conn.out_pos = 0;
             }
             // A peer that stops reading while piling on requests would
-            // otherwise trade thread exhaustion for memory exhaustion.
-            dead || conn.unflushed() > max_write_buffer
+            // otherwise grow its write buffer without bound.
+            dead || conn.unflushed() > MAX_WRITE_BUFFER
         };
         if close {
             self.close_conn(index);
@@ -1017,11 +658,104 @@ impl EventLoop {
             self.generations[index] = self.generations[index].wrapping_add(1);
             self.free.push(index);
             self.active -= 1;
-            // The fd closes when `conn` drops here. Samples of this
-            // connection still queued or in flight classify harmlessly;
-            // their completions are discarded by the generation check and
-            // their admission released there.
+            // The fd closes when `conn` drops here. An admin op of this
+            // connection still on the control thread completes harmlessly;
+            // its reply is discarded by the generation check.
         }
+    }
+}
+
+/// Answers one data-plane frame on the loop thread: classify requests run
+/// the engine here, everything else is answered from the store or as an
+/// error.
+fn answer(shared: &Shared, payload: &[u8]) -> Bytes {
+    match Request::decode(payload) {
+        Ok(Request::Single(request)) => classify(shared, None, &request.features, false),
+        Ok(Request::SingleWith(request)) => {
+            classify(shared, Some(&request.model), &request.features, true)
+        }
+        Ok(Request::Batch(request)) => classify_batch(shared, None, &request.samples, false),
+        Ok(Request::BatchWith(request)) => {
+            classify_batch(shared, Some(&request.model), &request.samples, true)
+        }
+        Ok(Request::ListModels { extended }) => {
+            let response = ListModelsResponse {
+                models: shared.store.list(),
+            };
+            match response.encode(if extended { 3 } else { 2 }) {
+                Ok(frame) => frame,
+                Err(e) => ErrorFrame {
+                    code: ERR_INTERNAL,
+                    detail: format!("model list does not fit in a frame: {e}"),
+                }
+                .encode(),
+            }
+        }
+        Ok(Request::UnsupportedVersion { requested }) => ErrorFrame {
+            code: ERR_UNSUPPORTED_VERSION,
+            detail: format!(
+                "protocol version {requested} not supported; \
+                 this server speaks up to {PROTOCOL_VERSION}"
+            ),
+        }
+        .encode(),
+        // The frame was well-delimited, so the stream is still in sync:
+        // reject the one bad request, keep the connection.
+        Err(e) => ErrorFrame {
+            code: ERR_MALFORMED_REQUEST,
+            detail: e.to_string(),
+        }
+        .encode(),
+    }
+}
+
+/// One sample through the resolved model's `classify`, booked as one
+/// request.
+fn classify(shared: &Shared, model: Option<&str>, features: &[f32], v2: bool) -> Bytes {
+    let model = match resolve_classify(shared, model, [features]) {
+        Ok(model) => model,
+        Err(frame) => return frame.encode(),
+    };
+    let start = Instant::now();
+    let class = model.engine().classify(features);
+    let latency_ns = (start.elapsed().as_nanos() as u64).max(1);
+    model.book(1, latency_ns);
+    let response = ClassifyResponse { class, latency_ns };
+    if v2 {
+        response.encode_v2()
+    } else {
+        response.encode()
+    }
+}
+
+/// A client-submitted batch through the resolved model's
+/// `classify_batch`, booked as one request per sample.
+fn classify_batch(shared: &Shared, model: Option<&str>, samples: &[Vec<f32>], v2: bool) -> Bytes {
+    let model = match resolve_classify(shared, model, samples.iter().map(Vec::as_slice)) {
+        Ok(model) => model,
+        Err(frame) => return frame.encode(),
+    };
+    let response = if samples.is_empty() {
+        // Answered without touching engine or statistics.
+        ClassifyBatchResponse {
+            classes: Vec::new(),
+            latency_ns: 0,
+        }
+    } else {
+        let borrowed: Vec<&[f32]> = samples.iter().map(Vec::as_slice).collect();
+        let start = Instant::now();
+        let classes = model.engine().classify_batch(&borrowed);
+        let latency_ns = start.elapsed().as_nanos() as u64;
+        model.book(borrowed.len() as u64, latency_ns);
+        ClassifyBatchResponse {
+            classes,
+            latency_ns,
+        }
+    };
+    if v2 {
+        response.encode_v2()
+    } else {
+        response.encode()
     }
 }
 
@@ -1035,13 +769,6 @@ fn refuse(mut stream: Stream, detail: &str) {
     }
     .encode();
     let _ = stream.write_all(&frame);
-}
-
-fn overload_frame(samples: usize) -> ErrorFrame {
-    ErrorFrame {
-        code: ERR_OVERLOADED,
-        detail: format!("request queue full; {samples} sample(s) shed, retry after backoff"),
-    }
 }
 
 fn alloc_slot(conn: &mut Conn) -> u64 {

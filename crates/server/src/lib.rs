@@ -10,10 +10,10 @@
 //!
 //! One front-end does that job: a [`ClassificationServer`] runs one
 //! non-blocking event loop over every listener it was bound with — a Unix
-//! socket, TCP addresses and the admin socket — and one worker pool. A
-//! lone request on a connection is served sequentially, without batching,
-//! as in the paper; concurrent single-sample requests are coalesced into
-//! batch-kernel calls by an adaptive micro-batcher ([`MicroBatchConfig`]).
+//! socket, TCP addresses and the admin socket — and classifies every
+//! request on that loop's thread, in the pass that decodes it: samples are
+//! executed sequentially without batching, as in the paper. Admin ops run
+//! on one control thread, so a WAL fsync never stalls the loop.
 //!
 //! Beyond the paper's sequential methodology, the protocol also accepts
 //! batch frames ([`ClassifyBatchRequest`]): many samples in one round trip,
@@ -82,7 +82,6 @@ mod builder;
 mod client;
 mod engine;
 mod event_loop;
-mod microbatch;
 pub mod proto;
 mod registry;
 mod server;
@@ -92,8 +91,6 @@ pub use admin::{AdminClient, AdminError, AdminReply, AdminRequest, StatsReport, 
 pub use builder::ServerBuilder;
 pub use client::ClassificationClient;
 pub use engine::{ArtifactEngine, BoltEngine};
-pub use event_loop::EventLoopOptions;
-pub use microbatch::MicroBatchConfig;
 pub use proto::{
     ClassifyBatchRequest, ClassifyBatchResponse, ClassifyBatchWithRequest, ClassifyRequest,
     ClassifyResponse, ClassifyWithRequest, ErrorFrame, ListModelsResponse, ModelInfo, ProtoError,

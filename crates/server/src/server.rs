@@ -1,7 +1,7 @@
 //! The classification front-end (Fig. 7), serving a [`ModelStore`] on
 //! every listener it was bound with.
 
-use crate::event_loop::{self, EventLoopHandle, EventLoopOptions, Listener};
+use crate::event_loop::{self, EventLoopHandle, Listener};
 use crate::proto::{
     ErrorFrame, ERR_INTERNAL, ERR_MALFORMED_REQUEST, ERR_NO_DEFAULT_MODEL, ERR_RETIRED_MODEL,
     ERR_UNKNOWN_MODEL,
@@ -55,10 +55,11 @@ impl Shared {
     }
 }
 
-/// A classification server: one non-blocking event loop and one worker
-/// pool over every listener it was bound with — a Unix socket, TCP
-/// addresses, and the control-plane socket — serving every model in its
-/// [`ModelStore`]. Construct it with [`ServerBuilder`](crate::ServerBuilder).
+/// A classification server: one non-blocking event loop over every
+/// listener it was bound with — a Unix socket, TCP addresses, and the
+/// control-plane socket — classifying each request on the loop thread and
+/// serving every model in its [`ModelStore`]. Construct it with
+/// [`ServerBuilder`](crate::ServerBuilder).
 ///
 /// # Examples
 ///
@@ -102,7 +103,6 @@ impl ClassificationServer {
         uds: Option<PathBuf>,
         tcp: Vec<Vec<SocketAddr>>,
         admin: Option<PathBuf>,
-        opts: EventLoopOptions,
     ) -> std::io::Result<Self> {
         let mut listeners = Vec::with_capacity(tcp.len() + 1);
         let mut local_addr = None;
@@ -120,7 +120,7 @@ impl ClassificationServer {
             None => None,
         };
         let shared = Arc::new(Shared::new(store));
-        let front = event_loop::spawn(listeners, admin_listener, Arc::clone(&shared), opts)?;
+        let front = event_loop::spawn(listeners, admin_listener, Arc::clone(&shared))?;
         Ok(Self {
             shared,
             path: uds,
@@ -176,8 +176,8 @@ impl ClassificationServer {
         self.shared.registry().stats(model)
     }
 
-    /// Stops accepting, joins the event loop and its workers, and removes
-    /// the socket files.
+    /// Stops accepting, joins the event loop and its control thread, and
+    /// removes the socket files.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -226,9 +226,9 @@ pub(crate) fn route_error_frame(error: &RouteError) -> ErrorFrame {
 /// the one dispatch-time gate every classify request passes through. A
 /// sample shorter than the model's feature count is refused with
 /// [`ERR_MALFORMED_REQUEST`] (the connection stays up) before it reaches an
-/// engine, whose contract is to panic on it — which would cost the client
-/// its reply, the service a worker, and a micro-batch group every request
-/// coalesced with it. Longer samples are accepted; engines read the prefix.
+/// engine, whose contract is to panic on it — which would take down the
+/// event loop and with it every connection. Longer samples are accepted;
+/// engines read the prefix.
 pub(crate) fn resolve_classify<'s>(
     shared: &Shared,
     model: Option<&str>,

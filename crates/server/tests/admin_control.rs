@@ -24,8 +24,8 @@ use bolt_artifact::ArtifactWriter;
 use bolt_core::{BoltConfig, BoltForest};
 use bolt_forest::{Dataset, ForestConfig, RandomForest};
 use bolt_server::{
-    AdminClient, AdminReply, AdminRequest, ClassificationClient, EventLoopOptions, ModelRegistry,
-    ModelStore, ServerBuilder,
+    AdminClient, AdminReply, AdminRequest, ClassificationClient, ModelRegistry, ModelStore,
+    ServerBuilder,
 };
 
 /// A tiny forest whose predictions depend on `seed`, so a misrouted or
@@ -268,7 +268,6 @@ fn admin_churn_under_sustained_load_stays_bit_identical() {
     let admin_sock = dir.join("admin.sock");
     let server = ServerBuilder::new()
         .model_dir(&dir)
-        .serving(EventLoopOptions::default())
         .admin_socket(&admin_sock)
         .bind_uds(&sock)
         .expect("binds");
@@ -364,7 +363,6 @@ fn wal_replay_projects_the_live_state_after_every_admin_step() {
     let admin_sock = dir.join("admin.sock");
     let server = ServerBuilder::new()
         .model_dir(&dir)
-        .serving(EventLoopOptions::default())
         .admin_socket(&admin_sock)
         .bind_uds(&sock)
         .expect("binds");

@@ -1,6 +1,7 @@
-//! `boltd` as a process: one event loop fronts every listener, so adding
-//! `--tcp` adds a socket and no threads; and the loop keeps serving — and
-//! stays idle — when it runs out of file descriptors.
+//! `boltd` as a process: one event loop fronts every listener and runs
+//! every request itself, so the daemon is three threads (main, loop,
+//! control) with or without `--tcp`; it has no serving knobs; and the loop
+//! keeps serving — and stays idle — when it runs out of file descriptors.
 
 use bolt_artifact::ArtifactWriter;
 use bolt_core::{BoltConfig, BoltForest};
@@ -160,8 +161,9 @@ fn tcp_listener_shares_the_one_event_loop() {
         admin.to_str().expect("utf-8 path"),
     ];
 
+    // Main thread, event loop, control thread: no inference pool.
     let uds_only = Daemon::start(None, &base);
-    let uds_only_threads = uds_only.threads();
+    assert_eq!(uds_only.threads(), 3, "boltd without --tcp");
     drop(uds_only);
 
     let with_tcp_args: Vec<&str> = base
@@ -172,8 +174,8 @@ fn tcp_listener_shares_the_one_event_loop() {
     let daemon = Daemon::start(None, &with_tcp_args);
     assert_eq!(
         daemon.threads(),
-        uds_only_threads,
-        "--tcp adds a listener to the one event loop, not a second loop, pool and control thread"
+        3,
+        "--tcp adds a listener to the one event loop, not a second loop and control thread"
     );
     let addr = daemon.tcp.expect("boltd reports its TCP address");
 
@@ -189,6 +191,27 @@ fn tcp_listener_shares_the_one_event_loop() {
     }
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn removed_serving_flags_are_unknown() {
+    let sock = std::env::temp_dir().join(format!("bolt-boltd-flags-{}.sock", std::process::id()));
+    let sock = sock.to_str().expect("utf-8 path");
+    for (flag, value) in [
+        ("--workers", "2"),
+        ("--mb-flush-samples", "8"),
+        ("--mb-flush-micros", "100"),
+        ("--mb-queue-depth", "16"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_boltd"))
+            .args(["--socket", sock, flag, value])
+            .stdin(Stdio::null())
+            .output()
+            .expect("runs boltd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} {value} was accepted");
+        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
+    }
 }
 
 #[test]

@@ -149,20 +149,19 @@ fn served_classifications_match_reference_forest_tcp() {
     server.shutdown();
 }
 
-/// One inference worker serves two models of different width and class
-/// count — one owned, one memory-mapped — from its single per-thread
-/// scratch: pipelined singles (micro-batch groups) and batch frames below
-/// and at the inline threshold alternate between the models, so every call
-/// after the first refits a scratch that last served the other shape, on
-/// the worker and on the loop thread alike. Every answer must equal the
-/// reference traversal.
+/// The event-loop thread serves two models of different width and class
+/// count — one owned, one memory-mapped — from its per-thread scratches:
+/// bursts of pipelined singles and batch frames of two sizes alternate
+/// between the models, so every call after the first refits a scratch that
+/// last served the other shape. Every answer must equal the reference
+/// traversal.
 #[test]
-fn one_worker_alternates_batches_across_two_model_shapes() {
+fn one_loop_alternates_batches_across_two_model_shapes() {
     use bolt_artifact::{Artifact, ArtifactWriter, MappedForest};
     use bolt_server::proto::{
         read_frame, ClassifyBatchWithRequest, ClassifyWithRequest, V2Response,
     };
-    use bolt_server::{ArtifactEngine, EventLoopOptions};
+    use bolt_server::ArtifactEngine;
     use std::io::Write;
 
     let cases = [
@@ -181,10 +180,6 @@ fn one_worker_alternates_batches_across_two_model_shapes() {
     let server = ServerBuilder::new()
         .register("m0", Arc::new(BoltEngine::new(Arc::clone(&bolts[0]))))
         .register("m1", Arc::new(ArtifactEngine::new(Arc::new(mapped))))
-        .serving(EventLoopOptions {
-            workers: 1,
-            ..EventLoopOptions::default()
-        })
         .bind_uds(&path)
         .expect("binds");
     let mut stream = std::os::unix::net::UnixStream::connect(&path).expect("connects");
@@ -198,7 +193,7 @@ fn one_worker_alternates_batches_across_two_model_shapes() {
         for (m, case) in cases.iter().enumerate() {
             let model = format!("m{m}");
             let want: Vec<u32> = case.inputs.iter().map(|s| case.forest.predict(s)).collect();
-            // A burst of pipelined singles: the micro-batcher groups them.
+            // A burst of pipelined singles, answered in one pass.
             let burst = 3 + 5 * round;
             let mut wire = Vec::new();
             for sample in &case.inputs[..burst] {
@@ -215,8 +210,7 @@ fn one_worker_alternates_batches_across_two_model_shapes() {
                     other => panic!("{model} single {i}: {other:?}"),
                 }
             }
-            // A batch frame under the micro-batch flush threshold goes to
-            // the worker; one at or over it runs on the loop thread.
+            // A small batch frame and one of every test input.
             for n in [5 + round, case.inputs.len()] {
                 let request = ClassifyBatchWithRequest {
                     model: model.clone(),

@@ -2,10 +2,11 @@
 //! whose sample is shorter than the model's feature count must be refused
 //! with a structured `ERR_MALFORMED_REQUEST` — on the legacy single, the
 //! v2 single and the batch paths, for owned and memory-mapped models — and
-//! must never reach an engine, whose contract is to panic on it. With one
-//! inference worker, a single panic would silence the daemon: so after a
-//! hundred short requests, valid ones on the same and on new connections
-//! must still be answered, and equal the reference forest.
+//! must never reach an engine, whose contract is to panic on it. Every
+//! request runs on the one event-loop thread, so a single panic would
+//! silence the daemon: after a hundred short requests, valid ones on the
+//! same and on new connections must still be answered, and equal the
+//! reference forest.
 
 use bolt_artifact::{Artifact, ArtifactWriter, MappedForest};
 use bolt_core::{BoltConfig, BoltForest};
@@ -15,9 +16,7 @@ use bolt_server::proto::{
     is_v2, read_frame, ClassifyBatchRequest, ClassifyBatchWithRequest, ClassifyRequest,
     ClassifyResponse, ClassifyWithRequest, V2Response, ERR_MALFORMED_REQUEST,
 };
-use bolt_server::{
-    ArtifactEngine, BoltEngine, ClassificationClient, EventLoopOptions, ServerBuilder,
-};
+use bolt_server::{ArtifactEngine, BoltEngine, ClassificationClient, ServerBuilder};
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -35,7 +34,7 @@ fn fixture() -> (RandomForest, Arc<BoltForest>, Vec<Vec<f32>>) {
     (forest, bolt, samples)
 }
 
-/// Serves an owned and a mapped copy of `bolt` with one inference worker.
+/// Serves an owned and a mapped copy of `bolt`.
 fn server(bolt: &Arc<BoltForest>, path: &Path) -> bolt_server::ClassificationServer {
     let mapped = MappedForest::from_artifact(
         Artifact::from_bytes(&ArtifactWriter::serialize_forest(bolt)).expect("valid"),
@@ -45,17 +44,13 @@ fn server(bolt: &Arc<BoltForest>, path: &Path) -> bolt_server::ClassificationSer
         .register("owned", Arc::new(BoltEngine::new(Arc::clone(bolt))))
         .register("mapped", Arc::new(ArtifactEngine::new(Arc::new(mapped))))
         .default_model("owned")
-        .serving(EventLoopOptions {
-            workers: 1,
-            ..EventLoopOptions::default()
-        })
         .bind_uds(path)
         .expect("binds")
 }
 
 /// Sends one framed request and returns the refusal's error code. A reply
 /// that is not an error frame fails to decode as one, and a reply that
-/// never comes (a worker died) trips the stream's read timeout.
+/// never comes (the event loop died) trips the stream's read timeout.
 fn refusal(mut stream: &UnixStream, frame: &[u8], what: &str) -> u8 {
     stream.write_all(frame).expect("writes");
     let payload = read_frame(&mut stream)
@@ -120,7 +115,7 @@ fn read_reply(mut stream: &UnixStream) -> Result<u32, u8> {
 }
 
 #[test]
-fn event_loop_with_one_worker_refuses_short_samples() {
+fn event_loop_refuses_short_samples() {
     let (forest, bolt, samples) = fixture();
     let n_features = bolt.universe().n_features();
     assert_eq!(n_features, 11);
@@ -169,10 +164,9 @@ fn event_loop_with_one_worker_refuses_short_samples() {
                 .encode()
                 .expect("encodes"),
             ),
-            // The size of the micro-batch flush threshold, which the event
-            // loop runs on its own thread.
+            // A kernel-sized batch.
             _ => (
-                "inline batch",
+                "batch of 64",
                 ClassifyBatchWithRequest {
                     model,
                     samples: vec![short; 64],
@@ -188,9 +182,8 @@ fn event_loop_with_one_worker_refuses_short_samples() {
         );
     }
 
-    // On the same connection, pipelined singles coalesce into one
-    // micro-batch group: the short one is refused alone, and the valid ones
-    // around it are answered.
+    // On the same connection, in one burst of pipelined singles the short
+    // one is refused alone, and the valid ones around it are answered.
     let mut wire = Vec::new();
     for (i, sample) in samples[..9].iter().enumerate() {
         let features = if i == 4 {
