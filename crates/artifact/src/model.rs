@@ -511,14 +511,13 @@ impl MappedForest {
         }
         let chunk = samples.len().div_ceil(shards);
         let mut out = vec![0u32; samples.len()];
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for (shard_samples, shard_out) in samples.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     shard_out.copy_from_slice(&self.classify_batch(shard_samples));
                 });
             }
-        })
-        .expect("crossbeam scope");
+        });
         out
     }
 

@@ -39,7 +39,7 @@ use bolt_bench::loadgen::{BenchSnapshot, OpenLoopConfig, Target};
 use bolt_bench::{print_table, train_workload};
 use bolt_core::{BoltConfig, BoltForest};
 use bolt_data::Workload;
-use bolt_server::{BoltEngine, ModelRegistry, ServerBuilder};
+use bolt_server::{BoltEngine, ModelStore, ServerBuilder};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -279,7 +279,7 @@ fn connect_run(cli: &Cli) -> Result<(), String> {
     Ok(())
 }
 
-/// The self-hosted suite: one registry, both transports, every mix.
+/// The self-hosted suite: one store, both transports, every mix.
 fn suite(cli: &Cli) -> Result<(), String> {
     let (requests, rate) = if cli.quick {
         (1500u64, 6000.0)
@@ -311,26 +311,17 @@ fn suite(cli: &Cli) -> Result<(), String> {
         .map(|i| trained.forest.predict(trained.test.sample(i)))
         .collect();
 
-    // One server with both listeners over one registry, as boltd deploys
-    // it.
-    let registry = ModelRegistry::new();
-    registry
-        .register("bolt", Arc::new(BoltEngine::new(Arc::clone(&bolt))))
-        .map_err(|e| format!("register bolt: {e}"))?;
-    registry
-        .register("scikit", Arc::clone(&scikit) as Arc<_>)
-        .map_err(|e| format!("register scikit: {e}"))?;
-    registry
-        .register("swap", Arc::new(BoltEngine::new(Arc::clone(&bolt))))
-        .map_err(|e| format!("register swap: {e}"))?;
-    registry
-        .set_default("bolt")
-        .map_err(|e| format!("set default: {e}"))?;
+    // One server with both listeners over one store, as boltd deploys it.
     let uds_path = std::env::temp_dir().join(format!("bolt-bench-{}.sock", std::process::id()));
-    let server = ServerBuilder::with_registry(registry.clone())
+    let server = ServerBuilder::new()
+        .register("bolt", Arc::new(BoltEngine::new(Arc::clone(&bolt))))
+        .register("scikit", Arc::clone(&scikit) as Arc<_>)
+        .register("swap", Arc::new(BoltEngine::new(Arc::clone(&bolt))))
+        .default_model("bolt")
         .tcp("127.0.0.1:0")
         .bind_uds(&uds_path)
         .map_err(|e| format!("bind uds + tcp: {e}"))?;
+    let store = server.store();
     let tcp_addr = server.local_addr().expect("the TCP listener is bound");
     let uds_target = Target::Uds(uds_path.clone());
     let tcp_target = Target::Tcp(tcp_addr);
@@ -406,7 +397,7 @@ fn suite(cli: &Cli) -> Result<(), String> {
     let mut failures = Vec::new();
     for (cfg, target, swap_ms) in workloads {
         println!("running {} ({})...", cfg.name, target.transport());
-        let churn = (swap_ms > 0).then(|| spawn_swap_churn(&registry, &bolt, &scikit, swap_ms));
+        let churn = (swap_ms > 0).then(|| spawn_swap_churn(&store, &bolt, &scikit, swap_ms));
         let report = bolt_bench::loadgen::run_open_loop(target, &samples, Some(&expected), &cfg)
             .map_err(|e| format!("{}: {e}", cfg.name))?;
         if let Some((stop, handle)) = churn {
@@ -434,9 +425,9 @@ fn suite(cli: &Cli) -> Result<(), String> {
         snapshots.push(snapshot);
     }
 
-    // The suite drove every model; the registry's books must balance.
-    let total = registry.total_stats().requests;
-    let per_model: u64 = registry.list().iter().map(|model| model.requests).sum();
+    // The suite drove every model; the store's books must balance.
+    let total = store.total_stats().requests;
+    let per_model: u64 = store.list().iter().map(|model| model.requests).sum();
     if total != per_model {
         failures.push(format!(
             "stats mismatch: total {total} != per-model sum {per_model}"
@@ -467,25 +458,25 @@ fn suite(cli: &Cli) -> Result<(), String> {
 /// Bolt and scikit engines (identical predictions, different engines), so
 /// the swap workload exercises resolution-under-churn.
 fn spawn_swap_churn(
-    registry: &ModelRegistry,
+    store: &ModelStore,
     bolt: &Arc<BoltForest>,
     scikit: &Arc<ScikitLikeForest>,
     interval_ms: u64,
 ) -> (Arc<AtomicBool>, std::thread::JoinHandle<()>) {
     let stop = Arc::new(AtomicBool::new(false));
     let thread_stop = Arc::clone(&stop);
-    let registry = registry.clone();
+    let store = store.clone();
     let bolt = Arc::clone(bolt);
     let scikit = Arc::clone(scikit);
     let handle = std::thread::spawn(move || {
         let mut flip = false;
         while !thread_stop.load(Ordering::Acquire) {
             if flip {
-                registry
+                store
                     .swap("swap", Arc::clone(&scikit) as Arc<_>)
                     .expect("hot-swap");
             } else {
-                registry
+                store
                     .swap("swap", Arc::new(BoltEngine::new(Arc::clone(&bolt))))
                     .expect("hot-swap");
             }

@@ -2,7 +2,7 @@
 //! latency through the Fig. 7 front-end — Unix-domain-socket round trip
 //! included — for every platform on the Fig. 10 forest.
 //!
-//! One server process hosts all four engines in its model registry; the
+//! One server process hosts all four engines in its model store; the
 //! client routes to each by name over a single connection, so every
 //! platform is measured through the identical socket and framing path.
 //!
@@ -64,7 +64,7 @@ fn main() {
         let engine_ns = (after.total_latency_ns - before.total_latency_ns) as f64
             / (after.requests - before.requests) as f64;
         let engine_name = server
-            .registry()
+            .store()
             .resolve(Some(model))
             .expect("registered")
             .engine()

@@ -17,7 +17,7 @@
 //! than this loop and was deleted; DESIGN.md has the numbers.)
 //!
 //! On top of that, [`BoltForest::classify_batch_sharded`] shards a batch
-//! across OS threads (crossbeam scoped threads), each shard with its own
+//! across OS threads (`std::thread::scope`), each shard with its own
 //! [`BatchScratch`]; outputs land in disjoint slices so aggregation is a
 //! single pass with no locking.
 
@@ -199,17 +199,16 @@ impl BoltForest {
         }
         let chunk = samples.len().div_ceil(shards);
         let mut out = vec![0u32; samples.len()];
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for (shard_samples, shard_out) in samples.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut scratch = self.batch_scratch();
                     let mut classes = Vec::with_capacity(shard_samples.len());
                     self.classify_batch_with(shard_samples, &mut scratch, &mut classes);
                     shard_out.copy_from_slice(&classes);
                 });
             }
-        })
-        .expect("crossbeam scope");
+        });
         out
     }
 
@@ -229,17 +228,16 @@ impl BoltForest {
         }
         let chunk = samples.len().div_ceil(shards);
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); samples.len()];
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for (shard_samples, shard_out) in samples.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let votes = self.votes_batch(shard_samples);
                     for (slot, votes) in shard_out.iter_mut().zip(votes) {
                         *slot = votes;
                     }
                 });
             }
-        })
-        .expect("crossbeam scope");
+        });
         out
     }
 }

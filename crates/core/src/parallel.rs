@@ -214,18 +214,17 @@ impl PartitionedBolt {
             self.core_votes(0, &bits).0
         } else {
             let mut all = vec![Vec::new(); cores];
-            crossbeam::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..cores)
                     .map(|core| {
                         let bits = &bits;
-                        scope.spawn(move |_| self.core_votes(core, bits).0)
+                        scope.spawn(move || self.core_votes(core, bits).0)
                     })
                     .collect();
                 for (core, handle) in handles.into_iter().enumerate() {
                     all[core] = handle.join().expect("core thread panicked");
                 }
-            })
-            .expect("crossbeam scope");
+            });
             let mut votes = vec![0.0f64; self.bolt.n_classes()];
             for core_votes in all {
                 for (v, c) in votes.iter_mut().zip(core_votes) {
@@ -272,18 +271,17 @@ impl PartitionedBolt {
         }
         let chunk = samples.len().div_ceil(workers);
         let mut out = vec![0u32; samples.len()];
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for (chunk_samples, chunk_out) in samples.chunks(chunk).zip(out.chunks_mut(chunk)) {
                 let bolt = &self.bolt;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut scratch = bolt.scratch();
                     for (s, o) in chunk_samples.iter().zip(chunk_out.iter_mut()) {
                         *o = bolt.classify_with(s, &mut scratch);
                     }
                 });
             }
-        })
-        .expect("crossbeam scope");
+        });
         out
     }
 

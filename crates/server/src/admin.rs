@@ -606,17 +606,16 @@ pub fn handle(store: &ModelStore, request: &AdminRequest) -> AdminReply {
             kernel: bolt_core::index::MATCH_MECHANISM.to_string(),
         }),
         AdminRequest::DrainStats => {
-            let registry = store.registry();
             let models = store
                 .list()
                 .into_iter()
                 .map(|m| {
-                    let stats = registry.stats(&m.name).unwrap_or_default();
+                    let stats = store.stats(&m.name).unwrap_or_default();
                     (m.name, stats)
                 })
                 .collect();
             AdminReply::Stats(StatsReport {
-                total: registry.total_stats(),
+                total: store.total_stats(),
                 models,
             })
         }

@@ -2,7 +2,6 @@
 //! default model, then bind one server over a Unix socket, TCP addresses,
 //! or both.
 
-use crate::registry::ModelRegistry;
 use crate::server::ClassificationServer;
 use crate::store::ModelStore;
 use bolt_baselines::InferenceEngine;
@@ -43,13 +42,13 @@ use std::sync::Arc;
 ///     .default_model("bolt")
 ///     .bind_tcp("127.0.0.1:0")?;
 /// let addr = server.local_addr().expect("bound on TCP");
-/// println!("serving {} models on {addr}", server.registry().list().len());
+/// println!("serving {} models on {addr}", server.store().list().len());
 /// server.shutdown();
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Default)]
 pub struct ServerBuilder {
-    registry: ModelRegistry,
     pending: Vec<(String, Arc<dyn InferenceEngine>)>,
     default_model: Option<String>,
     model_dir: Option<PathBuf>,
@@ -63,27 +62,11 @@ pub struct ServerBuilder {
 }
 
 impl ServerBuilder {
-    /// A builder over a fresh, empty registry.
+    /// A builder over a fresh, empty store; reach the bound server's
+    /// store with [`ClassificationServer::store`].
     #[must_use]
     pub fn new() -> Self {
-        Self::with_registry(ModelRegistry::new())
-    }
-
-    /// A builder over an existing registry — use this to pre-assemble the
-    /// registry elsewhere, or to keep a handle to it.
-    #[must_use]
-    pub fn with_registry(registry: ModelRegistry) -> Self {
-        Self {
-            registry,
-            pending: Vec::new(),
-            default_model: None,
-            model_dir: None,
-            resident_bytes: None,
-            keep_versions: 0,
-            tcp: Vec::new(),
-            admin_socket: None,
-            warm_top: 0,
-        }
+        Self::default()
     }
 
     /// Queues `engine` for registration under `name` at bind time (see
@@ -173,10 +156,13 @@ impl ServerBuilder {
         };
         let tcp = self.tcp.into_iter().collect::<std::io::Result<Vec<_>>>()?;
         let store = match self.model_dir {
-            Some(dir) => {
-                ModelStore::open(self.registry, &dir, self.resident_bytes, self.keep_versions)?
-            }
-            None => ModelStore::detached(self.registry),
+            Some(dir) => ModelStore::open(
+                ModelStore::new(),
+                &dir,
+                self.resident_bytes,
+                self.keep_versions,
+            )?,
+            None => ModelStore::new(),
         };
         for (name, engine) in self.pending {
             store.register(name, engine).map_err(invalid)?;
@@ -219,16 +205,9 @@ impl ServerBuilder {
     }
 }
 
-impl Default for ServerBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl std::fmt::Debug for ServerBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerBuilder")
-            .field("registry", &self.registry)
             .field(
                 "pending",
                 &self.pending.iter().map(|(n, _)| n).collect::<Vec<_>>(),
@@ -282,17 +261,14 @@ mod tests {
     }
 
     #[test]
-    fn one_registry_backs_both_transports() {
+    fn one_store_backs_both_transports() {
         let f = forest();
-        let registry = ModelRegistry::new();
-        registry
-            .register("m", Arc::new(ScikitLikeForest::from_forest(&f)))
-            .expect("registers");
         let uds_path = std::env::temp_dir().join(format!(
             "bolt-test-builder-shared-{}.sock",
             std::process::id()
         ));
-        let server = ServerBuilder::with_registry(registry.clone())
+        let server = ServerBuilder::new()
+            .register("m", Arc::new(ScikitLikeForest::from_forest(&f)))
             .tcp("127.0.0.1:0")
             .bind_uds(&uds_path)
             .expect("binds uds + tcp");
@@ -304,17 +280,17 @@ mod tests {
         assert_eq!(uds_client.classify(&[3.0]).expect("uds").class, want);
         assert_eq!(tcp_client.classify(&[3.0]).expect("tcp").class, want);
         // Both transports booked into the same per-model stats.
-        assert_eq!(registry.stats("m").expect("stats").requests, 2);
+        let store = server.store();
+        assert_eq!(store.stats("m").expect("stats").requests, 2);
         assert_eq!(server.stats().requests, 2);
         // Hot-swapping through the server's handle affects both listeners.
-        server
-            .registry()
+        store
             .swap("m", Arc::new(RangerLikeForest::from_forest(&f)))
             .expect("swaps");
         assert_eq!(uds_client.classify(&[3.0]).expect("uds").class, want);
         assert_eq!(tcp_client.classify(&[3.0]).expect("tcp").class, want);
         assert_eq!(
-            registry.resolve(Some("m")).expect("m").engine().name(),
+            store.resolve(Some("m")).expect("m").engine().name(),
             "Ranger"
         );
         server.shutdown();

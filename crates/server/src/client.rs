@@ -19,7 +19,7 @@ impl<T: Read + Write + Send + std::fmt::Debug> Transport for T {}
 /// Legacy methods ([`classify`](Self::classify),
 /// [`classify_batch`](Self::classify_batch)) route to the server's
 /// *default* model; the `_with` variants route to a named model in the
-/// server's [`ModelRegistry`](crate::ModelRegistry), and
+/// server's [`ModelStore`](crate::ModelStore), and
 /// [`list_models`](Self::list_models) enumerates what is currently
 /// served. Structured server rejections (unknown model, retired model,
 /// unsupported protocol version) surface as [`ProtoError::Rejected`].

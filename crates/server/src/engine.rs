@@ -21,7 +21,7 @@ thread_local! {
 /// the front-end can host Bolt and the baselines interchangeably (§4.5:
 /// "the front-end can connect to other forest implementations").
 ///
-/// Register it in a [`ModelRegistry`](crate::ModelRegistry) as
+/// Register it in a [`ModelStore`](crate::ModelStore) as
 /// `Arc<BoltEngine>` (via [`ServerBuilder`](crate::ServerBuilder)); the
 /// adapter itself holds the forest behind an `Arc`, so cloning the engine
 /// — or registering one `Arc<BoltEngine>` under several model names —
@@ -70,7 +70,7 @@ impl InferenceEngine for BoltEngine {
 /// [`InferenceEngine`] interface, so `boltd` can serve a model straight off
 /// disk — zero heap copy of the structures — and hot-swap it for a freshly
 /// mapped file under live traffic via
-/// [`ModelRegistry::register`](crate::ModelRegistry::register).
+/// [`ModelStore::swap`](crate::ModelStore::swap).
 #[derive(Clone)]
 pub struct ArtifactEngine {
     model: Arc<MappedForest>,

@@ -22,17 +22,18 @@
 //! Bolt's per-sample index body looped over one scratch for
 //! [`BoltEngine`]).
 //!
-//! # Model registry
+//! # Model store
 //!
 //! One server process hosts *many* engines behind one socket: a
-//! [`ModelRegistry`] maps model names to shared
-//! `Arc<dyn InferenceEngine>`s with per-model statistics, supports atomic
-//! hot-swap and retirement under live traffic, and designates a *default*
-//! model that legacy (unrouted) frames fall back to — §4.5's "the
-//! front-end can connect to other forest implementations", made
-//! first-class. Model-routed requests travel in versioned protocol-v2
-//! frames (see [`proto`]); [`ServerBuilder`] assembles a registry and
-//! binds one server over it on either transport or both.
+//! [`ModelStore`] maps model names to shared
+//! `Arc<dyn InferenceEngine>`s — registered in memory or mapped from a
+//! model directory — with per-model statistics, supports atomic hot-swap
+//! and retirement under live traffic, and designates a *default* model
+//! that legacy (unrouted) frames fall back to — §4.5's "the front-end can
+//! connect to other forest implementations", made first-class.
+//! Model-routed requests travel in versioned protocol-v2 frames (see
+//! [`proto`]); [`ServerBuilder`] assembles a store and binds one server
+//! over it on either transport or both.
 //!
 //! # Examples
 //!
@@ -83,7 +84,6 @@ mod client;
 mod engine;
 mod event_loop;
 pub mod proto;
-mod registry;
 mod server;
 pub mod store;
 
@@ -97,6 +97,12 @@ pub use proto::{
     MAX_BATCH_SAMPLES, MAX_BATCH_SAMPLES_V2, MAX_FRAME_BYTES, MAX_MODEL_NAME_BYTES,
     PROTOCOL_VERSION,
 };
-pub use registry::{ModelHandle, ModelRegistry, RouteError};
 pub use server::{ClassificationServer, ServerStats};
-pub use store::{ModelStore, RescanStats, StoreError, StoreMetrics};
+pub use store::{ModelHandle, ModelStore, RescanStats, RouteError, StoreError, StoreMetrics};
+
+/// The pre-fold name of [`ModelStore`], kept only because the repository
+/// benchmark (`benchmark/src/probe.rs`) still calls
+/// `ModelStore::open(ModelRegistry::new(), …)`; the benchmark's next
+/// change deletes it.
+#[doc(hidden)]
+pub type ModelRegistry = ModelStore;

@@ -6,8 +6,7 @@ use crate::proto::{
     ErrorFrame, ERR_INTERNAL, ERR_MALFORMED_REQUEST, ERR_NO_DEFAULT_MODEL, ERR_RETIRED_MODEL,
     ERR_UNKNOWN_MODEL,
 };
-use crate::registry::{ModelHandle, ModelRegistry, RouteError};
-use crate::store::ModelStore;
+use crate::store::{ModelHandle, ModelStore, RouteError};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
@@ -36,8 +35,7 @@ impl ServerStats {
 }
 
 pub(crate) struct Shared {
-    /// The model store every request resolves through. A detached store
-    /// (no model directory) degrades to a plain registry passthrough.
+    /// The model store every request resolves through.
     pub(crate) store: ModelStore,
     pub(crate) shutdown: AtomicBool,
 }
@@ -48,10 +46,6 @@ impl Shared {
             store,
             shutdown: AtomicBool::new(false),
         }
-    }
-
-    pub(crate) fn registry(&self) -> &ModelRegistry {
-        self.store.registry()
     }
 }
 
@@ -96,7 +90,7 @@ impl ClassificationServer {
     /// Binds every listener — each TCP address, then the Unix socket
     /// (removing any stale file), then the mode-0600 control socket
     /// ([`crate::admin`]) — and starts one event loop over them, serving
-    /// the store's models: registry-resident and lazily mapped directory
+    /// the store's models: in-memory engines and lazily mapped directory
     /// artifacts alike.
     pub(crate) fn bind(
         store: ModelStore,
@@ -149,15 +143,8 @@ impl ClassificationServer {
         self.admin_path.as_deref()
     }
 
-    /// A handle to the live model registry, for hot-swapping, retiring,
-    /// and re-defaulting models while the server runs.
-    #[must_use]
-    pub fn registry(&self) -> ModelRegistry {
-        self.shared.registry().clone()
-    }
-
-    /// A handle to the live model store, for lifecycle operations
-    /// (activate, retire, set-default) that must survive a restart.
+    /// A handle to the live model store, for hot-swapping, retiring,
+    /// activating and re-defaulting models while the server runs.
     #[must_use]
     pub fn store(&self) -> ModelStore {
         self.shared.store.clone()
@@ -167,13 +154,13 @@ impl ClassificationServer {
     /// retired ones) and every listener.
     #[must_use]
     pub fn stats(&self) -> ServerStats {
-        self.shared.registry().total_stats()
+        self.shared.store.total_stats()
     }
 
     /// Snapshot of one model's statistics.
     #[must_use]
     pub fn stats_for(&self, model: &str) -> Option<ServerStats> {
-        self.shared.registry().stats(model)
+        self.shared.store.stats(model)
     }
 
     /// Stops accepting, joins the event loop and its control thread, and
@@ -509,16 +496,16 @@ mod tests {
             }
             other => panic!("expected unknown-model rejection, got {other:?}"),
         }
-        // Retire the only model: the registry refuses while it is the
+        // Retire the only model: the store refuses while it is the
         // default (clients would silently lose service), so clear the
         // default first. Named lookups then say *retired*, and legacy
         // frames get a structured no-default error.
         server
-            .registry()
+            .store()
             .retire("bolt")
             .expect_err("the default cannot be retired in place");
-        server.registry().clear_default();
-        server.registry().retire("bolt").expect("retires");
+        server.store().clear_default();
+        server.store().retire("bolt").expect("retires");
         match client.classify_with("bolt", sample) {
             Err(ProtoError::Rejected { code, .. }) => assert_eq!(code, ERR_RETIRED_MODEL),
             other => panic!("expected retired-model rejection, got {other:?}"),
@@ -530,13 +517,13 @@ mod tests {
         // The connection survived all three rejections; registering the
         // name anew revives it.
         server
-            .registry()
+            .store()
             .register(
                 "bolt",
                 Arc::new(BoltEngine::new(fixture().2)) as Arc<dyn bolt_baselines::InferenceEngine>,
             )
             .expect("revives the retired name");
-        server.registry().set_default("bolt").expect("revived");
+        server.store().set_default("bolt").expect("revived");
         assert!(client.classify(sample).is_ok());
         server.shutdown();
     }

@@ -24,8 +24,7 @@ use bolt_artifact::ArtifactWriter;
 use bolt_core::{BoltConfig, BoltForest};
 use bolt_forest::{Dataset, ForestConfig, RandomForest};
 use bolt_server::{
-    AdminClient, AdminReply, AdminRequest, ClassificationClient, ModelRegistry, ModelStore,
-    ServerBuilder,
+    AdminClient, AdminReply, AdminRequest, ClassificationClient, ModelStore, ServerBuilder,
 };
 
 /// A tiny forest whose predictions depend on `seed`, so a misrouted or
@@ -394,7 +393,7 @@ fn wal_replay_projects_the_live_state_after_every_admin_step() {
             AdminReply::Ok | AdminReply::Compacted(_) => {}
             other => panic!("step {i} refused: {other:?}"),
         }
-        let replayed = ModelStore::open(ModelRegistry::new(), &dir, None, 0).expect("replays");
+        let replayed = ModelStore::open(ModelStore::new(), &dir, None, 0).expect("replays");
         assert_eq!(
             project(&server.store()),
             project(&replayed),

@@ -1,4 +1,4 @@
-//! Serving mapped `BLT1` artifacts through the model registry.
+//! Serving mapped `BLT1` artifacts through the model store.
 //!
 //! Two guarantees: (1) an [`ArtifactEngine`] answers bit-identically to the
 //! reference forest across the full compile configuration matrix, and (2)
@@ -81,7 +81,7 @@ fn hot_swapping_freshly_mapped_artifacts_under_traffic_is_seamless() {
         .default_model("prod")
         .bind_uds(&socket)
         .expect("binds");
-    let registry = server.registry();
+    let store = server.store();
 
     let clients: Vec<_> = (0..CLIENT_THREADS)
         .map(|t| {
@@ -118,7 +118,7 @@ fn hot_swapping_freshly_mapped_artifacts_under_traffic_is_seamless() {
             1 => Arc::new(ArtifactEngine::open(&path_b).expect("map b")),
             _ => Arc::clone(&in_memory),
         };
-        registry.swap("prod", engine).expect("hot-swaps");
+        store.swap("prod", engine).expect("hot-swaps");
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use bolt_baselines::RangerLikeForest;
 use bolt_core::{BoltConfig, BoltForest};
 use bolt_forest::{Dataset, ForestConfig, RandomForest};
-use bolt_server::{BoltEngine, ClassificationClient, ModelRegistry, ProtoError, ServerBuilder};
+use bolt_server::{BoltEngine, ClassificationClient, ProtoError, ServerBuilder};
 
 const THREADS_PER_TRANSPORT: usize = 4;
 const REQUESTS_PER_THREAD: usize = 400;
@@ -103,20 +103,15 @@ fn mixed_concurrent_load_on_both_transports_is_clean() {
     let samples: Vec<Vec<f32>> = (0..data.len()).map(|i| data.sample(i).to_vec()).collect();
     let expected: Vec<u32> = samples.iter().map(|s| forest.predict(s)).collect();
 
-    // One server, one registry, both listeners — as boltd deploys it.
-    let registry = ModelRegistry::new();
-    registry
-        .register("bolt", Arc::new(BoltEngine::new(Arc::clone(&bolt))))
-        .expect("registers");
-    registry
-        .register("ranger", Arc::new(RangerLikeForest::from_forest(&forest)))
-        .expect("registers");
-    registry.set_default("bolt").expect("default");
+    // One server, one store, both listeners — as boltd deploys it.
     let path = std::env::temp_dir().join(format!(
         "bolt-test-concurrent-load-{}.sock",
         std::process::id()
     ));
-    let server = ServerBuilder::with_registry(registry.clone())
+    let server = ServerBuilder::new()
+        .register("bolt", Arc::new(BoltEngine::new(Arc::clone(&bolt))))
+        .register("ranger", Arc::new(RangerLikeForest::from_forest(&forest)))
+        .default_model("bolt")
         .tcp("127.0.0.1:0")
         .bind_uds(&path)
         .expect("binds uds + tcp");
@@ -146,22 +141,23 @@ fn mixed_concurrent_load_on_both_transports_is_clean() {
 
     // Every successful request (and nothing else) is on the books; the
     // rejected unknown-model frames never reach a model.
-    let total = registry.total_stats();
+    let store = server.store();
+    let total = store.total_stats();
     assert_eq!(total.requests, booked, "aggregate stats drop or inflate");
-    let per_model: u64 = registry.list().iter().map(|m| m.requests).sum();
+    let per_model: u64 = store.list().iter().map(|m| m.requests).sum();
     assert_eq!(
         per_model, total.requests,
         "per-model stats disagree with the aggregate"
     );
     // Both named models saw their share of the v2 routed traffic.
-    let bolt_requests = registry.stats("bolt").expect("bolt stats").requests;
-    let ranger_requests = registry.stats("ranger").expect("ranger stats").requests;
+    let bolt_requests = store.stats("bolt").expect("bolt stats").requests;
+    let ranger_requests = store.stats("ranger").expect("ranger stats").requests;
     assert!(bolt_requests > 0 && ranger_requests > 0);
     assert_eq!(bolt_requests + ranger_requests, total.requests);
     assert_eq!(
         server.stats(),
         total,
-        "the server reports the registry's books"
+        "the server reports the store's books"
     );
 
     server.shutdown();

@@ -43,7 +43,7 @@ fn hot_swap_under_concurrent_traffic_drops_nothing() {
         .default_model("hot")
         .bind_uds(&path)
         .expect("binds");
-    let registry = server.registry();
+    let store = server.store();
 
     let clients: Vec<_> = (0..CLIENT_THREADS)
         .map(|t| {
@@ -82,7 +82,7 @@ fn hot_swap_under_concurrent_traffic_drops_nothing() {
         } else {
             Arc::clone(&bolt)
         };
-        registry.swap("hot", engine).expect("hot-swaps");
+        store.swap("hot", engine).expect("hot-swaps");
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
 
@@ -93,7 +93,7 @@ fn hot_swap_under_concurrent_traffic_drops_nothing() {
     // Every request the clients made is accounted for in the per-model
     // counters — nothing was dropped or double-booked across swaps.
     let total = (CLIENT_THREADS * REQUESTS_PER_CLIENT) as u64;
-    let per_model: u64 = registry.list().iter().map(|m| m.requests).sum();
+    let per_model: u64 = store.list().iter().map(|m| m.requests).sum();
     assert_eq!(per_model, total, "per-model stats must sum to the total");
     assert_eq!(server.stats().requests, total);
     // The swapped name kept one continuous counter across engines:

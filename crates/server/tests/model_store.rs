@@ -12,16 +12,20 @@
 //!    state, tolerating torn tails and duplicate records.
 //! 3. A proptest drives random lifecycle sequences and checks the live
 //!    store and a fresh WAL replay project to identical state.
+//!
+//! And one rule: a name is in memory or directory-backed for its whole
+//! life, so no in-memory operation reaches a directory name.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use bolt_artifact::ArtifactWriter;
+use bolt_baselines::ScikitLikeForest;
 use bolt_core::{BoltConfig, BoltForest};
 use bolt_forest::{Dataset, ForestConfig, RandomForest};
 use bolt_server::store::{Wal, WalOp};
-use bolt_server::{ClassificationClient, ModelRegistry, ModelStore, RouteError, ServerBuilder};
+use bolt_server::{ClassificationClient, ModelStore, RouteError, ServerBuilder, StoreError};
 
 /// A tiny forest whose predictions depend on `seed`, so distinct models
 /// in the directory answer differently and a misrouted or stale mapping
@@ -164,7 +168,7 @@ fn lifecycle_survives_an_unclean_restart() {
     write_artifact(&dir, "old", 1, stock_artifact());
 
     {
-        let store = ModelStore::open(ModelRegistry::new(), &dir, None, 0).expect("opens");
+        let store = ModelStore::open(ModelStore::new(), &dir, None, 0).expect("opens");
         // Scan picks the newest version; roll fraud back to 1 explicitly.
         store.activate("fraud", 1).expect("rollback");
         store.set_default("spam").expect("default");
@@ -177,7 +181,7 @@ fn lifecycle_survives_an_unclean_restart() {
         // at append time, so this models a crash.
     }
 
-    let store = ModelStore::open(ModelRegistry::new(), &dir, None, 0).expect("reopens");
+    let store = ModelStore::open(ModelStore::new(), &dir, None, 0).expect("reopens");
     assert_eq!(
         project(&store),
         vec![("fraud".into(), 1, false), ("spam".into(), 1, true),],
@@ -199,7 +203,7 @@ fn torn_wal_tail_is_truncated_and_the_log_stays_writable() {
         write_artifact(&dir, "fraud", v, stock_artifact());
     }
     {
-        let store = ModelStore::open(ModelRegistry::new(), &dir, None, 0).expect("opens");
+        let store = ModelStore::open(ModelStore::new(), &dir, None, 0).expect("opens");
         store.activate("fraud", 1).expect("rollback");
     }
     let wal_path = dir.join("registry.wal");
@@ -215,7 +219,7 @@ fn torn_wal_tail_is_truncated_and_the_log_stays_writable() {
         f.write_all(&[16, 0, 0, 0, 0xde, 0xad, 0xbe]).expect("tear");
     }
 
-    let store = ModelStore::open(ModelRegistry::new(), &dir, None, 0).expect("reopens");
+    let store = ModelStore::open(ModelStore::new(), &dir, None, 0).expect("reopens");
     assert_eq!(project(&store), vec![("fraud".into(), 1, false)]);
     assert_eq!(
         std::fs::metadata(&wal_path).expect("wal").len(),
@@ -225,7 +229,7 @@ fn torn_wal_tail_is_truncated_and_the_log_stays_writable() {
     // The log keeps accepting appends after truncation, and they stick.
     store.activate("fraud", 2).expect("roll forward");
     drop(store);
-    let store = ModelStore::open(ModelRegistry::new(), &dir, None, 0).expect("reopens again");
+    let store = ModelStore::open(ModelStore::new(), &dir, None, 0).expect("reopens again");
     assert_eq!(project(&store), vec![("fraud".into(), 2, false)]);
 }
 
@@ -264,7 +268,7 @@ fn duplicate_and_superseded_wal_records_replay_idempotently() {
         }
     }
 
-    let store = ModelStore::open(ModelRegistry::new(), &dir, None, 0).expect("replays");
+    let store = ModelStore::open(ModelStore::new(), &dir, None, 0).expect("replays");
     assert_eq!(
         project(&store),
         vec![("fraud".into(), 2, true)],
@@ -286,7 +290,7 @@ fn compaction_prunes_superseded_versions_and_shrinks_the_log() {
     }
     write_artifact(&dir, "other", 1, stock_artifact());
 
-    let store = ModelStore::open(ModelRegistry::new(), &dir, None, 1).expect("opens");
+    let store = ModelStore::open(ModelStore::new(), &dir, None, 1).expect("opens");
     // Churn the log — roll forward through every version, then back to 1,
     // so the serving version is *not* the newest on disk.
     store.activate("fraud", 1).expect("activate");
@@ -314,7 +318,7 @@ fn compaction_prunes_superseded_versions_and_shrinks_the_log() {
     );
     drop(store);
 
-    let store = ModelStore::open(ModelRegistry::new(), &dir, None, 1).expect("reopens");
+    let store = ModelStore::open(ModelStore::new(), &dir, None, 1).expect("reopens");
     assert_eq!(
         project(&store),
         vec![("fraud".into(), 1, false), ("other".into(), 1, true)],
@@ -328,13 +332,72 @@ fn compaction_with_keep_versions_zero_deletes_no_files() {
     for v in 1..=3 {
         write_artifact(&dir, "fraud", v, stock_artifact());
     }
-    let store = ModelStore::open(ModelRegistry::new(), &dir, None, 0).expect("opens");
+    let store = ModelStore::open(ModelStore::new(), &dir, None, 0).expect("opens");
     store.activate("fraud", 3).expect("activate");
     let stats = store.compact().expect("compacts");
     assert_eq!(stats.files_deleted, 0);
     for v in 1..=3 {
         assert!(dir.join(format!("fraud@{v}.blt")).exists(), "v{v} kept");
     }
+}
+
+#[test]
+fn swap_of_a_directory_name_is_refused_cold_and_resident() {
+    let dir = unique_dir("swap");
+    write_artifact(&dir, "a", 1, &artifact(11, 1));
+    write_artifact(&dir, "b", 1, &artifact(12, 1));
+    // A one-byte budget keeps only the model that loaded last resident.
+    let store = ModelStore::open(ModelStore::new(), &dir, Some(1), 0).expect("opens");
+    let other = Arc::new(ScikitLikeForest::from_forest(&forest(99)));
+    assert_eq!(
+        store.swap("a", other.clone()).expect_err("cold"),
+        StoreError::Duplicate("a".into())
+    );
+    store.resolve(Some("a")).expect("maps");
+    assert_eq!(
+        store.swap("a", other).expect_err("resident"),
+        StoreError::Duplicate("a".into())
+    );
+    // After an eviction and a reload, `a` still serves its artifact.
+    store.resolve(Some("b")).expect("maps b, evicting a");
+    assert_eq!(store.metrics().evictions, 1);
+    let handle = store.resolve(Some("a")).expect("reloads");
+    let want = forest(11);
+    for i in 0..12 {
+        let sample = [(i % 6) as f32, ((i * 7) % 5) as f32];
+        assert_eq!(handle.engine().classify(&sample), want.predict(&sample));
+    }
+}
+
+#[test]
+fn retired_directory_name_is_revived_by_activate_not_register() {
+    let dir = unique_dir("revive");
+    write_artifact(&dir, "a", 1, stock_artifact());
+    let store = ModelStore::open(ModelStore::new(), &dir, None, 0).expect("opens");
+    store.retire("a").expect("retires");
+    let engine = Arc::new(ScikitLikeForest::from_forest(&forest(1)));
+    assert_eq!(
+        store.register("a", engine).expect_err("a directory name"),
+        StoreError::Duplicate("a".into())
+    );
+    assert!(matches!(
+        store.resolve(Some("a")),
+        Err(RouteError::RetiredModel(_))
+    ));
+    store.activate("a", 1).expect("revives");
+    store.resolve(Some("a")).expect("serves");
+    store.retire("a").expect("a revived name retires again");
+}
+
+#[test]
+fn open_refuses_a_base_name_that_is_also_in_the_directory() {
+    let dir = unique_dir("clash");
+    write_artifact(&dir, "a", 1, stock_artifact());
+    let base = ModelStore::new();
+    let engine = Arc::new(ScikitLikeForest::from_forest(&forest(1)));
+    base.register("a", engine).expect("registers in memory");
+    let err = ModelStore::open(base, &dir, None, 0).expect_err("a is in both");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }
 
 mod replay_equivalence {
@@ -378,7 +441,7 @@ mod replay_equivalence {
                     write_artifact(&dir, name, v, stock_artifact());
                 }
             }
-            let live = ModelStore::open(ModelRegistry::new(), &dir, None, 0).expect("opens");
+            let live = ModelStore::open(ModelStore::new(), &dir, None, 0).expect("opens");
             for op in &ops {
                 // Refusals (retiring the default, re-activating the
                 // active version, retired names) are part of the
@@ -390,12 +453,12 @@ mod replay_equivalence {
                 };
             }
             let want = project(&live);
-            let default = live.registry().default_model();
+            let default = live.default_model();
             drop(live);
 
-            let replayed = ModelStore::open(ModelRegistry::new(), &dir, None, 0).expect("replays");
+            let replayed = ModelStore::open(ModelStore::new(), &dir, None, 0).expect("replays");
             prop_assert_eq!(project(&replayed), want);
-            prop_assert_eq!(replayed.registry().default_model(), default);
+            prop_assert_eq!(replayed.default_model(), default);
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -1,12 +1,12 @@
 //! End-to-end differential check for the serving stack (Fig. 7 of the
 //! paper): classifications served over the socket front-ends — frame
-//! codec, registry routing, engine adapters, response framing — must
+//! codec, model-store routing, engine adapters, response framing — must
 //! equal the reference forest traversal for the same adversarial inputs
 //! the in-process harness uses, including NaN and infinite features,
 //! which must survive the wire encoding bit-exactly.
 //!
 //! One server process hosts Bolt *and* every baseline in its model
-//! registry, so all four engines answer through the identical socket and
+//! store, so all four engines answer through the identical socket and
 //! protocol path and can be compared request-for-request.
 
 use std::sync::Arc;

@@ -282,7 +282,7 @@ fn event_loop_tcp_pipelining_and_hot_swap() {
     }
     // Hot-swap under the event loop: subsequent resolves see the new
     // engine, stats carry over.
-    server.registry().swap("m", engine(1)).expect("hot-swaps");
+    server.store().swap("m", engine(1)).expect("hot-swaps");
     stream
         .write_all(
             &ClassifyRequest {
