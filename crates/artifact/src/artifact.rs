@@ -10,9 +10,8 @@ use std::path::Path;
 /// and per-section checksums have been verified.
 ///
 /// This type owns the bytes and answers "where is section N"; model-level
-/// structural validation lives in [`MappedForest`](crate::MappedForest) /
-/// [`MappedRegressor`](crate::MappedRegressor), which borrow section slices
-/// from here to build kernel views.
+/// structural validation lives in [`MappedForest`](crate::MappedForest),
+/// which borrows section slices from here to build kernel views.
 pub struct Artifact {
     data: mmap::Mmap,
     header: Header,

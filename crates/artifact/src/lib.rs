@@ -1,7 +1,7 @@
 //! Zero-copy model artifact store for Bolt (`BLT1` format).
 //!
-//! A compiled [`BoltForest`](bolt_core::BoltForest) or
-//! [`BoltRegressor`](bolt_core::BoltRegressor) serializes into a single
+//! A compiled [`BoltForest`](bolt_core::BoltForest), whatever its
+//! [`Head`](bolt_core::Head), serializes into a single
 //! `.blt` file ([`ArtifactWriter`]) whose sections are exactly the arrays
 //! the scan kernels consume: dictionary mask/key lane words, the flattened
 //! uncommon-predicate gather, the recombined table's slot and vote columns,
@@ -30,7 +30,7 @@ mod model;
 mod writer;
 
 pub use artifact::{section_name, Artifact};
-pub use model::{MappedForest, MappedModel, MappedRegressor, ModelMeta};
+pub use model::{MappedForest, ModelMeta};
 pub use writer::ArtifactWriter;
 
 use std::fmt;

@@ -5,9 +5,8 @@ use crate::artifact::{section_name, Artifact};
 use crate::cast::{cast_f64, cast_u32, cast_u64};
 use crate::format::{self, section};
 use crate::ArtifactError;
-use bolt_bitpack::Mask;
 use bolt_core::{
-    Aggregation, BatchScratch, BloomView, BoltScratch, DictView, EntryIndex, ForestView, TableView,
+    BatchScratch, BloomView, BoltScratch, DictView, EntryIndex, ForestView, Head, TableView,
     EMPTY_SLOT_ENTRY,
 };
 use bolt_forest::PredicateUniverse;
@@ -21,7 +20,7 @@ pub struct ModelMeta {
     pub width: u32,
     /// Number of dictionary entries.
     pub n_entries: u32,
-    /// Number of classes (0 for regressors).
+    /// Number of classes (0 under a regression head).
     pub n_classes: u32,
     /// Number of trees in the source ensemble.
     pub n_trees: u32,
@@ -29,7 +28,8 @@ pub struct ModelMeta {
     pub n_features: u32,
     /// Bloom-filter probes per query (0 when no bloom section).
     pub bloom_n_hashes: u32,
-    /// Aggregation byte (regressors: 0 = mean, 1 = sum).
+    /// Regression head byte: 0 = [`Head::Mean`], 1 = [`Head::Sum`]
+    /// (0 for classifiers).
     pub aggregation: u8,
     /// Recombined-table slot capacity (a power of two).
     pub table_capacity: u64,
@@ -197,7 +197,7 @@ impl SectionRanges {
 /// Structural validation of everything the scan kernels assume, so the views
 /// can never panic or read out of bounds on data that passed here. Runs once
 /// at load — O(model size), same cost class as the CRC pass.
-fn validate(raw: &RawSections<'_>, meta: &ModelMeta) -> Result<(), ArtifactError> {
+fn validate(raw: &RawSections<'_>, meta: &ModelMeta, head: Head) -> Result<(), ArtifactError> {
     let width = meta.width as usize;
     let n_entries = meta.n_entries as usize;
     let stride = width.div_ceil(64).max(1);
@@ -283,7 +283,9 @@ fn validate(raw: &RawSections<'_>, meta: &ModelMeta) -> Result<(), ArtifactError
             "table has no empty slot; probing would not terminate",
         ));
     }
-    if meta.n_classes > 0 && raw.vote_classes.iter().any(|&c| c >= meta.n_classes) {
+    // Every vote adds into the accumulator slot its class names; a
+    // regression head has one slot, so its classes must all be 0.
+    if raw.vote_classes.iter().any(|&c| c as usize >= head.slots()) {
         return Err(invalid("vote class out of range"));
     }
 
@@ -304,29 +306,6 @@ fn validate(raw: &RawSections<'_>, meta: &ModelMeta) -> Result<(), ArtifactError
     Ok(())
 }
 
-/// Everything a mapped model derives from its artifact at load: the
-/// predicate universe, where the kernel sections lie, and the entry-bitmap
-/// index built over the validated dictionary arrays (derived data — the
-/// file carries none of it, so there is nothing new to trust).
-struct Derived {
-    universe: PredicateUniverse,
-    ranges: SectionRanges,
-    index: EntryIndex,
-}
-
-fn derive(artifact: &Artifact, meta: &ModelMeta) -> Result<Derived, ArtifactError> {
-    let universe = rebuild_universe(artifact, meta)?;
-    let ranges = SectionRanges::locate(artifact)?;
-    let raw = ranges.typed(artifact.bytes())?;
-    validate(&raw, meta)?;
-    let index = EntryIndex::build(dict_view(&raw, meta), &universe);
-    Ok(Derived {
-        universe,
-        ranges,
-        index,
-    })
-}
-
 fn dict_view<'a>(raw: &RawSections<'a>, meta: &ModelMeta) -> DictView<'a> {
     DictView::new(
         meta.width as usize,
@@ -337,40 +316,9 @@ fn dict_view<'a>(raw: &RawSections<'a>, meta: &ModelMeta) -> DictView<'a> {
     )
 }
 
-/// Builds the kernel view over sections [`derive`] validated. The
-/// `TableView`/`DictView` constructors re-assert the O(1) shape facts.
-fn forest_view<'a>(
-    artifact: &'a Artifact,
-    derived: &'a Derived,
-    meta: &ModelMeta,
-    constant_votes: &'a [(u32, f64)],
-) -> ForestView<'a> {
-    let raw = derived
-        .ranges
-        .typed(artifact.bytes())
-        .expect("sections validated at load");
-    let table = TableView::new(
-        (raw.slot_entries.len() - 1) as u64,
-        raw.slot_entries,
-        raw.slot_addrs,
-        raw.vote_offsets,
-        raw.vote_classes,
-        raw.vote_weights,
-    );
-    let bloom = raw
-        .bloom_words
-        .map(|words| BloomView::new(words, words.len() as u64 * 64 - 1, meta.bloom_n_hashes));
-    ForestView::new(
-        dict_view(&raw, meta),
-        derived.index.view(),
-        table,
-        bloom,
-        constant_votes,
-        meta.n_classes as usize,
-    )
-}
-
-/// A classification forest served directly from a mapped `BLT1` artifact.
+/// A compiled model served directly from a mapped `BLT1` artifact — any
+/// [`Head`]: the header's `model_kind`, `META` byte 24 and the `CONST`
+/// layout say which.
 ///
 /// Only the predicate universe (needed for input encoding), the derived
 /// entry-bitmap index and the constant votes are materialized on the heap;
@@ -378,53 +326,105 @@ fn forest_view<'a>(
 /// on every [`Self::view`] call — no full-model heap copy ever happens.
 pub struct MappedForest {
     artifact: Artifact,
-    derived: Derived,
-    constant_votes: Vec<(u32, f64)>,
     meta: ModelMeta,
+    head: Head,
+    constant_votes: Vec<(u32, f64)>,
+    /// Derived at load, and so nothing new to trust: the predicate
+    /// universe, where the kernel sections lie, and the entry-bitmap index
+    /// built over the validated dictionary arrays.
+    universe: PredicateUniverse,
+    ranges: SectionRanges,
+    index: EntryIndex,
 }
 
 impl MappedForest {
-    /// Maps and validates a classifier artifact at `path`.
+    /// Maps and validates the artifact at `path`.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, ArtifactError> {
         Self::from_artifact(Artifact::map(path)?)
     }
 
-    /// Validates an already-mapped artifact as a classifier.
+    /// Validates an already-mapped artifact as the model its header
+    /// declares.
     pub fn from_artifact(artifact: Artifact) -> Result<Self, ArtifactError> {
-        if artifact.header().model_kind != format::KIND_CLASSIFIER {
-            return Err(invalid("artifact is not a classifier"));
-        }
         let meta = parse_meta(&artifact)?;
-        if meta.n_classes == 0 {
-            return Err(invalid("classifier must have at least one class"));
-        }
-        let derived = derive(&artifact, &meta)?;
-        let constant_votes = parse_constant_votes(&artifact, &meta)?;
+        let (head, constant_votes) = parse_head(&artifact, &meta)?;
+        let universe = rebuild_universe(&artifact, &meta)?;
+        let ranges = SectionRanges::locate(&artifact)?;
+        let raw = ranges.typed(artifact.bytes())?;
+        validate(&raw, &meta, head)?;
+        let index = EntryIndex::build(dict_view(&raw, &meta), &universe);
         Ok(Self {
             artifact,
-            derived,
-            constant_votes,
             meta,
+            head,
+            constant_votes,
+            universe,
+            ranges,
+            index,
         })
     }
 
     /// The kernel view over the mapped bytes — the same [`ForestView`] an
     /// owned [`BoltForest`](bolt_core::BoltForest) produces, so every
-    /// downstream scan is shared code and bit-identical.
+    /// downstream scan is shared code and bit-identical. The `TableView`
+    /// and `DictView` constructors re-assert the O(1) shape facts of the
+    /// sections validated at load.
     #[must_use]
     pub fn view(&self) -> ForestView<'_> {
-        forest_view(
-            &self.artifact,
-            &self.derived,
-            &self.meta,
+        let raw = self
+            .ranges
+            .typed(self.artifact.bytes())
+            .expect("sections validated at load");
+        let table = TableView::new(
+            (raw.slot_entries.len() - 1) as u64,
+            raw.slot_entries,
+            raw.slot_addrs,
+            raw.vote_offsets,
+            raw.vote_classes,
+            raw.vote_weights,
+        );
+        let bloom = raw.bloom_words.map(|words| {
+            BloomView::new(words, words.len() as u64 * 64 - 1, self.meta.bloom_n_hashes)
+        });
+        ForestView::new(
+            dict_view(&raw, &self.meta),
+            self.index.view(),
+            table,
+            bloom,
             &self.constant_votes,
+            self.head.slots(),
         )
     }
 
-    /// Encodes a sample into predicate space.
+    /// How the accumulated weights are read.
     #[must_use]
-    pub fn encode(&self, sample: &[f32]) -> Mask {
-        self.derived.universe.evaluate(sample)
+    pub fn head(&self) -> Head {
+        self.head
+    }
+
+    /// Predicts one sample through the caller's scratch — the same body as
+    /// [`BoltForest::predict_with`](bolt_core::BoltForest::predict_with),
+    /// run over the mapped bytes: same accumulation order, same final cast.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample is shorter than the model's feature count.
+    #[must_use]
+    pub fn predict_with(&self, sample: &[f32], scratch: &mut BoltScratch) -> f32 {
+        let acc = self
+            .view()
+            .votes_with(&self.universe, sample, scratch, None);
+        self.head.read(acc, self.meta.n_trees as usize)
+    }
+
+    /// [`Self::predict_with`] with a scratch allocated for the call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample is shorter than the model's feature count.
+    #[must_use]
+    pub fn predict(&self, sample: &[f32]) -> f32 {
+        self.predict_with(sample, &mut BoltScratch::default())
     }
 
     /// Classifies one sample, allocating a scratch for the call; serving
@@ -444,8 +444,7 @@ impl MappedForest {
     /// Panics if the sample is shorter than the model's feature count.
     #[must_use]
     pub fn classify_with(&self, sample: &[f32], scratch: &mut BoltScratch) -> u32 {
-        self.view()
-            .classify_with(&self.derived.universe, sample, scratch)
+        self.view().classify_with(&self.universe, sample, scratch)
     }
 
     /// Per-class vote totals for one sample (bit-identical to the owned
@@ -453,12 +452,7 @@ impl MappedForest {
     #[must_use]
     pub fn votes(&self, sample: &[f32]) -> Vec<f64> {
         self.view()
-            .votes_with(
-                &self.derived.universe,
-                sample,
-                &mut BoltScratch::default(),
-                None,
-            )
+            .votes_with(&self.universe, sample, &mut BoltScratch::default(), None)
             .to_vec()
     }
 
@@ -467,7 +461,7 @@ impl MappedForest {
     /// length).
     #[must_use]
     pub fn index_bytes(&self) -> usize {
-        self.derived.index.heap_bytes()
+        self.index.heap_bytes()
     }
 
     /// Classifies a batch through the shared batched body
@@ -496,29 +490,9 @@ impl MappedForest {
         out: &mut Vec<u32>,
     ) {
         self.view()
-            .batch_votes_into(&self.derived.universe, samples, scratch);
+            .batch_votes_into(&self.universe, samples, scratch);
         out.clear();
         out.extend((0..samples.len()).map(|b| scratch.class(b)));
-    }
-
-    /// Sharded batched classification across scoped threads; results are
-    /// identical to [`Self::classify_batch`] regardless of shard count.
-    #[must_use]
-    pub fn classify_batch_sharded(&self, samples: &[&[f32]], shards: usize) -> Vec<u32> {
-        let shards = shards.clamp(1, samples.len().max(1));
-        if shards <= 1 {
-            return self.classify_batch(samples);
-        }
-        let chunk = samples.len().div_ceil(shards);
-        let mut out = vec![0u32; samples.len()];
-        std::thread::scope(|scope| {
-            for (shard_samples, shard_out) in samples.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    shard_out.copy_from_slice(&self.classify_batch(shard_samples));
-                });
-            }
-        });
-        out
     }
 
     /// Number of classes.
@@ -542,7 +516,7 @@ impl MappedForest {
     /// The reconstructed predicate universe.
     #[must_use]
     pub fn universe(&self) -> &PredicateUniverse {
-        &self.derived.universe
+        &self.universe
     }
 
     /// The underlying validated artifact.
@@ -552,11 +526,47 @@ impl MappedForest {
     }
 }
 
-fn parse_constant_votes(
+/// The head the header's `model_kind` and `META` byte 24 declare, and the
+/// constant votes its `CONST` layout holds. A vote head's `CONST` is a
+/// count, then that many classes, then as many weights; a regression
+/// head's is its folded constant sum and its base, and the sum becomes the
+/// one constant vote `(0, sum)`.
+fn parse_head(
     artifact: &Artifact,
     meta: &ModelMeta,
-) -> Result<Vec<(u32, f64)>, ArtifactError> {
+) -> Result<(Head, Vec<(u32, f64)>), ArtifactError> {
     let bytes = artifact.require(section::CONST)?;
+    let f64_at = |at: usize| f64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    if artifact.header().model_kind == format::KIND_REGRESSOR {
+        if meta.aggregation > 1 {
+            return Err(invalid(format!(
+                "unknown aggregation byte {}",
+                meta.aggregation
+            )));
+        }
+        if meta.aggregation == 0 && meta.n_trees == 0 {
+            return Err(invalid("mean aggregation needs at least one tree"));
+        }
+        if bytes.len() != 16 {
+            return Err(invalid(format!(
+                "regressor CONST must be 16 bytes, got {}",
+                bytes.len()
+            )));
+        }
+        let (constant_sum, base) = (f64_at(0), f64_at(8));
+        if !constant_sum.is_finite() || !base.is_finite() {
+            return Err(invalid("regressor CONST scalars must be finite"));
+        }
+        let head = if meta.aggregation == 0 {
+            Head::Mean
+        } else {
+            Head::Sum { base }
+        };
+        return Ok((head, vec![(0, constant_sum)]));
+    }
+    if meta.n_classes == 0 {
+        return Err(invalid("classifier must have at least one class"));
+    }
     if bytes.len() < 4 {
         return Err(invalid("CONST too short for its count field"));
     }
@@ -574,153 +584,10 @@ fn parse_constant_votes(
         if class >= meta.n_classes {
             return Err(invalid("CONST vote class out of range"));
         }
-        let at = 4 + count * 4 + i * 8;
-        let weight = f64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        votes.push((class, weight));
+        votes.push((class, f64_at(4 + count * 4 + i * 8)));
     }
-    Ok(votes)
-}
-
-/// A regression forest served directly from a mapped `BLT1` artifact.
-pub struct MappedRegressor {
-    artifact: Artifact,
-    derived: Derived,
-    constant_sum: f64,
-    base: f64,
-    aggregation: Aggregation,
-    meta: ModelMeta,
-}
-
-impl MappedRegressor {
-    /// Maps and validates a regressor artifact at `path`.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, ArtifactError> {
-        Self::from_artifact(Artifact::map(path)?)
-    }
-
-    /// Validates an already-mapped artifact as a regressor.
-    pub fn from_artifact(artifact: Artifact) -> Result<Self, ArtifactError> {
-        if artifact.header().model_kind != format::KIND_REGRESSOR {
-            return Err(invalid("artifact is not a regressor"));
-        }
-        let meta = parse_meta(&artifact)?;
-        let derived = derive(&artifact, &meta)?;
-        let aggregation = match meta.aggregation {
-            0 => Aggregation::Mean,
-            1 => Aggregation::Sum,
-            other => return Err(invalid(format!("unknown aggregation byte {other}"))),
-        };
-        if aggregation == Aggregation::Mean && meta.n_trees == 0 {
-            return Err(invalid("mean aggregation needs at least one tree"));
-        }
-        let bytes = artifact.require(section::CONST)?;
-        if bytes.len() != 16 {
-            return Err(invalid(format!(
-                "regressor CONST must be 16 bytes, got {}",
-                bytes.len()
-            )));
-        }
-        let constant_sum = f64::from_le_bytes(bytes[0..8].try_into().unwrap());
-        let base = f64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        if !constant_sum.is_finite() || !base.is_finite() {
-            return Err(invalid("regressor CONST scalars must be finite"));
-        }
-        Ok(Self {
-            artifact,
-            derived,
-            constant_sum,
-            base,
-            aggregation,
-            meta,
-        })
-    }
-
-    /// The kernel view over the mapped bytes (regressor form: no constant
-    /// votes, zero classes).
-    #[must_use]
-    pub fn view(&self) -> ForestView<'_> {
-        forest_view(&self.artifact, &self.derived, &self.meta, &[])
-    }
-
-    /// Predicts from an encoded input, replicating
-    /// [`BoltRegressor::predict_bits`](bolt_core::BoltRegressor::predict_bits)
-    /// exactly (same accumulation order, same final cast).
-    #[must_use]
-    pub fn predict_bits(&self, bits: &Mask) -> f32 {
-        self.aggregate(self.view().accumulate_weights(bits, self.constant_sum))
-    }
-
-    /// Predicts the target value for one sample, replicating
-    /// [`BoltRegressor::predict`](bolt_core::BoltRegressor::predict)
-    /// exactly (index match, same accumulation order, same final cast).
-    #[must_use]
-    pub fn predict(&self, sample: &[f32]) -> f32 {
-        let mut scratch = BoltScratch::default();
-        self.aggregate(self.view().weight_sum_with(
-            &self.derived.universe,
-            sample,
-            &mut scratch,
-            self.constant_sum,
-        ))
-    }
-
-    fn aggregate(&self, sum: f64) -> f32 {
-        match self.aggregation {
-            Aggregation::Mean => (sum / self.meta.n_trees as f64) as f32,
-            Aggregation::Sum => (self.base + sum) as f32,
-        }
-    }
-
-    /// The model-shape metadata from the `META` section.
-    #[must_use]
-    pub fn meta(&self) -> ModelMeta {
-        self.meta
-    }
-
-    /// The underlying validated artifact.
-    #[must_use]
-    pub fn artifact(&self) -> &Artifact {
-        &self.artifact
-    }
-}
-
-/// Either kind of mapped model, dispatched on the header's `model_kind`.
-pub enum MappedModel {
-    /// A classification artifact.
-    Forest(MappedForest),
-    /// A regression artifact.
-    Regressor(MappedRegressor),
-}
-
-impl MappedModel {
-    /// Maps `path` and validates it as whichever kind its header declares.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, ArtifactError> {
-        Self::from_artifact(Artifact::map(path)?)
-    }
-
-    /// Validates an already-mapped artifact as its declared kind.
-    pub fn from_artifact(artifact: Artifact) -> Result<Self, ArtifactError> {
-        match artifact.header().model_kind {
-            format::KIND_CLASSIFIER => MappedForest::from_artifact(artifact).map(Self::Forest),
-            format::KIND_REGRESSOR => MappedRegressor::from_artifact(artifact).map(Self::Regressor),
-            other => Err(ArtifactError::UnsupportedKind(other)),
-        }
-    }
-
-    /// The model-shape metadata.
-    #[must_use]
-    pub fn meta(&self) -> ModelMeta {
-        match self {
-            Self::Forest(m) => m.meta(),
-            Self::Regressor(m) => m.meta(),
-        }
-    }
-
-    /// The underlying validated artifact.
-    #[must_use]
-    pub fn artifact(&self) -> &Artifact {
-        match self {
-            Self::Forest(m) => m.artifact(),
-            Self::Regressor(m) => m.artifact(),
-        }
-    }
+    let head = Head::Vote {
+        n_classes: meta.n_classes as usize,
+    };
+    Ok((head, votes))
 }

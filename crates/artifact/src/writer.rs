@@ -1,7 +1,7 @@
 //! Serialization of compiled models into the `BLT1` on-disk form.
 
 use crate::format::{self, align_up, crc32, section, Header, SectionDesc};
-use bolt_core::{BoltForest, BoltRegressor};
+use bolt_core::{BoltForest, Head};
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -16,7 +16,7 @@ pub struct ArtifactWriter;
 const META_LEN: usize = 64;
 
 impl ArtifactWriter {
-    /// Serializes a classification forest into `BLT1` bytes with
+    /// Serializes a compiled model into `BLT1` bytes with
     /// [`Header::model_version`] zero ("unversioned"); see
     /// [`serialize_forest_versioned`](Self::serialize_forest_versioned)
     /// to stamp a deployment version for a model store.
@@ -25,9 +25,15 @@ impl ArtifactWriter {
         Self::serialize_forest_versioned(bolt, 0)
     }
 
-    /// Serializes a classification forest into `BLT1` bytes, stamping
+    /// Serializes a compiled model into `BLT1` bytes, stamping
     /// `model_version` into the header — the `V` a model store expects to
     /// match the artifact's `NAME@V.blt` file name.
+    ///
+    /// The head picks the header's `model_kind`, `META` byte 24 and the
+    /// `CONST` layout: a vote head writes [`format::KIND_CLASSIFIER`] with
+    /// its constant votes; a regression head writes
+    /// [`format::KIND_REGRESSOR`], zero classes, byte 24 = 0 (mean) or
+    /// 1 (sum), and `CONST` as its folded constant sum then its base.
     #[must_use]
     pub fn serialize_forest_versioned(bolt: &BoltForest, model_version: u32) -> Vec<u8> {
         let view = bolt.view();
@@ -41,74 +47,33 @@ impl ArtifactWriter {
         meta[12..16].copy_from_slice(&(bolt.n_trees() as u32).to_le_bytes());
         meta[16..20].copy_from_slice(&(bolt.universe().n_features() as u32).to_le_bytes());
         meta[20..24].copy_from_slice(&view.bloom().map_or(0, |b| b.n_hashes()).to_le_bytes());
-        meta[24] = 0; // aggregation: unused for classifiers
         meta[32..40].copy_from_slice(&(table.capacity() as u64).to_le_bytes());
 
         let consts = view.constant_votes();
-        let mut const_bytes = Vec::with_capacity(4 + consts.len() * 12);
-        const_bytes.extend_from_slice(&(consts.len() as u32).to_le_bytes());
-        for &(class, _) in consts {
-            const_bytes.extend_from_slice(&class.to_le_bytes());
-        }
-        for &(_, weight) in consts {
-            const_bytes.extend_from_slice(&weight.to_le_bytes());
-        }
-
-        let mut sections: Vec<(u32, Vec<u8>)> = vec![
-            (section::META, meta.to_vec()),
-            (section::PRED, pred_bytes(bolt.universe())),
-            (section::DICT_MASK, u64_bytes(dict.mask_words())),
-            (section::DICT_KEY, u64_bytes(dict.key_words())),
-            (section::DICT_UNCOMMON, u32_bytes(dict.uncommon_flat())),
-            (section::DICT_OFFSETS, u32_bytes(dict.uncommon_offsets())),
-            (section::TBL_SLOT_ENTRY, u32_bytes(table.slot_entries())),
-            (section::TBL_SLOT_ADDR, u64_bytes(table.slot_addrs())),
-            (section::TBL_VOTE_OFF, u32_bytes(table.vote_offsets())),
-            (section::TBL_VOTE_CLASS, u32_bytes(table.vote_classes())),
-            (section::TBL_VOTE_WEIGHT, f64_bytes(table.vote_weights())),
-        ];
-        let mut flags = 0u8;
-        if let Some(bloom) = view.bloom() {
-            flags |= format::FLAG_HAS_BLOOM;
-            sections.push((section::BLOOM, u64_bytes(bloom.words())));
-        }
-        sections.push((section::CONST, const_bytes));
-
-        assemble(format::KIND_CLASSIFIER, flags, model_version, &sections)
-    }
-
-    /// Serializes a regression forest into `BLT1` bytes with
-    /// [`Header::model_version`] zero; see
-    /// [`serialize_regressor_versioned`](Self::serialize_regressor_versioned).
-    #[must_use]
-    pub fn serialize_regressor(bolt: &BoltRegressor) -> Vec<u8> {
-        Self::serialize_regressor_versioned(bolt, 0)
-    }
-
-    /// Serializes a regression forest into `BLT1` bytes, stamping
-    /// `model_version` into the header.
-    #[must_use]
-    pub fn serialize_regressor_versioned(bolt: &BoltRegressor, model_version: u32) -> Vec<u8> {
-        let view = bolt.view();
-        let dict = view.dict();
-        let table = view.table();
-
-        let mut meta = [0u8; META_LEN];
-        meta[0..4].copy_from_slice(&(dict.width() as u32).to_le_bytes());
-        meta[4..8].copy_from_slice(&(dict.len() as u32).to_le_bytes());
-        // n_classes stays 0: regressors have no vote classes.
-        meta[12..16].copy_from_slice(&(bolt.n_trees() as u32).to_le_bytes());
-        meta[16..20].copy_from_slice(&(bolt.universe().n_features() as u32).to_le_bytes());
-        meta[20..24].copy_from_slice(&view.bloom().map_or(0, |b| b.n_hashes()).to_le_bytes());
-        meta[24] = match bolt.aggregation() {
-            bolt_core::Aggregation::Mean => 0,
-            bolt_core::Aggregation::Sum => 1,
+        let mut const_bytes = Vec::new();
+        let kind = match bolt.head() {
+            Head::Vote { .. } => {
+                const_bytes.extend_from_slice(&(consts.len() as u32).to_le_bytes());
+                for &(class, _) in consts {
+                    const_bytes.extend_from_slice(&class.to_le_bytes());
+                }
+                for &(_, weight) in consts {
+                    const_bytes.extend_from_slice(&weight.to_le_bytes());
+                }
+                format::KIND_CLASSIFIER
+            }
+            head => {
+                // A regression head folds its constants into one `(0, Σ)`.
+                let base = match head {
+                    Head::Sum { base } => base,
+                    _ => 0.0,
+                };
+                meta[24] = u8::from(matches!(head, Head::Sum { .. }));
+                const_bytes.extend_from_slice(&consts[0].1.to_le_bytes());
+                const_bytes.extend_from_slice(&base.to_le_bytes());
+                format::KIND_REGRESSOR
+            }
         };
-        meta[32..40].copy_from_slice(&(table.capacity() as u64).to_le_bytes());
-
-        let mut const_bytes = Vec::with_capacity(16);
-        const_bytes.extend_from_slice(&bolt.constant_sum().to_le_bytes());
-        const_bytes.extend_from_slice(&bolt.base().to_le_bytes());
 
         let mut sections: Vec<(u32, Vec<u8>)> = vec![
             (section::META, meta.to_vec()),
@@ -130,16 +95,16 @@ impl ArtifactWriter {
         }
         sections.push((section::CONST, const_bytes));
 
-        assemble(format::KIND_REGRESSOR, flags, model_version, &sections)
+        assemble(kind, flags, model_version, &sections)
     }
 
-    /// Serializes a classification forest and writes it to `path`.
+    /// Serializes a compiled model and writes it to `path`.
     pub fn write_forest(bolt: &BoltForest, path: impl AsRef<Path>) -> io::Result<()> {
         write_atomic(path.as_ref(), &Self::serialize_forest(bolt))
     }
 
-    /// Serializes a classification forest with a stamped model version
-    /// and writes it to `path`.
+    /// Serializes a compiled model with a stamped model version and writes
+    /// it to `path`.
     pub fn write_forest_versioned(
         bolt: &BoltForest,
         model_version: u32,
@@ -148,24 +113,6 @@ impl ArtifactWriter {
         write_atomic(
             path.as_ref(),
             &Self::serialize_forest_versioned(bolt, model_version),
-        )
-    }
-
-    /// Serializes a regression forest and writes it to `path`.
-    pub fn write_regressor(bolt: &BoltRegressor, path: impl AsRef<Path>) -> io::Result<()> {
-        write_atomic(path.as_ref(), &Self::serialize_regressor(bolt))
-    }
-
-    /// Serializes a regression forest with a stamped model version and
-    /// writes it to `path`.
-    pub fn write_regressor_versioned(
-        bolt: &BoltRegressor,
-        model_version: u32,
-        path: impl AsRef<Path>,
-    ) -> io::Result<()> {
-        write_atomic(
-            path.as_ref(),
-            &Self::serialize_regressor_versioned(bolt, model_version),
         )
     }
 }

@@ -2,11 +2,12 @@
 //! `.blt` file must classify **bit-identically** to the in-memory model it
 //! was serialized from, across the full compile configuration matrix
 //! (cluster threshold × bloom filtering × explanation payloads), on
-//! adversarial inputs, through the per-sample, batched, and sharded paths.
+//! adversarial inputs, through the per-sample and batched paths — and so
+//! must a regressor's prediction bits.
 
-use bolt_artifact::{Artifact, ArtifactWriter, MappedForest, MappedRegressor};
+use bolt_artifact::{Artifact, ArtifactWriter, MappedForest};
 use bolt_core::oracle::{self, OracleRng};
-use bolt_core::{BatchScratch, BoltConfig, BoltForest, BoltRegressor, BoltScratch};
+use bolt_core::{BatchScratch, BoltConfig, BoltForest, BoltScratch};
 use bolt_forest::{RegressionConfig, RegressionDataset, RegressionForest};
 
 /// The index a mapped model builds at open (from the mapped flat arrays and
@@ -128,11 +129,6 @@ fn classifier_round_trip_is_bit_identical_across_config_matrix() {
                 refs,
                 "batched, seed {seed} config {i}"
             );
-            assert_eq!(
-                mapped.classify_batch_sharded(&slices, 3),
-                refs,
-                "sharded, seed {seed} config {i}"
-            );
             assert_mapped_batch_matches(
                 &bolt,
                 &mapped,
@@ -181,10 +177,11 @@ fn regressor_round_trip_is_bit_identical() {
             let config = BoltConfig::default()
                 .with_cluster_threshold(threshold)
                 .with_bloom_bits_per_key(bloom_bits);
-            let bolt = BoltRegressor::compile(&forest, &config).expect("compile");
+            let bolt = BoltForest::compile(&forest, &config).expect("compile");
             let path = temp_blt(&format!("reg-{threshold}-{bloom_bits}"));
-            ArtifactWriter::write_regressor(&bolt, &path).expect("write");
-            let mapped = MappedRegressor::open(&path).expect("open");
+            ArtifactWriter::write_forest(&bolt, &path).expect("write");
+            let mapped = MappedForest::open(&path).expect("open");
+            assert_eq!(mapped.head(), bolt.head());
             for row in &rows {
                 assert_eq!(
                     mapped.predict(row).to_bits(),
@@ -194,26 +191,15 @@ fn regressor_round_trip_is_bit_identical() {
                 // Mapped index match vs owned dictionary scan.
                 assert_eq!(
                     mapped.predict(row).to_bits(),
-                    bolt.predict_bits(&bolt.encode(row)).to_bits(),
+                    bolt.head()
+                        .read(&bolt.votes_for_bits(&bolt.encode(row)), bolt.n_trees())
+                        .to_bits(),
                     "threshold {threshold} bloom {bloom_bits}: mapped index diverges from owned scan"
                 );
             }
             std::fs::remove_file(&path).ok();
         }
     }
-}
-
-#[test]
-fn wrong_kind_is_rejected_with_structured_error() {
-    let case = oracle::served_case(5, 4);
-    let bolt = BoltForest::compile(&case.forest, &BoltConfig::default()).expect("compile");
-    let bytes = ArtifactWriter::serialize_forest(&bolt);
-    let artifact = Artifact::from_bytes(&bytes).expect("valid artifact");
-    let err = match MappedRegressor::from_artifact(artifact) {
-        Err(e) => e,
-        Ok(_) => panic!("classifier accepted as a regressor"),
-    };
-    assert!(err.to_string().contains("not a regressor"), "{err}");
 }
 
 /// The library contract on mapped models: a sample shorter than the
@@ -234,10 +220,10 @@ fn short_samples_panic_on_every_mapped_path() {
     let targets = rows.iter().map(|r| r[0] - r[1]).collect();
     let data = RegressionDataset::from_rows(rows, targets).expect("dataset");
     let forest = RegressionForest::train(&data, &RegressionConfig::new(3).with_seed(2));
-    let regressor = BoltRegressor::compile(&forest, &BoltConfig::default()).expect("compile");
+    let regressor = BoltForest::compile(&forest, &BoltConfig::default()).expect("compile");
     let path = temp_blt("short-reg");
-    ArtifactWriter::write_regressor(&regressor, &path).expect("write");
-    let mapped_regressor = MappedRegressor::open(&path).expect("open");
+    ArtifactWriter::write_forest(&regressor, &path).expect("write");
+    let mapped_regressor = MappedForest::open(&path).expect("open");
     std::fs::remove_file(&path).ok();
 
     let short = vec![0.5f32; mapped.n_features() - 1];

@@ -5,9 +5,11 @@
 //! exactly like the undamaged reference. Never a panic, never a silent
 //! misclassification.
 
-use bolt_artifact::{Artifact, ArtifactWriter, MappedForest, MappedModel};
+use bolt_artifact::format::{crc32, section, HEADER_LEN, SECTION_ENTRY_LEN};
+use bolt_artifact::{Artifact, ArtifactWriter, MappedForest};
 use bolt_core::oracle;
 use bolt_core::{BoltConfig, BoltForest};
+use bolt_forest::{RegressionConfig, RegressionDataset, RegressionForest};
 use proptest::prelude::*;
 
 struct Reference {
@@ -113,7 +115,7 @@ fn garbage_and_empty_inputs_are_rejected() {
     assert!(Artifact::from_bytes(&[0u8; 64]).is_err());
     assert!(Artifact::from_bytes(b"not a model at all, definitely json {}").is_err());
     // A JSON model file must not be mistaken for an artifact.
-    assert!(MappedModel::open("/definitely/not/a/real/path.blt").is_err());
+    assert!(MappedForest::open("/definitely/not/a/real/path.blt").is_err());
 }
 
 #[test]
@@ -130,5 +132,40 @@ fn version_bump_is_rejected_as_unsupported() {
     match Artifact::from_bytes(&bytes) {
         Err(bolt_artifact::ArtifactError::UnsupportedVersion(2)) => {}
         other => panic!("expected UnsupportedVersion(2), got {:?}", other.err()),
+    }
+}
+
+/// A regression head reads a single accumulator slot, so every vote class
+/// of a regressor artifact must be 0. A class of 1, with its section CRC
+/// restamped, is refused at load rather than indexing past the slot.
+#[test]
+fn regressor_vote_class_beyond_its_one_slot_is_rejected() {
+    let rows: Vec<Vec<f32>> = (0..60)
+        .map(|i| vec![(i % 7) as f32, (i % 5) as f32])
+        .collect();
+    let targets = rows.iter().map(|r| r[0] - r[1]).collect();
+    let data = RegressionDataset::from_rows(rows, targets).expect("dataset");
+    let forest = RegressionForest::train(&data, &RegressionConfig::new(3).with_seed(2));
+    let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compile");
+    let mut bytes = ArtifactWriter::serialize_forest(&bolt);
+    let artifact = Artifact::from_bytes(&bytes).expect("valid artifact");
+    let (i, desc) = artifact
+        .sections()
+        .iter()
+        .enumerate()
+        .find(|(_, d)| d.id == section::TBL_VOTE_CLASS)
+        .map(|(i, d)| (i, *d))
+        .expect("vote class section");
+    MappedForest::from_artifact(artifact).expect("the untouched file loads");
+
+    let payload = desc.offset as usize..(desc.offset + desc.len) as usize;
+    bytes[payload.start..payload.start + 4].copy_from_slice(&1u32.to_le_bytes());
+    let crc = crc32(&bytes[payload]);
+    let crc_at = HEADER_LEN + i * SECTION_ENTRY_LEN + 24;
+    bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    let artifact = Artifact::from_bytes(&bytes).expect("checksums restamped");
+    match MappedForest::from_artifact(artifact) {
+        Err(e) => assert!(e.to_string().contains("vote class out of range"), "{e}"),
+        Ok(_) => panic!("regressor with vote class 1 accepted"),
     }
 }

@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the regression path: bagged and boosted
 //! ensembles, traversal vs compiled lookup tables.
 
-use bolt_core::{BoltConfig, BoltRegressor};
+use bolt_core::{BoltConfig, BoltForest};
 use bolt_forest::{GbtConfig, GradientBoostedRegressor, RegressionConfig, RegressionForest};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -12,7 +12,7 @@ fn bench_bagged_regression(c: &mut Criterion) {
         &train,
         &RegressionConfig::new(10).with_max_height(5).with_seed(2),
     );
-    let bolt = BoltRegressor::compile(&forest, &BoltConfig::default()).expect("compiles");
+    let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles");
     let sample = train.sample(0).to_vec();
     let mut group = c.benchmark_group("regression_bagged");
     group.bench_function("forest_traversal", |b| {
@@ -30,7 +30,7 @@ fn bench_boosted_regression(c: &mut Criterion) {
         &train,
         &GbtConfig::new(30).with_max_height(3).with_seed(4),
     );
-    let bolt = BoltRegressor::compile_boosted(&model, &BoltConfig::default()).expect("compiles");
+    let bolt = BoltForest::compile(&model, &BoltConfig::default()).expect("compiles");
     let sample = train.sample(0).to_vec();
     let mut group = c.benchmark_group("regression_boosted");
     group.bench_function("gbt_traversal", |b| {

@@ -2,8 +2,8 @@
 //! §2.1 — "when batching queries Ranger can benefit from its optimizations
 //! and achieve very low response times", whereas Bolt targets the no-batching
 //! service regime. Compares single-sample vs amortized-batch cost for
-//! Ranger-style traversal and for Bolt (sequential, batched, thread-sharded,
-//! and sample-parallel), then sweeps the batched path — the per-sample
+//! Ranger-style traversal and for Bolt (sequential, batched and
+//! sample-parallel), then sweeps the batched path — the per-sample
 //! index body looped over the batch into one vote arena — across batch
 //! sizes.
 //!
@@ -48,28 +48,16 @@ fn batch_size_sweep(bolt: &bolt_core::BoltForest, samples: &[&[f32]], tag: &str)
             bolt.classify_batch_with(slice, &mut batch_scratch.borrow_mut(), &mut out);
             std::hint::black_box(out.len());
         });
-        let sharded = time_batch(&|| {
-            std::hint::black_box(bolt.classify_batch_sharded(slice, 4));
-        });
         rows.push(vec![
             batch.to_string(),
             fmt_us(per_sample),
             fmt_us(batched),
             format!("{:.2}x", per_sample / batched),
-            fmt_us(sharded),
-            format!("{:.2}x", per_sample / sharded),
         ]);
     }
     print_table(
         &format!("Batched index path by batch size (amortized µs/sample) [{tag}]"),
-        &[
-            "batch",
-            "per-sample",
-            "batched",
-            "speedup",
-            "sharded(4)",
-            "speedup",
-        ],
+        &["batch", "per-sample", "batched", "speedup"],
         &rows,
     );
 }
@@ -116,9 +104,6 @@ fn main() {
             .classify_batch_with(&samples, &mut scratch, &mut out);
         std::hint::black_box(out.len());
     });
-    let bolt_sharded = time_it(&|| {
-        std::hint::black_box(platforms.bolt.classify_batch_sharded(&samples, 4));
-    });
     let partitioned = PartitionedBolt::new(Arc::clone(&platforms.bolt), PartitionPlan::new(2, 2))
         .expect("valid plan");
     let bolt_parallel_batch = time_it(&|| {
@@ -139,10 +124,6 @@ fn main() {
             ],
             vec!["BOLT, single-sample service".into(), fmt_us(bolt_single)],
             vec!["BOLT, batched (1 thread)".into(), fmt_us(bolt_batched)],
-            vec![
-                "BOLT, batched + sharded (4 threads)".into(),
-                fmt_us(bolt_sharded),
-            ],
             vec![
                 "BOLT, sample-parallel batch (4 workers)".into(),
                 fmt_us(bolt_parallel_batch),

@@ -1,5 +1,4 @@
-//! Batched inference through the entry-bitmap index, with thread-parallel
-//! batch sharding.
+//! Batched inference through the entry-bitmap index.
 //!
 //! After the index ([`crate::index`]) there is no per-entry compare left
 //! for a batch to amortize, and after the index-side encode there is no
@@ -9,17 +8,12 @@
 //! it. So [`ForestView::batch_votes_into`] is a plain loop of the
 //! per-sample body ([`ForestView::votes_with`]'s: constant votes, index
 //! match, bloom filter, verified table lookup, vote adds in ascending entry
-//! order) into each sample's row of one flat `B × n_classes` arena. Same
+//! order) into each sample's row of one flat `B × slots` arena. Same
 //! body, same additions in the same order: vote vectors are
 //! **bit-identical** to [`BoltForest::classify_with`], which the
 //! differential harness pins. (A group-major batch encode, one feature
 //! column against one group's thresholds across the batch, measured slower
 //! than this loop and was deleted; DESIGN.md has the numbers.)
-//!
-//! On top of that, [`BoltForest::classify_batch_sharded`] shards a batch
-//! across OS threads (`std::thread::scope`), each shard with its own
-//! [`BatchScratch`]; outputs land in disjoint slices so aggregation is a
-//! single pass with no locking.
 
 use crate::engine::{argmax, BoltForest, ForestView, MatchBuffers};
 use bolt_forest::PredicateUniverse;
@@ -32,10 +26,10 @@ use bolt_forest::PredicateUniverse;
 pub struct BatchScratch {
     /// What each sample is matched in, reused sample after sample.
     matching: MatchBuffers,
-    /// Flat `n_samples × n_classes` vote arena.
+    /// Flat `n_samples × slots` vote arena.
     votes: Vec<f64>,
     n_samples: usize,
-    n_classes: usize,
+    slots: usize,
 }
 
 impl BatchScratch {
@@ -53,7 +47,7 @@ impl BatchScratch {
             "sample {b} outside the last batch of {}",
             self.len()
         );
-        &self.votes[b * self.n_classes..(b + 1) * self.n_classes]
+        &self.votes[b * self.slots..(b + 1) * self.slots]
     }
 
     /// Argmax class of sample `b` from the most recent batch run (ties go
@@ -97,17 +91,17 @@ impl ForestView<'_> {
         samples: &[&[f32]],
         scratch: &mut BatchScratch,
     ) {
-        let n_classes = self.n_classes();
+        let slots = self.slots();
         scratch.n_samples = samples.len();
-        scratch.n_classes = n_classes;
+        scratch.slots = slots;
         scratch.votes.clear();
-        scratch.votes.resize(samples.len() * n_classes, 0.0);
+        scratch.votes.resize(samples.len() * slots, 0.0);
         for (b, sample) in samples.iter().enumerate() {
             self.sample_votes_into(
                 universe,
                 sample,
                 &mut scratch.matching,
-                &mut scratch.votes[b * n_classes..(b + 1) * n_classes],
+                &mut scratch.votes[b * slots..(b + 1) * slots],
                 None,
             );
         }
@@ -165,81 +159,6 @@ impl BoltForest {
         self.classify_batch_with(samples, &mut scratch, &mut out);
         out
     }
-
-    /// Per-sample vote vectors for a batch (test/evaluation convenience
-    /// over [`Self::batch_votes_with`]).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::batch_votes_with`].
-    #[must_use]
-    pub fn votes_batch(&self, samples: &[&[f32]]) -> Vec<Vec<f64>> {
-        let mut scratch = self.batch_scratch();
-        self.batch_votes_with(samples, &mut scratch);
-        (0..samples.len())
-            .map(|b| scratch.votes(b).to_vec())
-            .collect()
-    }
-
-    /// Thread-parallel batched classification: the batch is split into
-    /// `shards` contiguous chunks, each run through the batched body on its
-    /// own scoped thread with a private [`BatchScratch`]; results
-    /// land in disjoint output slices (one aggregation pass, no locking).
-    /// Classes are identical to [`Self::classify_batch`] regardless of
-    /// shard count.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::batch_votes_with`].
-    #[must_use]
-    pub fn classify_batch_sharded(&self, samples: &[&[f32]], shards: usize) -> Vec<u32> {
-        let shards = shards.clamp(1, samples.len().max(1));
-        if shards <= 1 {
-            return self.classify_batch(samples);
-        }
-        let chunk = samples.len().div_ceil(shards);
-        let mut out = vec![0u32; samples.len()];
-        std::thread::scope(|scope| {
-            for (shard_samples, shard_out) in samples.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    let mut scratch = self.batch_scratch();
-                    let mut classes = Vec::with_capacity(shard_samples.len());
-                    self.classify_batch_with(shard_samples, &mut scratch, &mut classes);
-                    shard_out.copy_from_slice(&classes);
-                });
-            }
-        });
-        out
-    }
-
-    /// Sharded counterpart of [`Self::votes_batch`]: per-sample vote
-    /// vectors computed shard-parallel. Used by the differential harness to
-    /// pin the sharded path's votes bit-identically to the per-sample
-    /// engine.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::batch_votes_with`].
-    #[must_use]
-    pub fn votes_batch_sharded(&self, samples: &[&[f32]], shards: usize) -> Vec<Vec<f64>> {
-        let shards = shards.clamp(1, samples.len().max(1));
-        if shards <= 1 {
-            return self.votes_batch(samples);
-        }
-        let chunk = samples.len().div_ceil(shards);
-        let mut out: Vec<Vec<f64>> = vec![Vec::new(); samples.len()];
-        std::thread::scope(|scope| {
-            for (shard_samples, shard_out) in samples.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    let votes = self.votes_batch(shard_samples);
-                    for (slot, votes) in shard_out.iter_mut().zip(votes) {
-                        *slot = votes;
-                    }
-                });
-            }
-        });
-        out
-    }
 }
 
 #[cfg(test)]
@@ -289,24 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn sharding_is_invisible_in_the_results() {
-        let (data, _, bolt) = fixture();
-        let samples: Vec<&[f32]> = (0..data.len()).map(|i| data.sample(i)).collect();
-        let reference = bolt.classify_batch(&samples);
-        for shards in [1, 2, 3, 7, samples.len(), samples.len() + 5] {
-            assert_eq!(
-                bolt.classify_batch_sharded(&samples, shards),
-                reference,
-                "{shards} shards"
-            );
-        }
-        assert_eq!(
-            bolt.votes_batch_sharded(&samples, 4),
-            bolt.votes_batch(&samples)
-        );
-    }
-
-    #[test]
     fn scratch_is_reusable_across_batch_sizes() {
         let (data, forest, bolt) = fixture();
         let mut scratch = bolt.batch_scratch();
@@ -325,7 +226,6 @@ mod tests {
     fn empty_batch_is_fine() {
         let (_, _, bolt) = fixture();
         assert!(bolt.classify_batch(&[]).is_empty());
-        assert!(bolt.classify_batch_sharded(&[], 4).is_empty());
         let mut scratch = bolt.batch_scratch();
         bolt.batch_votes_with(&[], &mut scratch);
         assert!(scratch.is_empty());

@@ -8,8 +8,120 @@ use crate::paths::SortedPaths;
 use crate::table::{RecombinedTable, TableView, Votes};
 use crate::BoltError;
 use bolt_bitpack::Mask;
-use bolt_forest::{BinaryPath, BoostedForest, PredicateUniverse, RandomForest};
+use bolt_forest::{
+    BinaryPath, BoostedForest, GradientBoostedRegressor, PredicateUniverse, RandomForest,
+    RegressionForest,
+};
 use serde::{Deserialize, Serialize};
+
+/// How a compiled model reads the path weights it accumulated for a sample.
+///
+/// Every ensemble kind compiles to the same lookup structures: a path's
+/// weight is its tree's vote, or its leaf value for regression, and a
+/// boosted ensemble "adds the corresponding tree weight to each path" (§5).
+/// Only the final read differs.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub enum Head {
+    /// Random forests and boosted classifiers: one weight per class, read
+    /// as the argmax (ties to the lower class, as the source forest).
+    Vote {
+        /// Number of classes.
+        n_classes: usize,
+    },
+    /// Regression forests: the mean of per-tree leaf values (Fig. 7's
+    /// `mean(results)`).
+    Mean,
+    /// Gradient-boosted regressors: `base + Σ` of the weighted leaf values.
+    Sum {
+        /// The ensemble's base score.
+        base: f64,
+    },
+}
+
+impl Head {
+    /// Width of the accumulator the head reads: one weight per class under
+    /// a vote, a single sum under a regression head.
+    #[must_use]
+    pub fn slots(self) -> usize {
+        match self {
+            Self::Vote { n_classes } => n_classes,
+            Self::Mean | Self::Sum { .. } => 1,
+        }
+    }
+
+    /// Reads a sample's accumulated weights (`acc`, [`Self::slots`] wide)
+    /// as its prediction: the argmax class under a vote, `sum / n_trees`
+    /// under [`Self::Mean`], `base + sum` under [`Self::Sum`], in `f64` and
+    /// cast once.
+    #[must_use]
+    pub fn read(self, acc: &[f64], n_trees: usize) -> f32 {
+        match self {
+            Self::Vote { .. } => argmax(acc) as f32,
+            Self::Mean => (acc[0] / n_trees as f64) as f32,
+            Self::Sum { base } => (base + acc[0]) as f32,
+        }
+    }
+}
+
+/// The head of compiled JSON written before regression heads existed,
+/// which stored only `n_classes`; [`BoltForest::rebuild`] gives it that
+/// class count.
+impl Default for Head {
+    fn default() -> Self {
+        Self::Vote { n_classes: 0 }
+    }
+}
+
+/// A trained ensemble [`BoltForest::compile`] accepts: it yields its
+/// predicate universe, its weighted paths over that universe, its tree
+/// count and the [`Head`] that reads them.
+pub trait Ensemble {
+    /// `(universe, paths, n_trees, head)`.
+    fn lower(&self) -> (PredicateUniverse, Vec<BinaryPath>, usize, Head);
+}
+
+impl Ensemble for RandomForest {
+    fn lower(&self) -> (PredicateUniverse, Vec<BinaryPath>, usize, Head) {
+        let universe = PredicateUniverse::from_forest(self);
+        let paths = bolt_forest::enumerate_paths(self, &universe);
+        let head = Head::Vote {
+            n_classes: self.n_classes(),
+        };
+        (universe, paths, self.n_trees(), head)
+    }
+}
+
+/// Each path carries its tree's weight (§5).
+impl Ensemble for BoostedForest {
+    fn lower(&self) -> (PredicateUniverse, Vec<BinaryPath>, usize, Head) {
+        let universe = PredicateUniverse::from_boosted(self);
+        let paths = bolt_forest::enumerate_weighted_paths(self, &universe);
+        let head = Head::Vote {
+            n_classes: self.n_classes(),
+        };
+        (universe, paths, self.n_trees(), head)
+    }
+}
+
+/// Each path carries its leaf value
+/// ([`bolt_forest::enumerate_regression_paths`]).
+impl Ensemble for RegressionForest {
+    fn lower(&self) -> (PredicateUniverse, Vec<BinaryPath>, usize, Head) {
+        let universe = self.universe();
+        let paths = bolt_forest::enumerate_regression_paths(self, &universe);
+        (universe, paths, self.n_trees(), Head::Mean)
+    }
+}
+
+/// Each path carries `learning_rate x leaf value`.
+impl Ensemble for GradientBoostedRegressor {
+    fn lower(&self) -> (PredicateUniverse, Vec<BinaryPath>, usize, Head) {
+        let universe = self.universe();
+        let paths = self.enumerate_paths(&universe);
+        let head = Head::Sum { base: self.base() };
+        (universe, paths, self.n_trees(), head)
+    }
+}
 
 /// Compilation options for [`BoltForest::compile`].
 ///
@@ -114,7 +226,7 @@ pub(crate) struct MatchBuffers {
 
 /// A borrowed view of a compiled model's inference structures: dictionary,
 /// its entry-bitmap index, table, optional bloom filter, constant votes, and
-/// the class count.
+/// the accumulator width ([`Head::slots`]).
 ///
 /// Every inference path — per-sample, batched, owned or memory-mapped —
 /// funnels through this one view, so an mmap-backed `BLT1` artifact runs
@@ -127,15 +239,13 @@ pub struct ForestView<'a> {
     table: TableView<'a>,
     bloom: Option<BloomView<'a>>,
     constant_votes: &'a [(u32, f64)],
-    n_classes: usize,
+    slots: usize,
 }
 
 impl<'a> ForestView<'a> {
     /// Assembles a view from component views; `index` must have been built
-    /// from `dict` ([`EntryIndex::build`]). For regressors (which carry no
-    /// per-class votes) pass an empty `constant_votes` and `n_classes = 0`;
-    /// only [`Self::accumulate_weights`] and [`Self::weight_sum_with`] are
-    /// meaningful then.
+    /// from `dict` ([`EntryIndex::build`]), and every vote class in `table`
+    /// and `constant_votes` must be below `slots`, the accumulator width.
     #[must_use]
     pub fn new(
         dict: DictView<'a>,
@@ -143,7 +253,7 @@ impl<'a> ForestView<'a> {
         table: TableView<'a>,
         bloom: Option<BloomView<'a>>,
         constant_votes: &'a [(u32, f64)],
-        n_classes: usize,
+        slots: usize,
     ) -> Self {
         Self {
             dict,
@@ -151,7 +261,7 @@ impl<'a> ForestView<'a> {
             table,
             bloom,
             constant_votes,
-            n_classes,
+            slots,
         }
     }
 
@@ -185,10 +295,10 @@ impl<'a> ForestView<'a> {
         self.constant_votes
     }
 
-    /// Number of classes.
+    /// Width of the accumulator every path adds into ([`Head::slots`]).
     #[must_use]
-    pub fn n_classes(&self) -> usize {
-        self.n_classes
+    pub fn slots(&self) -> usize {
+        self.slots
     }
 
     /// The shared body of the raw-bits paths: constant votes, dictionary
@@ -230,7 +340,7 @@ impl<'a> ForestView<'a> {
     ) -> &'s [f64] {
         let BoltScratch { matching, votes } = scratch;
         votes.clear();
-        votes.resize(self.n_classes, 0.0);
+        votes.resize(self.slots, 0.0);
         self.sample_votes_into(universe, sample, matching, votes, stats);
         votes
     }
@@ -364,72 +474,22 @@ impl<'a> ForestView<'a> {
     }
 
     /// Classifies an encoded input through a caller-owned vote buffer,
-    /// which is cleared and resized to `n_classes`. Bit-identical to
+    /// which is cleared and resized to [`Self::slots`]. Bit-identical to
     /// [`BoltForest::classify_bits`] on the same structures.
     #[must_use]
     pub fn classify_bits_into(&self, bits: &Mask, votes: &mut Vec<f64>) -> u32 {
         votes.clear();
-        votes.resize(self.n_classes, 0.0);
+        votes.resize(self.slots, 0.0);
         self.scan_votes_into(bits, votes, None);
         argmax(votes)
     }
-
-    /// Regression scan over raw bits: folds every surviving vote weight
-    /// into `init` (start it at the model's constant sum) in ascending
-    /// entry order, and returns the accumulated sum.
-    #[must_use]
-    pub fn accumulate_weights(&self, bits: &Mask, init: f64) -> f64 {
-        let mut sum = init;
-        self.dict.scan(bits, |entry_id| {
-            self.matched_entry_weights(entry_id, self.dict.address_of(entry_id, bits), &mut sum);
-        });
-        sum
-    }
-
-    /// Feature-level regression: [`Self::accumulate_weights`] with the
-    /// dictionary matched through the entry-bitmap index — same entries,
-    /// same order, bit-identical sum.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::votes_with`].
-    #[must_use]
-    pub fn weight_sum_with(
-        &self,
-        universe: &PredicateUniverse,
-        sample: &[f32],
-        scratch: &mut BoltScratch,
-        init: f64,
-    ) -> f64 {
-        let mut sum = init;
-        self.for_each_sample_match(
-            universe,
-            sample,
-            &mut scratch.matching,
-            |entry_id, address| {
-                self.matched_entry_weights(entry_id, address, &mut sum);
-            },
-        );
-        sum
-    }
-
-    #[inline]
-    fn matched_entry_weights(&self, entry_id: u32, address: u64, sum: &mut f64) {
-        self.table.prefetch(entry_id, address);
-        if let Some(bloom) = &self.bloom {
-            if !bloom.contains(table_key(entry_id, address)) {
-                return;
-            }
-        }
-        for &value in self.table.lookup(entry_id, address).weights() {
-            *sum += value;
-        }
-    }
 }
 
-/// A random forest compiled into Bolt's lookup structures: one dictionary,
-/// one recombined table, one bloom filter, plus the forest's predicate
-/// universe for input encoding.
+/// A trained ensemble compiled into Bolt's lookup structures: one
+/// dictionary, one recombined table, one bloom filter, plus the ensemble's
+/// predicate universe for input encoding and the [`Head`] that reads the
+/// accumulated weights — a vote for classifiers, a mean or a sum for
+/// regressors.
 ///
 /// See the crate-level docs for the full pipeline; the safety property
 /// (classification equals the original forest for *all* inputs, §4 fn. 1)
@@ -438,6 +498,23 @@ impl<'a> ForestView<'a> {
 /// Compiled artifacts serialize with Serde; after deserialization call
 /// [`BoltForest::rebuild`] to restore the predicate universe's derived
 /// lookup structures before classifying.
+///
+/// # Examples
+///
+/// ```
+/// use bolt_core::{BoltConfig, BoltForest, Head};
+/// use bolt_forest::{RegressionConfig, RegressionDataset, RegressionForest};
+///
+/// let rows: Vec<Vec<f32>> = (0..60).map(|i| vec![(i % 6) as f32]).collect();
+/// let targets: Vec<f32> = rows.iter().map(|r| r[0] * 2.0).collect();
+/// let data = RegressionDataset::from_rows(rows, targets)?;
+/// let forest = RegressionForest::train(&data, &RegressionConfig::new(4).with_seed(1));
+/// let bolt = BoltForest::compile(&forest, &BoltConfig::default())?;
+/// assert_eq!(bolt.head(), Head::Mean);
+/// let (y_bolt, y_forest) = (bolt.predict(&[3.0]), forest.predict(&[3.0]));
+/// assert!((y_bolt - y_forest).abs() < 1e-4);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BoltForest {
     universe: PredicateUniverse,
@@ -448,9 +525,17 @@ pub struct BoltForest {
     #[serde(skip)]
     index: EntryIndex,
     bloom: Option<BloomFilter>,
-    /// Votes from single-leaf trees whose (empty) path matches every input.
+    /// Weights of single-leaf trees, whose (empty) path matches every
+    /// input: one vote each under a vote head, folded into one `(0, Σ)`
+    /// under a regression head.
     constant_votes: Vec<(u32, f64)>,
+    /// Number of classes (0 under a regression head).
     n_classes: usize,
+    /// How the accumulated weights are read. Compiled JSON written before
+    /// regression heads carries none and reads as a vote over `n_classes`
+    /// ([`Self::rebuild`]).
+    #[serde(default)]
+    head: Head,
     n_trees: usize,
     /// Total vote weight across trees (`n_trees` for plain forests).
     total_weight: f64,
@@ -458,48 +543,29 @@ pub struct BoltForest {
 }
 
 impl BoltForest {
-    /// Compiles a trained random forest (Fig. 1: compression → tables +
-    /// dictionary → filters).
+    /// Compiles a trained ensemble — a [`RandomForest`], [`BoostedForest`],
+    /// [`RegressionForest`] or [`GradientBoostedRegressor`] (Fig. 1:
+    /// compression → tables + dictionary → filters).
     ///
     /// # Errors
     ///
-    /// Returns [`BoltError::AddressTooWide`] when some tree path tests more
+    /// Returns [`BoltError::EmptyForest`] for an ensemble without paths,
+    /// and [`BoltError::AddressTooWide`] when some tree path tests more
     /// distinct predicates than a cluster address can hold — the deep-tree
     /// regime where the paper recommends Forest Packing instead.
-    pub fn compile(forest: &RandomForest, config: &BoltConfig) -> Result<Self, BoltError> {
-        let universe = PredicateUniverse::from_forest(forest);
-        let paths = bolt_forest::enumerate_paths(forest, &universe);
-        Self::from_paths(
-            universe,
-            paths,
-            forest.n_trees(),
-            forest.n_classes(),
-            config,
-        )
-    }
-
-    /// Compiles a boosted forest; each path carries its tree's weight (§5).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BoltForest::compile`].
-    pub fn compile_boosted(forest: &BoostedForest, config: &BoltConfig) -> Result<Self, BoltError> {
-        let universe = PredicateUniverse::from_boosted(forest);
-        let paths = bolt_forest::enumerate_weighted_paths(forest, &universe);
-        Self::from_paths(
-            universe,
-            paths,
-            forest.n_trees(),
-            forest.n_classes(),
-            config,
-        )
+    pub fn compile<E: Ensemble + ?Sized>(
+        ensemble: &E,
+        config: &BoltConfig,
+    ) -> Result<Self, BoltError> {
+        let (universe, paths, n_trees, head) = ensemble.lower();
+        Self::from_paths(universe, paths, n_trees, head, config)
     }
 
     fn from_paths(
         universe: PredicateUniverse,
         paths: Vec<BinaryPath>,
         n_trees: usize,
-        n_classes: usize,
+        head: Head,
         config: &BoltConfig,
     ) -> Result<Self, BoltError> {
         if paths.is_empty() {
@@ -518,7 +584,10 @@ impl BoltForest {
         // fold them into constant votes instead of tables.
         let (constant, real): (Vec<BinaryPath>, Vec<BinaryPath>) =
             paths.into_iter().partition(|p| p.pairs.is_empty());
-        let constant_votes = constant.iter().map(|p| (p.class, p.weight)).collect();
+        let constant_votes = match head {
+            Head::Vote { .. } => constant.iter().map(|p| (p.class, p.weight)).collect(),
+            Head::Mean | Head::Sum { .. } => vec![(0, constant.iter().map(|p| p.weight).sum())],
+        };
 
         let (dictionary, table) = if real.is_empty() {
             let empty = Clustering::from_clusters(Vec::new(), config.cluster_threshold);
@@ -544,7 +613,11 @@ impl BoltForest {
             table,
             bloom,
             constant_votes,
-            n_classes,
+            n_classes: match head {
+                Head::Vote { n_classes } => n_classes,
+                Head::Mean | Head::Sum { .. } => 0,
+            },
+            head,
             n_trees,
             total_weight,
             config: config.clone(),
@@ -572,12 +645,13 @@ impl BoltForest {
     /// Votes plus the per-inference counters used by the evaluation.
     #[must_use]
     pub fn votes_with_stats(&self, bits: &Mask) -> (Vec<f64>, InferenceStats) {
-        let mut votes = vec![0.0f64; self.n_classes];
+        let mut votes = vec![0.0f64; self.head.slots()];
         let mut stats = InferenceStats {
             entries_scanned: self.dictionary.len(),
             ..InferenceStats::default()
         };
-        self.scan_votes_into(bits, &mut votes, Some(&mut stats));
+        self.view()
+            .scan_votes_into(bits, &mut votes, Some(&mut stats));
         (votes, stats)
     }
 
@@ -591,21 +665,8 @@ impl BoltForest {
             table: self.table.view(),
             bloom: self.bloom.as_ref().map(BloomFilter::view),
             constant_votes: &self.constant_votes,
-            n_classes: self.n_classes,
+            slots: self.head.slots(),
         }
-    }
-
-    /// The single shared scan body behind every inference path; see
-    /// [`ForestView::scan_votes_into`]. Both the stats path and the
-    /// allocation-free hot path call this, so the two can never drift.
-    /// Votes must be zeroed by the caller.
-    pub(crate) fn scan_votes_into(
-        &self,
-        bits: &Mask,
-        votes: &mut [f64],
-        stats: Option<&mut InferenceStats>,
-    ) {
-        self.view().scan_votes_into(bits, votes, stats);
     }
 
     /// Classifies an encoded input.
@@ -656,6 +717,45 @@ impl BoltForest {
             .view()
             .votes_with(&self.universe, sample, &mut scratch, Some(&mut stats));
         (argmax(votes), stats)
+    }
+
+    /// Predicts one raw sample, allocating a scratch for the call; serving
+    /// loops use [`Self::predict_with`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample is shorter than the universe's feature count.
+    #[must_use]
+    pub fn predict(&self, sample: &[f32]) -> f32 {
+        self.predict_with(sample, &mut self.scratch())
+    }
+
+    /// The sample's weights accumulated by the classify body
+    /// ([`ForestView::votes_with`]) and read through the model's [`Head`]:
+    /// the regression estimate, or the class as `f32` under a vote head.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample is shorter than the universe's feature count.
+    #[must_use]
+    pub fn predict_with(&self, sample: &[f32], scratch: &mut BoltScratch) -> f32 {
+        let acc = self
+            .view()
+            .votes_with(&self.universe, sample, scratch, None);
+        self.head.read(acc, self.n_trees)
+    }
+
+    /// Mean squared error of [`Self::predict`] over a regression dataset.
+    #[must_use]
+    pub fn mse(&self, data: &bolt_forest::RegressionDataset) -> f64 {
+        let mut scratch = self.scratch();
+        data.iter()
+            .map(|(sample, target)| {
+                let d = f64::from(self.predict_with(sample, &mut scratch)) - f64::from(target);
+                d * d
+            })
+            .sum::<f64>()
+            / data.len() as f64
     }
 
     /// Per-class vote fractions; for an unweighted forest this is bit-exact
@@ -715,10 +815,16 @@ impl BoltForest {
         &self.constant_votes
     }
 
-    /// Number of classes.
+    /// Number of classes (0 under a regression head).
     #[must_use]
     pub fn n_classes(&self) -> usize {
         self.n_classes
+    }
+
+    /// How the accumulated weights are read.
+    #[must_use]
+    pub fn head(&self) -> Head {
+        self.head
     }
 
     /// Number of trees in the source forest.
@@ -741,8 +847,11 @@ impl BoltForest {
 
     /// Restores derived structures after deserialization (the predicate
     /// universe's lookup index, feature groups, and the entry-bitmap index
-    /// are not serialized).
+    /// are not serialized), and gives a vote head its class count.
     pub fn rebuild(&mut self) {
+        if let Head::Vote { n_classes } = &mut self.head {
+            *n_classes = self.n_classes;
+        }
         self.universe.rebuild_index();
         self.index = EntryIndex::build(self.dictionary.view(), &self.universe);
     }
@@ -970,7 +1079,7 @@ mod tests {
     fn boosted_votes_match_weighted_forest() {
         let data = dataset();
         let boosted = BoostedForest::train(&data, &BoostConfig::new(6).with_seed(3));
-        let bolt = BoltForest::compile_boosted(&boosted, &BoltConfig::default()).expect("compiles");
+        let bolt = BoltForest::compile(&boosted, &BoltConfig::default()).expect("compiles");
         for (sample, _) in data.iter().take(40) {
             let expected = boosted.weighted_votes(sample);
             let got = bolt.votes_for_bits(&bolt.encode(sample));
@@ -1112,7 +1221,7 @@ mod tests {
                 &data,
                 &bolt_forest::RegressionConfig::new(3).with_seed(1),
             );
-            crate::BoltRegressor::compile(&forest, &BoltConfig::default()).expect("compiles")
+            BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles")
         };
         let expect_panic = |what: &str, run: &dyn Fn()| {
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).expect_err(what);
@@ -1172,5 +1281,156 @@ mod tests {
         let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles");
         assert!(bolt.dictionary().is_empty());
         assert_eq!(bolt.classify(&[3.0]), 1);
+    }
+}
+
+#[cfg(test)]
+mod regression_tests {
+    use super::*;
+    use bolt_forest::{GbtConfig, RegressionConfig, RegressionDataset};
+
+    /// `n_rows` xorshift rows of `n_features` values on a `1 / scale` grid
+    /// below `modulus / scale`, labelled by `target`.
+    fn rows(
+        seed: u64,
+        n_rows: usize,
+        n_features: usize,
+        (modulus, scale): (u64, f32),
+        target: fn(&[f32]) -> f32,
+    ) -> RegressionDataset {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % modulus) as f32 / scale
+        };
+        let rows: Vec<Vec<f32>> = (0..n_rows)
+            .map(|_| (0..n_features).map(|_| next()).collect())
+            .collect();
+        let targets = rows.iter().map(|r| target(r)).collect();
+        RegressionDataset::from_rows(rows, targets).expect("valid")
+    }
+
+    fn dataset(seed: u64) -> RegressionDataset {
+        rows(seed, 250, 3, (80, 8.0), |r| r[0] * 3.0 - r[1] + r[2] * 0.5)
+    }
+
+    fn gbt_dataset(seed: u64) -> RegressionDataset {
+        rows(seed, 300, 2, (90, 9.0), |r| r[0] * 4.0 - r[1] * r[1] * 0.2)
+    }
+
+    #[test]
+    fn equivalent_to_forest_within_float_tolerance() {
+        let data = dataset(1);
+        let forest = RegressionForest::train(
+            &data,
+            &RegressionConfig::new(8).with_max_height(5).with_seed(4),
+        );
+        let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles");
+        for (sample, _) in data.iter() {
+            let (a, b) = (bolt.predict(sample), forest.predict(sample));
+            assert!(
+                (a - b).abs() <= 1e-4 * (1.0 + b.abs()),
+                "bolt {a} vs forest {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn equivalent_on_unseen_inputs() {
+        let data = dataset(2);
+        let forest = RegressionForest::train(
+            &data,
+            &RegressionConfig::new(5).with_max_height(4).with_seed(6),
+        );
+        let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles");
+        for i in 0..100 {
+            let sample = vec![i as f32 * 0.17 - 4.0, i as f32 * 0.61, -(i as f32) * 0.4];
+            let (a, b) = (bolt.predict(&sample), forest.predict(&sample));
+            assert!((a - b).abs() <= 1e-4 * (1.0 + b.abs()));
+        }
+    }
+
+    #[test]
+    fn thresholds_do_not_change_predictions() {
+        let data = dataset(3);
+        let forest = RegressionForest::train(
+            &data,
+            &RegressionConfig::new(6).with_max_height(4).with_seed(2),
+        );
+        let low = BoltForest::compile(&forest, &BoltConfig::default().with_cluster_threshold(0))
+            .expect("compiles");
+        let high = BoltForest::compile(&forest, &BoltConfig::default().with_cluster_threshold(12))
+            .expect("compiles");
+        for (sample, _) in data.iter().take(50) {
+            assert!((low.predict(sample) - high.predict(sample)).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn mse_matches_forest_mse() {
+        let data = dataset(4);
+        let forest = RegressionForest::train(
+            &data,
+            &RegressionConfig::new(6).with_max_height(5).with_seed(8),
+        );
+        let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles");
+        let (a, b) = (bolt.mse(&data), forest.mse(&data));
+        assert!(
+            (a - b).abs() < 1e-3 * (1.0 + b),
+            "bolt mse {a} vs forest {b}"
+        );
+    }
+
+    #[test]
+    fn serializes_and_rebuilds() {
+        let data = dataset(5);
+        let forest = RegressionForest::train(
+            &data,
+            &RegressionConfig::new(4).with_max_height(4).with_seed(3),
+        );
+        let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles");
+        let json = serde_json::to_string(&bolt).expect("serializes");
+        let mut restored: BoltForest = serde_json::from_str(&json).expect("deserializes");
+        restored.rebuild();
+        for (sample, _) in data.iter().take(20) {
+            assert_eq!(restored.predict(sample), bolt.predict(sample));
+        }
+    }
+
+    #[test]
+    fn boosted_compile_is_equivalent() {
+        let data = gbt_dataset(1);
+        let model = GradientBoostedRegressor::train(&data, &GbtConfig::new(15).with_seed(3));
+        let bolt = BoltForest::compile(&model, &BoltConfig::default()).expect("compiles");
+        for (sample, _) in data.iter().take(80) {
+            let (a, b) = (bolt.predict(sample), model.predict(sample));
+            assert!(
+                (a - b).abs() <= 1e-3 * (1.0 + b.abs()),
+                "bolt {a} vs gbt {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn boosted_compile_handles_unseen_inputs() {
+        let data = gbt_dataset(2);
+        let model = GradientBoostedRegressor::train(&data, &GbtConfig::new(8).with_seed(5));
+        let bolt = BoltForest::compile(&model, &BoltConfig::default()).expect("compiles");
+        for i in 0..60 {
+            let sample = vec![i as f32 * 0.21 - 3.0, i as f32 * 0.47];
+            let (a, b) = (bolt.predict(&sample), model.predict(&sample));
+            assert!((a - b).abs() <= 1e-3 * (1.0 + b.abs()));
+        }
+    }
+
+    #[test]
+    fn boosted_mse_matches_model() {
+        let data = gbt_dataset(4);
+        let model = GradientBoostedRegressor::train(&data, &GbtConfig::new(10).with_seed(7));
+        let bolt = BoltForest::compile(&model, &BoltConfig::default()).expect("compiles");
+        let (a, b) = (bolt.mse(&data), model.mse(&data));
+        assert!((a - b).abs() < 1e-2 * (1.0 + b), "bolt {a} vs gbt {b}");
     }
 }

@@ -33,8 +33,13 @@
 //! vector: they encode only the run starts those rows are selected by, and
 //! compare a matched entry's few address predicates directly. The batched
 //! engine ([`BoltForest::classify_batch_with`]) is a loop of that
-//! per-sample body, and [`BoltForest::classify_batch_sharded`] splits a
-//! batch across threads with per-shard scratch.
+//! per-sample body.
+//!
+//! Every ensemble kind compiles to this one structure
+//! ([`BoltForest::compile`] takes any [`Ensemble`]): a regression path's
+//! weight is its leaf value, a boosted path's carries its tree weight (§5),
+//! and the model's [`Head`] reads the accumulated weights as a vote, a mean
+//! or a sum.
 //!
 //! # Quick start
 //!
@@ -75,7 +80,6 @@ pub mod layout;
 pub mod oracle;
 pub mod parallel;
 pub mod paths;
-pub mod regress;
 pub mod simd;
 pub mod table;
 pub mod tuning;
@@ -84,13 +88,12 @@ pub use batch::BatchScratch;
 pub use cluster::{Cluster, Clustering};
 pub use deep::DeepBolt;
 pub use dictionary::{DictEntry, DictView, Dictionary};
-pub use engine::{BoltConfig, BoltForest, BoltScratch, ForestView, InferenceStats};
+pub use engine::{BoltConfig, BoltForest, BoltScratch, Ensemble, ForestView, Head, InferenceStats};
 pub use error::BoltError;
 pub use explain::Explanation;
 pub use filter::{BloomFilter, BloomView};
 pub use index::{EntryIndex, IndexView};
 pub use layout::{LayoutReport, SectionBytes};
 pub use parallel::{PartitionPlan, PartitionedBolt};
-pub use regress::{Aggregation, BoltRegressor};
 pub use table::{RecombinedTable, TableCell, TableView, Votes, EMPTY_SLOT_ENTRY};
 pub use tuning::{CostModel, ParameterSearch, Trial, TuningReport};

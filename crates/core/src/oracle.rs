@@ -410,47 +410,22 @@ impl std::fmt::Display for Mismatch {
     }
 }
 
-/// Checks Bolt against the reference forest traversal on every sample.
-/// Returns the number of samples checked.
+/// Checks Bolt against a reference classification — a forest's own
+/// `predict`, random or boosted — on every sample. Returns the number of
+/// samples checked.
 ///
 /// # Errors
 ///
 /// Returns the first [`Mismatch`] when any classification diverges.
 pub fn check_forest(
     bolt: &BoltForest,
-    forest: &RandomForest,
+    reference: impl Fn(&[f32]) -> u32,
     samples: &[Vec<f32>],
 ) -> Result<usize, Mismatch> {
     let mut scratch = bolt.scratch();
     for sample in samples {
         let got = bolt.classify_with(sample, &mut scratch);
-        let expected = forest.predict(sample);
-        if got != expected {
-            return Err(Mismatch {
-                sample: sample.clone(),
-                got,
-                expected,
-            });
-        }
-    }
-    Ok(samples.len())
-}
-
-/// Checks a compiled boosted ensemble against [`BoostedForest::predict`].
-/// Returns the number of samples checked.
-///
-/// # Errors
-///
-/// Returns the first [`Mismatch`] when any classification diverges.
-pub fn check_boosted(
-    bolt: &BoltForest,
-    forest: &BoostedForest,
-    samples: &[Vec<f32>],
-) -> Result<usize, Mismatch> {
-    let mut scratch = bolt.scratch();
-    for sample in samples {
-        let got = bolt.classify_with(sample, &mut scratch);
-        let expected = forest.predict(sample);
+        let expected = reference(sample);
         if got != expected {
             return Err(Mismatch {
                 sample: sample.clone(),
@@ -466,8 +441,8 @@ pub fn check_boosted(
 /// samples: each sample's batched vote vector must be **bit-identical**
 /// (not merely argmax-equal) to [`BoltForest::votes_for_bits`] — the
 /// [`DictView::scan`](crate::DictView::scan) path — over its encoded bits,
-/// for batch slices of sizes 1, 3, 5 and the full set, both unsharded and
-/// sharded. Returns the number of (sample, batch-shape) checks performed.
+/// for batch slices of sizes 1, 3, 5 and the full set. Returns the number
+/// of (sample, batch-shape) checks performed.
 ///
 /// # Errors
 ///
@@ -498,20 +473,6 @@ pub fn check_batch(bolt: &BoltForest, samples: &[Vec<f32>]) -> Result<usize, Str
                 }
                 checked += 1;
             }
-        }
-    }
-    // Sharded: votes must still be bit-identical, across several shard
-    // counts including more shards than samples.
-    for shards in [1usize, 2, 4, refs.len() + 1] {
-        let sharded = bolt.votes_batch_sharded(&refs, shards);
-        for (i, (got, want)) in sharded.iter().zip(&expected).enumerate() {
-            if got != want {
-                return Err(format!(
-                    "{shards} shards: votes diverged on sample {:?}: sharded {got:?} vs scalar scan {want:?}",
-                    samples[i]
-                ));
-            }
-            checked += 1;
         }
     }
     Ok(checked)

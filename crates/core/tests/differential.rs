@@ -97,13 +97,13 @@ fn random_forests_match_reference_across_config_matrix() {
 
         for (ci, config) in configs.iter().enumerate() {
             let bolt = compile(&forest, config, seed);
-            let checked = oracle::check_forest(&bolt, &forest, &inputs)
+            let checked = oracle::check_forest(&bolt, |s| forest.predict(s), &inputs)
                 .unwrap_or_else(|m| panic!("seed {seed}, config {config:?}: {m}"));
             combinations += checked;
 
             // The batched engine rides every sweep: vote vectors must be
             // bit-identical to the scalar raw-bits reference for batch
-            // sizes 1, 3, 5 and the full input set, sharded and not.
+            // sizes 1, 3, 5 and the full input set.
             let batch_checked = oracle::check_batch(&bolt, &inputs)
                 .unwrap_or_else(|m| panic!("seed {seed}, config {config:?}, batched: {m}"));
             combinations += batch_checked;
@@ -124,8 +124,8 @@ fn random_forests_match_reference_across_config_matrix() {
                 let json = serde_json::to_string(&bolt).expect("serialize");
                 let mut revived: BoltForest = serde_json::from_str(&json).expect("deserialize");
                 revived.rebuild();
-                let checked =
-                    oracle::check_forest(&revived, &forest, &inputs).unwrap_or_else(|m| {
+                let checked = oracle::check_forest(&revived, |s| forest.predict(s), &inputs)
+                    .unwrap_or_else(|m| {
                         panic!("seed {seed}, config {config:?} after round-trip: {m}")
                     });
                 combinations += checked;
@@ -170,7 +170,7 @@ fn trained_forests_match_reference_on_adversarial_inputs() {
                 .with_explanations(true),
         ] {
             let bolt = compile(&forest, &config, seed);
-            oracle::check_forest(&bolt, &forest, &inputs)
+            oracle::check_forest(&bolt, |s| forest.predict(s), &inputs)
                 .unwrap_or_else(|m| panic!("trained seed {seed}, config {config:?}: {m}"));
             oracle::check_batch(&bolt, &inputs)
                 .unwrap_or_else(|m| panic!("trained seed {seed}, config {config:?}, batched: {m}"));
@@ -195,9 +195,9 @@ fn boosted_forests_match_reference() {
                 let config = BoltConfig::default()
                     .with_cluster_threshold(threshold)
                     .with_bloom_bits_per_key(bloom);
-                let bolt = BoltForest::compile_boosted(&boosted, &config)
+                let bolt = BoltForest::compile(&boosted, &config)
                     .unwrap_or_else(|e| panic!("boosted compile failed for seed {seed}: {e}"));
-                oracle::check_boosted(&bolt, &boosted, &inputs)
+                oracle::check_forest(&bolt, |s| boosted.predict(s), &inputs)
                     .unwrap_or_else(|m| panic!("boosted seed {seed}, config {config:?}: {m}"));
                 oracle::check_batch(&bolt, &inputs).unwrap_or_else(|m| {
                     panic!("boosted seed {seed}, config {config:?}, batched: {m}")
@@ -229,7 +229,7 @@ fn degenerate_forests_match_reference() {
     let inputs = oracle::adversarial_inputs(3, &[], &mut rng, 10);
     for config in oracle::config_matrix() {
         let bolt = compile(&forest, &config, 99);
-        oracle::check_forest(&bolt, &forest, &inputs)
+        oracle::check_forest(&bolt, |s| forest.predict(s), &inputs)
             .unwrap_or_else(|m| panic!("all-leaf forest, config {config:?}: {m}"));
         oracle::check_batch(&bolt, &inputs)
             .unwrap_or_else(|m| panic!("all-leaf forest, config {config:?}, batched: {m}"));
@@ -258,7 +258,7 @@ fn degenerate_forests_match_reference() {
     ];
     for config in oracle::config_matrix() {
         let bolt = compile(&forest, &config, 100);
-        oracle::check_forest(&bolt, &forest, &inputs)
+        oracle::check_forest(&bolt, |s| forest.predict(s), &inputs)
             .unwrap_or_else(|m| panic!("stump, config {config:?}: {m}"));
         oracle::check_batch(&bolt, &inputs)
             .unwrap_or_else(|m| panic!("stump, config {config:?}, batched: {m}"));
@@ -381,13 +381,13 @@ fn bloom_never_suppresses_a_true_lookup() {
     }
 }
 
-/// Regressor leg of the index differential: `BoltRegressor::predict`
-/// (index match) must return the bit pattern `predict_bits` (dictionary
-/// scan) returns on the encoded sample, for bagged and boosted regressors,
-/// every threshold 1..=8, bloom on and off, on adversarial inputs.
+/// Regressor leg of the index differential: `BoltForest::predict` (index
+/// match) must return the bit pattern the regression head reads from the
+/// dictionary scan's weights on the encoded sample, for bagged and boosted
+/// regressors, every threshold 1..=8, bloom on and off, on adversarial
+/// inputs.
 #[test]
 fn regressors_predict_identically_through_index_and_scan() {
-    use bolt_core::BoltRegressor;
     use bolt_forest::{
         GbtConfig, GradientBoostedRegressor, RegressionConfig, RegressionDataset, RegressionForest,
     };
@@ -412,8 +412,8 @@ fn regressors_predict_identically_through_index_and_scan() {
                     .with_cluster_threshold(threshold)
                     .with_bloom_bits_per_key(bloom);
                 for reg in [
-                    BoltRegressor::compile(&forest, &config).expect("compiles"),
-                    BoltRegressor::compile_boosted(&boosted, &config).expect("compiles"),
+                    BoltForest::compile(&forest, &config).expect("compiles"),
+                    BoltForest::compile(&boosted, &config).expect("compiles"),
                 ] {
                     let universe = reg.universe();
                     let thresholds: Vec<(u32, f32)> = (0..universe.len())
@@ -424,7 +424,9 @@ fn regressors_predict_identically_through_index_and_scan() {
                     for sample in &inputs {
                         assert_eq!(
                             reg.predict(sample).to_bits(),
-                            reg.predict_bits(&reg.encode(sample)).to_bits(),
+                            reg.head()
+                                .read(&reg.votes_for_bits(&reg.encode(sample)), reg.n_trees())
+                                .to_bits(),
                             "seed {seed}, config {config:?}: index and scan diverge on {sample:?}"
                         );
                     }

@@ -4,8 +4,8 @@
 //! regression tasks" and its Fig. 7 service aggregates results with a mean;
 //! this module provides the regression substrate: variance-reduction CART
 //! trees whose leaves carry real-valued outputs, and bagged forests that
-//! average them. `bolt-core`'s `BoltRegressor` compiles these to lookup
-//! tables with per-path leaf values.
+//! average them. `bolt-core`'s `BoltForest` compiles these to lookup
+//! tables with per-path leaf values, read through a mean head.
 
 use crate::{BinaryPath, ForestError, PredicateUniverse};
 use rand::rngs::StdRng;

@@ -177,6 +177,9 @@ impl EngineLoader {
                 let mut bolt: BoltForest =
                     serde_json::from_str(&json).map_err(|e| e.to_string())?;
                 bolt.rebuild();
+                if bolt.n_classes() == 0 {
+                    return Err(format!("{path}: compiled model is not a classifier"));
+                }
                 println!(
                     "loaded Bolt artifact: {} dictionary entries, {} table cells, {} classes",
                     bolt.dictionary().len(),

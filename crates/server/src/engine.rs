@@ -1,8 +1,8 @@
 //! Engine adapters for the service.
 
-use bolt_artifact::MappedForest;
+use bolt_artifact::{ArtifactError, MappedForest};
 use bolt_baselines::InferenceEngine;
-use bolt_core::{BatchScratch, BoltForest, BoltScratch};
+use bolt_core::{BatchScratch, BoltForest, BoltScratch, Head};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -71,6 +71,9 @@ impl InferenceEngine for BoltEngine {
 /// disk — zero heap copy of the structures — and hot-swap it for a freshly
 /// mapped file under live traffic via
 /// [`ModelStore::swap`](crate::ModelStore::swap).
+///
+/// The service answers classes, so only a vote head is served: a
+/// regressor's artifact is refused when the engine is made.
 #[derive(Clone)]
 pub struct ArtifactEngine {
     model: Arc<MappedForest>,
@@ -78,14 +81,27 @@ pub struct ArtifactEngine {
 
 impl ArtifactEngine {
     /// Wraps an already-mapped artifact.
-    #[must_use]
-    pub fn new(model: Arc<MappedForest>) -> Self {
-        Self { model }
+    ///
+    /// # Errors
+    ///
+    /// [`ArtifactError::Invalid`] ("artifact is not a classifier") when the
+    /// model's head is not a vote.
+    pub fn new(model: Arc<MappedForest>) -> Result<Self, ArtifactError> {
+        match model.head() {
+            Head::Vote { .. } => Ok(Self { model }),
+            Head::Mean | Head::Sum { .. } => Err(ArtifactError::Invalid(
+                "artifact is not a classifier".to_owned(),
+            )),
+        }
     }
 
     /// Maps and validates the artifact at `path`.
-    pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, bolt_artifact::ArtifactError> {
-        Ok(Self::new(Arc::new(MappedForest::open(path)?)))
+    ///
+    /// # Errors
+    ///
+    /// Any load error of [`MappedForest::open`], and those of [`Self::new`].
+    pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, ArtifactError> {
+        Self::new(Arc::new(MappedForest::open(path)?))
     }
 
     /// The wrapped mapped model.
@@ -151,5 +167,28 @@ mod tests {
         for (sample, _) in data.iter() {
             assert_eq!(engine.classify(sample), forest.predict(sample));
         }
+    }
+
+    /// Every forest kind maps through the one loader, but the service
+    /// answers classes: the engine refuses a regression head with a
+    /// structured error.
+    #[test]
+    fn artifact_engine_refuses_a_regression_head() {
+        use bolt_artifact::{Artifact, ArtifactWriter};
+        use bolt_forest::{RegressionConfig, RegressionDataset, RegressionForest};
+        let rows: Vec<Vec<f32>> = (0..40).map(|i| vec![(i % 4) as f32]).collect();
+        let targets = rows.iter().map(|r| r[0] * 2.0).collect();
+        let data = RegressionDataset::from_rows(rows, targets).expect("valid");
+        let regressor = RegressionForest::train(&data, &RegressionConfig::new(3).with_seed(5));
+        let bolt = BoltForest::compile(&regressor, &BoltConfig::default()).expect("compiles");
+        let bytes = ArtifactWriter::serialize_forest(&bolt);
+        let mapped = MappedForest::from_artifact(Artifact::from_bytes(&bytes).expect("valid"))
+            .expect("one loader for every head");
+        let err = match ArtifactEngine::new(Arc::new(mapped)) {
+            Err(e) => e,
+            Ok(_) => panic!("regressor accepted as a classifier"),
+        };
+        assert!(matches!(err, ArtifactError::Invalid(_)), "{err:?}");
+        assert!(err.to_string().contains("not a classifier"), "{err}");
     }
 }

@@ -1,10 +1,12 @@
 //! Serving mapped `BLT1` artifacts through the model store.
 //!
-//! Two guarantees: (1) an [`ArtifactEngine`] answers bit-identically to the
-//! reference forest across the full compile configuration matrix, and (2)
+//! Three guarantees: (1) an [`ArtifactEngine`] answers bit-identically to
+//! the reference forest across the full compile configuration matrix, (2)
 //! hot-swapping a live model for a *freshly memory-mapped* artifact file —
 //! repeatedly, under concurrent client traffic — never tears a response,
-//! drops a request, or changes a classification.
+//! drops a request, or changes a classification, and (3) a regressor's
+//! artifact in a model directory is refused without disturbing the models
+//! beside it.
 
 use std::sync::Arc;
 
@@ -12,13 +14,14 @@ use bolt_artifact::{Artifact, ArtifactWriter, MappedForest};
 use bolt_baselines::InferenceEngine;
 use bolt_core::oracle;
 use bolt_core::{BoltConfig, BoltForest};
+use bolt_server::proto::ProtoError;
 use bolt_server::{ArtifactEngine, BoltEngine, ClassificationClient, ServerBuilder};
 
 fn artifact_engine(bolt: &BoltForest) -> ArtifactEngine {
     let bytes = ArtifactWriter::serialize_forest(bolt);
     let mapped = MappedForest::from_artifact(Artifact::from_bytes(&bytes).expect("valid"))
         .expect("valid classifier");
-    ArtifactEngine::new(Arc::new(mapped))
+    ArtifactEngine::new(Arc::new(mapped)).expect("classifier")
 }
 
 #[test]
@@ -134,4 +137,57 @@ fn hot_swapping_freshly_mapped_artifacts_under_traffic_is_seamless() {
     server.shutdown();
     std::fs::remove_file(&path_a).ok();
     std::fs::remove_file(&path_b).ok();
+}
+
+/// `boltd` serves classes only: a regressor's `NAME@1.blt` in the model
+/// directory answers a structured load error each time it is routed to —
+/// the engine refuses its regression head — while the classifier beside it
+/// keeps answering as its forest does.
+#[test]
+fn regressor_artifact_in_model_dir_is_refused_and_others_keep_serving() {
+    use bolt_forest::{RegressionConfig, RegressionDataset, RegressionForest};
+    let case = oracle::served_case(0xB127, 8);
+    let classifier = BoltForest::compile(&case.forest, &BoltConfig::default()).expect("compiles");
+    let n_features = case.forest.n_features();
+    let rows: Vec<Vec<f32>> = (0..60)
+        .map(|i| {
+            (0..n_features)
+                .map(|f| ((i * (f + 3)) % 7) as f32)
+                .collect()
+        })
+        .collect();
+    let targets = rows
+        .iter()
+        .map(|r| r[0] * 2.0 - r[1 % n_features])
+        .collect();
+    let data = RegressionDataset::from_rows(rows, targets).expect("dataset");
+    let forest = RegressionForest::train(&data, &RegressionConfig::new(3).with_seed(4));
+    let regressor = BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles");
+
+    let dir = std::env::temp_dir().join(format!("bolt-test-reg-dir-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("model dir");
+    ArtifactWriter::write_forest_versioned(&classifier, 1, dir.join("sev@1.blt")).expect("write");
+    ArtifactWriter::write_forest_versioned(&regressor, 1, dir.join("eta@1.blt")).expect("write");
+    let socket = dir.join("serve.sock");
+    let server = ServerBuilder::new()
+        .model_dir(&dir)
+        .bind_uds(&socket)
+        .expect("binds");
+    let mut client = ClassificationClient::connect(&socket).expect("connects");
+    for round in 0..2 {
+        for sample in &case.inputs {
+            match client.classify_with("eta", sample) {
+                Err(ProtoError::Rejected { detail, .. }) => {
+                    assert!(detail.contains("not a classifier"), "{detail}");
+                }
+                other => panic!("round {round}: regressor served: {other:?}"),
+            }
+            let got = client
+                .classify_with("sev", sample)
+                .expect("classifier serves");
+            assert_eq!(got.class, case.forest.predict(sample), "round {round}");
+        }
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }

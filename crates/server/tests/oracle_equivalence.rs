@@ -179,7 +179,10 @@ fn one_loop_alternates_batches_across_two_model_shapes() {
         std::env::temp_dir().join(format!("bolt-test-two-shapes-{}.sock", std::process::id()));
     let server = ServerBuilder::new()
         .register("m0", Arc::new(BoltEngine::new(Arc::clone(&bolts[0]))))
-        .register("m1", Arc::new(ArtifactEngine::new(Arc::new(mapped))))
+        .register(
+            "m1",
+            Arc::new(ArtifactEngine::new(Arc::new(mapped)).expect("classifier")),
+        )
         .bind_uds(&path)
         .expect("binds");
     let mut stream = std::os::unix::net::UnixStream::connect(&path).expect("connects");

@@ -42,7 +42,10 @@ fn server(bolt: &Arc<BoltForest>, path: &Path) -> bolt_server::ClassificationSer
     .expect("valid classifier");
     ServerBuilder::new()
         .register("owned", Arc::new(BoltEngine::new(Arc::clone(bolt))))
-        .register("mapped", Arc::new(ArtifactEngine::new(Arc::new(mapped))))
+        .register(
+            "mapped",
+            Arc::new(ArtifactEngine::new(Arc::new(mapped)).expect("classifier")),
+        )
         .default_model("owned")
         .bind_uds(path)
         .expect("binds")

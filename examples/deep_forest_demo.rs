@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &train,
         &BoostConfig::new(12).with_max_height(3).with_seed(4),
     );
-    let bolt = BoltForest::compile_boosted(&boosted, &BoltConfig::default())?;
+    let bolt = BoltForest::compile(&boosted, &BoltConfig::default())?;
     let mut agree = 0usize;
     for (sample, _) in test.iter() {
         if bolt.classify(sample) == boosted.predict(sample) {

@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example trip_eta`
 
-use bolt_repro::core::{BoltConfig, BoltRegressor};
+use bolt_repro::core::{BoltConfig, BoltForest};
 use bolt_repro::forest::{GbtConfig, GradientBoostedRegressor, RegressionConfig, RegressionForest};
 use std::time::Instant;
 
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         forest.mse(&test).sqrt()
     );
 
-    let bolt = BoltRegressor::compile(&forest, &BoltConfig::default().with_cluster_threshold(2))?;
+    let bolt = BoltForest::compile(&forest, &BoltConfig::default().with_cluster_threshold(2))?;
     println!(
         "compiled regressor: {} dictionary entries, {} table cells",
         bolt.dictionary().len(),
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &train,
         &GbtConfig::new(40).with_max_height(3).with_seed(9),
     );
-    let gbt_bolt = BoltRegressor::compile_boosted(&gbt, &BoltConfig::default())?;
+    let gbt_bolt = BoltForest::compile(&gbt, &BoltConfig::default())?;
     println!(
         "boosted regressor: {} rounds, test RMSE {:.2} minutes (bagged: {:.2}); Bolt matches to {:.5}",
         gbt.n_trees(),

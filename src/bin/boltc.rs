@@ -4,28 +4,34 @@
 //! them into Bolt artifacts, and evaluate either representation:
 //!
 //! ```text
-//! boltc train   --workload mnist --samples 2000 --trees 10 --height 4 --out forest.json
-//! boltc train   --csv data.csv --trees 20 --height 6 --out forest.json
-//! boltc compile --forest forest.json --threshold 2 --bloom 10 --out bolt.json
-//! boltc compile --forest forest.json --threshold 2 --out model.blt   # BLT1 artifact
-//! boltc inspect --blt model.blt
-//! boltc verify  --blt model.blt --forest forest.json --workload mnist
-//! boltc eval    --forest forest.json --workload mnist --samples 500
-//! boltc eval    --bolt bolt.json     --workload mnist --samples 500
-//! boltc eval    --bolt model.blt     --workload mnist --samples 500
+//! boltc train     --workload mnist --samples 2000 --trees 10 --height 4 --out forest.json
+//! boltc train     --csv data.csv --trees 20 --height 6 --out forest.json
+//! boltc train-reg --workload trips --samples 2000 --out trips.json
+//! boltc compile   --forest forest.json --threshold 2 --bloom 10 --out bolt.json
+//! boltc compile   --forest forest.json --threshold 2 --out model.blt   # BLT1 artifact
+//! boltc inspect   --blt model.blt
+//! boltc verify    --blt model.blt --forest forest.json --workload mnist
+//! boltc eval      --forest forest.json --workload mnist --samples 500
+//! boltc eval      --bolt bolt.json     --workload mnist --samples 500
+//! boltc eval      --bolt model.blt     --workload mnist --samples 500
+//! boltc eval      --bolt trips.blt     --workload trips --samples 500
 //! ```
+//!
+//! `compile` and `eval` take the model's kind from the file: a forest JSON
+//! of any trained kind (random, boosted, regression or boosted-regression
+//! forest) compiles to one model, whose head — vote, mean or sum — `eval`
+//! scores as accuracy or RMSE.
 //!
 //! A `--out` ending in `.blt` compiles to the binary `BLT1` zero-copy
 //! artifact (serve it with `boltd --model NAME=artifact:model.blt`); any
 //! other extension keeps the JSON format.
 
-use bolt_repro::artifact::{
-    section_name, Artifact, ArtifactWriter, MappedForest, MappedModel, MappedRegressor,
-};
-use bolt_repro::core::{BoltConfig, BoltForest, BoltRegressor};
+use bolt_repro::artifact::{section_name, Artifact, ArtifactWriter, MappedForest};
+use bolt_repro::core::{BoltConfig, BoltForest, Ensemble, Head};
 use bolt_repro::data::Workload;
 use bolt_repro::forest::{
-    csv, Dataset, ForestConfig, RandomForest, RegressionConfig, RegressionDataset, RegressionForest,
+    csv, BoostedForest, Dataset, ForestConfig, GradientBoostedRegressor, RandomForest,
+    RegressionConfig, RegressionDataset, RegressionForest,
 };
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -49,8 +55,6 @@ fn main() -> ExitCode {
         "compile" => compile(&flags),
         "eval" => eval(&flags),
         "train-reg" => train_reg(&flags),
-        "compile-reg" => compile_reg(&flags),
-        "eval-reg" => eval_reg(&flags),
         "inspect" => inspect(&flags),
         "verify" => verify(&flags),
         other => Err(format!("unknown command {other:?}")),
@@ -65,26 +69,25 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  boltc train   (--workload mnist|lstw|yelp --samples N | --csv FILE)
-                [--trees N] [--height N] [--seed N] --out FOREST.json
-  boltc compile --forest FOREST.json [--threshold N] [--bloom BITS_PER_KEY]
-                [--explanations] [--verify WORKLOAD] [--model-version V]
-                --out BOLT.json|MODEL.blt
-                (a .blt extension writes the binary BLT1 zero-copy artifact;
-                 --model-version stamps the header for boltd --model-dir
-                 fleets, which expect NAME@V.blt file naming)
-  boltc inspect --blt MODEL.blt
-  boltc verify  --blt MODEL.blt [--forest FOREST.json]
-                [--workload NAME] [--samples N] [--seed N]
-  boltc eval    (--forest FOREST.json | --bolt BOLT.json|MODEL.blt)
-                (--workload NAME --samples N [--seed N] | --csv FILE)
-  boltc train-reg   (--workload trips --samples N | --csv FILE)
-                    [--trees N] [--height N] [--seed N] --out FOREST.json
-                    (regression CSV: last column is the float target)
-  boltc compile-reg --forest FOREST.json [--threshold N] [--bloom N]
-                    [--model-version V] --out BOLT.json|MODEL.blt
-  boltc eval-reg    (--forest FOREST.json | --bolt BOLT.json|MODEL.blt)
-                    (--workload trips --samples N [--seed N] | --csv FILE)";
+  boltc train     (--workload mnist|lstw|yelp --samples N | --csv FILE)
+                  [--trees N] [--height N] [--seed N] --out FOREST.json
+  boltc train-reg (--workload trips --samples N | --csv FILE)
+                  [--trees N] [--height N] [--seed N] --out FOREST.json
+                  (regression CSV: last column is the float target)
+  boltc compile   --forest FOREST.json [--threshold N] [--bloom BITS_PER_KEY]
+                  [--explanations] [--verify WORKLOAD] [--model-version V]
+                  --out BOLT.json|MODEL.blt
+                  (any trained forest kind; a .blt extension writes the
+                   binary BLT1 zero-copy artifact; --model-version stamps
+                   the header for boltd --model-dir fleets, which expect
+                   NAME@V.blt file naming; --verify needs a random forest)
+  boltc inspect   --blt MODEL.blt
+  boltc verify    --blt MODEL.blt [--forest FOREST.json]
+                  [--workload NAME] [--samples N] [--seed N]
+  boltc eval      (--forest FOREST.json | --bolt BOLT.json|MODEL.blt)
+                  (--workload NAME --samples N [--seed N] | --csv FILE)
+                  (classifiers: mnist|lstw|yelp, accuracy;
+                   regressors: trips, RMSE)";
 
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
@@ -159,24 +162,78 @@ fn train(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// A trained forest of any kind, read from its JSON. The fields it
+/// carries name the kind, so the most specific shape is tried first: a
+/// boosted regressor has a `base`, a boosted classifier `weights`, a random
+/// forest `n_classes`, and a regression forest none of them.
+enum Trained {
+    Gbt(GradientBoostedRegressor),
+    Boosted(BoostedForest),
+    Forest(RandomForest),
+    Regression(RegressionForest),
+}
+
+impl Trained {
+    fn read(path: &str) -> Result<Self, String> {
+        let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+        if let Ok(m) = serde_json::from_str(&json) {
+            return Ok(Self::Gbt(m));
+        }
+        if let Ok(m) = serde_json::from_str(&json) {
+            return Ok(Self::Boosted(m));
+        }
+        if let Ok(m) = serde_json::from_str(&json) {
+            return Ok(Self::Forest(m));
+        }
+        serde_json::from_str(&json)
+            .map(Self::Regression)
+            .map_err(|e| format!("{path}: not a trained forest of any kind: {e}"))
+    }
+
+    fn ensemble(&self) -> &dyn Ensemble {
+        match self {
+            Self::Gbt(m) => m,
+            Self::Boosted(m) => m,
+            Self::Forest(m) => m,
+            Self::Regression(m) => m,
+        }
+    }
+
+    fn is_classifier(&self) -> bool {
+        matches!(self, Self::Boosted(_) | Self::Forest(_))
+    }
+
+    /// The source model's own prediction, as [`BoltForest::predict`] reads
+    /// it: the class as `f32` for classifiers.
+    fn predict(&self, sample: &[f32]) -> f32 {
+        match self {
+            Self::Gbt(m) => m.predict(sample),
+            Self::Boosted(m) => m.predict(sample) as f32,
+            Self::Forest(m) => m.predict(sample) as f32,
+            Self::Regression(m) => m.predict(sample),
+        }
+    }
+}
+
 fn compile(flags: &HashMap<String, String>) -> Result<(), String> {
     let forest_path = flags.get("forest").ok_or("need --forest")?;
     let out = flags.get("out").ok_or("need --out")?;
-    let json =
-        std::fs::read_to_string(forest_path).map_err(|e| format!("read {forest_path}: {e}"))?;
-    let forest: RandomForest = serde_json::from_str(&json).map_err(|e| e.to_string())?;
+    let trained = Trained::read(forest_path)?;
     let config = BoltConfig::default()
         .with_cluster_threshold(numeric(flags, "threshold", 4)?)
         .with_bloom_bits_per_key(numeric(flags, "bloom", 10)?)
         .with_explanations(flags.contains_key("explanations"));
-    let bolt = BoltForest::compile(&forest, &config).map_err(|e| e.to_string())?;
+    let bolt = BoltForest::compile(trained.ensemble(), &config).map_err(|e| e.to_string())?;
     // Optional safety check against the source forest on fresh samples.
     if flags.contains_key("verify") {
+        let Trained::Forest(forest) = &trained else {
+            return Err("--verify needs a random forest".into());
+        };
         let workload = workload_by_name(flags.get("verify").ok_or("--verify needs a workload")?)?;
         let check = bolt_repro::data::generate(workload, 500, 0x5AFE);
         let samples: Vec<&[f32]> = (0..check.len()).map(|i| check.sample(i)).collect();
         let n = bolt
-            .verify_against(&forest, samples.iter().copied())
+            .verify_against(forest, samples.iter().copied())
             .map_err(|e| e.to_string())?;
         println!("verified safety property on {n} samples");
     }
@@ -194,7 +251,8 @@ fn compile(flags: &HashMap<String, String>) -> Result<(), String> {
         std::fs::write(out, json).map_err(|e| format!("write {out}: {e}"))?;
     }
     println!(
-        "compiled: {} predicates, {} dictionary entries, {} table cells -> {out}",
+        "compiled ({}): {} predicates, {} dictionary entries, {} table cells -> {out}",
+        head_name(bolt.head()),
         bolt.universe().len(),
         bolt.dictionary().len(),
         bolt.table().n_cells()
@@ -202,41 +260,69 @@ fn compile(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+fn head_name(head: Head) -> String {
+    match head {
+        Head::Vote { n_classes } => format!("vote head, {n_classes} classes"),
+        Head::Mean => "mean head".to_owned(),
+        Head::Sum { base } => format!("sum head, base {base}"),
+    }
+}
+
+/// Scores `predict` on the flags' dataset: a classifier's accuracy on a
+/// classification workload, or a regressor's RMSE on a regression one.
+fn score(
+    flags: &HashMap<String, String>,
+    what: &str,
+    classifier: bool,
+    predict: impl Fn(&[f32]) -> f32,
+) -> Result<(), String> {
+    if classifier {
+        let data = load_dataset(flags)?;
+        let correct = data
+            .iter()
+            .filter(|(sample, label)| predict(sample) as u32 == *label)
+            .count();
+        println!(
+            "{what} accuracy on {} samples: {:.1}%",
+            data.len(),
+            100.0 * correct as f64 / data.len().max(1) as f64
+        );
+    } else {
+        let data = load_regression_dataset(flags)?;
+        let sse: f64 = data
+            .iter()
+            .map(|(sample, target)| {
+                let err = f64::from(predict(sample)) - f64::from(target);
+                err * err
+            })
+            .sum();
+        println!(
+            "{what} RMSE on {} samples: {:.3}",
+            data.len(),
+            (sse / data.len().max(1) as f64).sqrt()
+        );
+    }
+    Ok(())
+}
+
 fn eval(flags: &HashMap<String, String>) -> Result<(), String> {
-    let data = load_dataset(flags)?;
     if let Some(path) = flags.get("bolt") {
         if path.ends_with(".blt") {
             let mapped = MappedForest::open(path).map_err(|e| format!("map {path}: {e}"))?;
-            let correct = data
-                .iter()
-                .filter(|(sample, label)| mapped.classify(sample) == *label)
-                .count();
-            println!(
-                "mapped artifact accuracy on {} samples: {:.1}%",
-                data.len(),
-                100.0 * correct as f64 / data.len().max(1) as f64
-            );
-            return Ok(());
+            let classifier = mapped.n_classes() > 0;
+            return score(flags, "mapped artifact", classifier, |s| mapped.predict(s));
         }
         let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         let mut bolt: BoltForest = serde_json::from_str(&json).map_err(|e| e.to_string())?;
         bolt.rebuild();
-        println!(
-            "bolt artifact accuracy on {} samples: {:.1}%",
-            data.len(),
-            100.0 * bolt.accuracy(&data)
-        );
-        return Ok(());
+        let classifier = bolt.n_classes() > 0;
+        return score(flags, "bolt artifact", classifier, |s| bolt.predict(s));
     }
     let path = flags.get("forest").ok_or("need --forest or --bolt")?;
-    let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let forest: RandomForest = serde_json::from_str(&json).map_err(|e| e.to_string())?;
-    println!(
-        "forest accuracy on {} samples: {:.1}%",
-        data.len(),
-        100.0 * forest.accuracy(&data)
-    );
-    Ok(())
+    let trained = Trained::read(path)?;
+    score(flags, "forest", trained.is_classifier(), |s| {
+        trained.predict(s)
+    })
 }
 
 /// Loads a regression dataset: the `trips` workload or a CSV whose last
@@ -300,76 +386,6 @@ fn train_reg(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn compile_reg(flags: &HashMap<String, String>) -> Result<(), String> {
-    let forest_path = flags.get("forest").ok_or("need --forest")?;
-    let out = flags.get("out").ok_or("need --out")?;
-    let json =
-        std::fs::read_to_string(forest_path).map_err(|e| format!("read {forest_path}: {e}"))?;
-    let forest: RegressionForest = serde_json::from_str(&json).map_err(|e| e.to_string())?;
-    let config = BoltConfig::default()
-        .with_cluster_threshold(numeric(flags, "threshold", 4)?)
-        .with_bloom_bits_per_key(numeric(flags, "bloom", 10)?);
-    let bolt = BoltRegressor::compile(&forest, &config).map_err(|e| e.to_string())?;
-    let model_version = numeric(flags, "model-version", 0u32)?;
-    if out.ends_with(".blt") {
-        ArtifactWriter::write_regressor_versioned(&bolt, model_version, out)
-            .map_err(|e| format!("write {out}: {e}"))?;
-        MappedRegressor::open(out).map_err(|e| format!("re-map {out}: {e}"))?;
-    } else {
-        if model_version != 0 {
-            return Err("--model-version only applies to .blt artifacts".into());
-        }
-        let json = serde_json::to_string(&bolt).map_err(|e| e.to_string())?;
-        std::fs::write(out, json).map_err(|e| format!("write {out}: {e}"))?;
-    }
-    println!(
-        "compiled regressor: {} dictionary entries, {} table cells -> {out}",
-        bolt.dictionary().len(),
-        bolt.table().n_cells()
-    );
-    Ok(())
-}
-
-fn eval_reg(flags: &HashMap<String, String>) -> Result<(), String> {
-    let data = load_regression_dataset(flags)?;
-    if let Some(path) = flags.get("bolt") {
-        if path.ends_with(".blt") {
-            let mapped = MappedRegressor::open(path).map_err(|e| format!("map {path}: {e}"))?;
-            let sse: f64 = data
-                .iter()
-                .map(|(sample, target)| {
-                    let err = f64::from(mapped.predict(sample)) - f64::from(target);
-                    err * err
-                })
-                .sum();
-            println!(
-                "mapped regressor RMSE on {} samples: {:.3}",
-                data.len(),
-                (sse / data.len().max(1) as f64).sqrt()
-            );
-            return Ok(());
-        }
-        let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        let mut bolt: BoltRegressor = serde_json::from_str(&json).map_err(|e| e.to_string())?;
-        bolt.rebuild();
-        println!(
-            "bolt regressor RMSE on {} samples: {:.3}",
-            data.len(),
-            bolt.mse(&data).sqrt()
-        );
-        return Ok(());
-    }
-    let path = flags.get("forest").ok_or("need --forest or --bolt")?;
-    let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let forest: RegressionForest = serde_json::from_str(&json).map_err(|e| e.to_string())?;
-    println!(
-        "regression forest RMSE on {} samples: {:.3}",
-        data.len(),
-        forest.mse(&data).sqrt()
-    );
-    Ok(())
-}
-
 /// `boltc inspect --blt MODEL.blt` — header, model shape, and section table
 /// of a `BLT1` artifact (which is fully CRC-verified by the mapping itself).
 fn inspect(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -393,16 +409,16 @@ fn inspect(flags: &HashMap<String, String>) -> Result<(), String> {
             "heap-backed"
         }
     );
-    let model = MappedModel::from_artifact(artifact).map_err(|e| e.to_string())?;
+    let model = MappedForest::from_artifact(artifact).map_err(|e| e.to_string())?;
     let meta = model.meta();
     println!(
-        "  model: {} predicates ({} features), {} dictionary entries, \
-         {} table slots, {} classes, {} trees, bloom hashes {}",
+        "  model: {}, {} predicates ({} features), {} dictionary entries, \
+         {} table slots, {} trees, bloom hashes {}",
+        head_name(model.head()),
         meta.width,
         meta.n_features,
         meta.n_entries,
         meta.table_capacity,
-        meta.n_classes,
         meta.n_trees,
         meta.bloom_n_hashes,
     );
@@ -428,7 +444,7 @@ fn inspect(flags: &HashMap<String, String>) -> Result<(), String> {
 /// workload sweep.
 fn verify(flags: &HashMap<String, String>) -> Result<(), String> {
     let path = flags.get("blt").ok_or("need --blt MODEL.blt")?;
-    let model = MappedModel::open(path).map_err(|e| format!("verify {path}: {e}"))?;
+    let model = MappedForest::open(path).map_err(|e| format!("verify {path}: {e}"))?;
     let meta = model.meta();
     println!(
         "{path}: checksums and structure OK ({} sections, {} dictionary entries)",
@@ -438,19 +454,17 @@ fn verify(flags: &HashMap<String, String>) -> Result<(), String> {
     let Some(forest_path) = flags.get("forest") else {
         return Ok(());
     };
-    let MappedModel::Forest(mapped) = &model else {
-        return Err("--forest verification only supports classifier artifacts".into());
-    };
-    let json =
-        std::fs::read_to_string(forest_path).map_err(|e| format!("read {forest_path}: {e}"))?;
-    let forest: RandomForest = serde_json::from_str(&json).map_err(|e| e.to_string())?;
+    let trained = Trained::read(forest_path)?;
+    if model.n_classes() == 0 || !trained.is_classifier() {
+        return Err("--forest verification only supports classifiers".into());
+    }
     let workload = workload_by_name(flags.get("workload").map_or("mnist", String::as_str))?;
     let samples = numeric(flags, "samples", 500usize)?;
     let seed = numeric(flags, "seed", 0x5AFEu64)?;
     let check = bolt_repro::data::generate(workload, samples, seed);
     for i in 0..check.len() {
         let sample = check.sample(i);
-        let (got, want) = (mapped.classify(sample), forest.predict(sample));
+        let (got, want) = (model.classify(sample), trained.predict(sample) as u32);
         if got != want {
             return Err(format!(
                 "mapped artifact diverges from forest on sample {i}: {got} != {want}"

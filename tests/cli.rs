@@ -145,14 +145,10 @@ fn regression_train_compile_eval_round_trip() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("RMSE"));
 
     let out = boltc()
-        .args([
-            "compile-reg",
-            "--forest",
-            forest_path.to_str().expect("utf8"),
-        ])
+        .args(["compile", "--forest", forest_path.to_str().expect("utf8")])
         .args(["--out", bolt_path.to_str().expect("utf8")])
         .output()
-        .expect("boltc compile-reg runs");
+        .expect("boltc compile runs");
     assert!(
         out.status.success(),
         "{}",
@@ -161,7 +157,7 @@ fn regression_train_compile_eval_round_trip() {
 
     let rmse = |flag: &str, path: &PathBuf| -> String {
         let out = boltc()
-            .args(["eval-reg", flag, path.to_str().expect("utf8")])
+            .args(["eval", flag, path.to_str().expect("utf8")])
             .args(["--workload", "trips", "--samples", "300", "--seed", "3"])
             .output()
             .expect("runs");
@@ -198,4 +194,37 @@ fn bad_usage_reports_errors() {
 
     let out = boltc().args(["frobnicate"]).output().expect("runs");
     assert!(!out.status.success());
+}
+
+/// `verify` reads a boosted forest as what its JSON says it is: its tree
+/// weights count (read as a random forest, the weights would be dropped
+/// and the weighted artifact would seem to diverge).
+#[test]
+fn boosted_artifact_verifies_against_its_weighted_forest() {
+    use bolt_repro::artifact::ArtifactWriter;
+    use bolt_repro::core::{BoltConfig, BoltForest};
+    use bolt_repro::data::{generate, Workload};
+    use bolt_repro::forest::{BoostConfig, BoostedForest};
+    let data = generate(Workload::LstwLike, 600, 1);
+    let config = BoostConfig::new(6).with_max_height(4).with_seed(2);
+    let boosted = BoostedForest::train(&data, &config);
+    let (forest_path, blt_path) = (temp_path("boosted.json"), temp_path("boosted.blt"));
+    let json = serde_json::to_string(&boosted).expect("serializes");
+    std::fs::write(&forest_path, json).expect("writes forest");
+    let bolt = BoltForest::compile(&boosted, &BoltConfig::default()).expect("compiles");
+    ArtifactWriter::write_forest(&bolt, &blt_path).expect("writes artifact");
+
+    let out = boltc()
+        .args(["verify", "--blt", blt_path.to_str().expect("utf8")])
+        .args(["--forest", forest_path.to_str().expect("utf8")])
+        .args(["--workload", "lstw", "--samples", "500"])
+        .output()
+        .expect("boltc verify runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_file(forest_path);
+    let _ = std::fs::remove_file(blt_path);
 }

@@ -35,7 +35,7 @@ fn boosted_forest_weighted_votes_survive_compilation() {
         &train,
         &BoostConfig::new(10).with_max_height(3).with_seed(6),
     );
-    let bolt = BoltForest::compile_boosted(&boosted, &BoltConfig::default()).expect("compiles");
+    let bolt = BoltForest::compile(&boosted, &BoltConfig::default()).expect("compiles");
     let mut disagreements = 0usize;
     for (sample, _) in test.iter() {
         let expected = boosted.weighted_votes(sample);

@@ -1,7 +1,7 @@
 //! Cross-crate integration for regression: bagged forests and gradient
 //! boosting compiled to Bolt structures on the trip-duration workload.
 
-use bolt_repro::core::{BoltConfig, BoltRegressor};
+use bolt_repro::core::{BoltConfig, BoltForest};
 use bolt_repro::forest::{GbtConfig, GradientBoostedRegressor, RegressionConfig, RegressionForest};
 
 #[test]
@@ -12,7 +12,7 @@ fn bagged_regression_end_to_end() {
         &train,
         &RegressionConfig::new(8).with_max_height(5).with_seed(3),
     );
-    let bolt = BoltRegressor::compile(&forest, &BoltConfig::default()).expect("compiles");
+    let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles");
     for (sample, _) in test.iter() {
         let (a, b) = (bolt.predict(sample), forest.predict(sample));
         assert!(
@@ -44,7 +44,7 @@ fn boosted_regression_end_to_end() {
         model.mse(&test)
     );
 
-    let bolt = BoltRegressor::compile_boosted(&model, &BoltConfig::default()).expect("compiles");
+    let bolt = BoltForest::compile(&model, &BoltConfig::default()).expect("compiles");
     for (sample, _) in test.iter() {
         let (a, b) = (bolt.predict(sample), model.predict(sample));
         assert!(
@@ -61,9 +61,9 @@ fn regression_artifact_round_trips_through_json() {
         &train,
         &RegressionConfig::new(5).with_max_height(4).with_seed(2),
     );
-    let bolt = BoltRegressor::compile(&forest, &BoltConfig::default()).expect("compiles");
+    let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compiles");
     let json = serde_json::to_string(&bolt).expect("serializes");
-    let mut restored: BoltRegressor = serde_json::from_str(&json).expect("deserializes");
+    let mut restored: BoltForest = serde_json::from_str(&json).expect("deserializes");
     restored.rebuild();
     for (sample, _) in train.iter().take(40) {
         assert_eq!(restored.predict(sample), bolt.predict(sample));
