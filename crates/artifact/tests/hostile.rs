@@ -169,3 +169,156 @@ fn regressor_vote_class_beyond_its_one_slot_is_rejected() {
         Ok(_) => panic!("regressor with vote class 1 accepted"),
     }
 }
+
+/// The reference file with `edit` applied to the payload of section `id`
+/// (as little-endian `u32` words) and that section's CRC restamped, so the
+/// checksum passes and only the loader's structural checks can object.
+fn with_words(id: u32, edit: impl FnOnce(&mut Vec<u32>)) -> Vec<u8> {
+    let mut bytes = reference().bytes.clone();
+    let artifact = Artifact::from_bytes(&bytes).expect("valid artifact");
+    let (i, desc) = artifact
+        .sections()
+        .iter()
+        .enumerate()
+        .find(|(_, d)| d.id == id)
+        .map(|(i, d)| (i, *d))
+        .expect("section present");
+    let payload = desc.offset as usize..(desc.offset + desc.len) as usize;
+    let mut words: Vec<u32> = bytes[payload.clone()]
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+        .collect();
+    edit(&mut words);
+    for (chunk, word) in bytes[payload.clone()].chunks_exact_mut(4).zip(&words) {
+        chunk.copy_from_slice(&word.to_le_bytes());
+    }
+    let crc = crc32(&bytes[payload]);
+    let crc_at = HEADER_LEN + i * SECTION_ENTRY_LEN + 24;
+    bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+/// The reference model's `META`.
+fn reference_meta() -> bolt_artifact::ModelMeta {
+    let artifact = Artifact::from_bytes(&reference().bytes).expect("valid artifact");
+    MappedForest::from_artifact(artifact)
+        .expect("the untouched file loads")
+        .meta()
+}
+
+/// Loads `bytes` (whose checksums must all pass) and expects the model
+/// check to refuse them with an `Invalid` error naming `message`.
+fn assert_refused(bytes: &[u8], message: &str) {
+    let artifact = Artifact::from_bytes(bytes).expect("checksums restamped");
+    match MappedForest::from_artifact(artifact) {
+        Err(bolt_artifact::ArtifactError::Invalid(got)) => {
+            assert!(got.contains(message), "expected {message:?}, got {got:?}");
+        }
+        Err(other) => panic!("expected Invalid({message:?}), got {other}"),
+        Ok(_) => panic!("accepted a file that should fail with {message:?}"),
+    }
+}
+
+/// `PRED` as `(feature, threshold bits)` word pairs: the pair at `i`
+/// starts at word `2 * i`.
+fn pred_pairs(words: &[u32]) -> Vec<(u32, f32)> {
+    words
+        .chunks_exact(2)
+        .map(|p| (p[0], f32::from_bits(p[1])))
+        .collect()
+}
+
+/// Index of the first adjacent pair of predicates on one feature, so an
+/// edit there leaves the feature order intact.
+fn same_feature_neighbours(words: &[u32]) -> usize {
+    pred_pairs(words)
+        .windows(2)
+        .position(|w| w[0].0 == w[1].0)
+        .expect("some feature carries two thresholds")
+}
+
+#[test]
+fn swapped_predicates_are_refused_as_not_canonical() {
+    let bytes = with_words(section::PRED, |w| {
+        let i = same_feature_neighbours(w);
+        w.swap(2 * i + 1, 2 * i + 3);
+    });
+    assert_refused(&bytes, "PRED is not in canonical (feature, threshold) order");
+    // Across features too: the last predicate moved to the front.
+    let bytes = with_words(section::PRED, |w| w.rotate_right(2));
+    assert_refused(&bytes, "PRED is not in canonical (feature, threshold) order");
+}
+
+#[test]
+fn a_duplicated_predicate_is_refused() {
+    let bytes = with_words(section::PRED, |w| {
+        let i = same_feature_neighbours(w);
+        w[2 * i + 3] = w[2 * i + 1];
+    });
+    assert_refused(&bytes, "PRED contains duplicate predicates");
+}
+
+#[test]
+fn non_finite_thresholds_are_refused() {
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        // The last predicate, so the order is not what breaks first.
+        let bytes = with_words(section::PRED, |w| {
+            let last = w.len() - 1;
+            w[last] = bad.to_bits();
+        });
+        assert_refused(&bytes, "PRED threshold is not finite");
+    }
+}
+
+#[test]
+fn a_feature_beyond_n_features_is_refused() {
+    let n_features = reference_meta().n_features;
+    let bytes = with_words(section::PRED, |w| {
+        let last = w.len() - 2;
+        w[last] = n_features;
+    });
+    assert_refused(&bytes, &format!("PRED feature {n_features} out of range"));
+}
+
+#[test]
+fn non_monotone_dict_offsets_are_refused() {
+    let bytes = with_words(section::DICT_OFFSETS, |w| {
+        // An entry boundary that steps back by one below its predecessor.
+        let k = (1..w.len()).find(|&k| w[k - 1] > 0).expect("some uncommon");
+        w[k] = w[k - 1] - 1;
+    });
+    assert_refused(&bytes, "DICT_OFFSETS is not monotone");
+}
+
+#[test]
+fn a_slot_naming_a_missing_entry_is_refused() {
+    let n_entries = reference_meta().n_entries;
+    let bytes = with_words(section::TBL_SLOT_ENTRY, |w| {
+        let slot = w
+            .iter()
+            .position(|&e| e != bolt_core::EMPTY_SLOT_ENTRY)
+            .expect("an occupied slot");
+        w[slot] = n_entries;
+    });
+    assert_refused(&bytes, "table slot references a nonexistent dictionary entry");
+}
+
+#[test]
+fn a_table_without_an_empty_slot_is_refused() {
+    let bytes = with_words(section::TBL_SLOT_ENTRY, |w| {
+        for e in w.iter_mut().filter(|e| **e == bolt_core::EMPTY_SLOT_ENTRY) {
+            *e = 0;
+        }
+    });
+    assert_refused(&bytes, "table has no empty slot; probing would not terminate");
+}
+
+#[test]
+fn a_vote_class_beyond_the_heads_slots_is_refused() {
+    let n_classes = reference_meta().n_classes;
+    let bytes = with_words(section::TBL_VOTE_CLASS, |w| {
+        let last = w.len() - 1;
+        w[last] = n_classes;
+    });
+    assert_refused(&bytes, "vote class out of range");
+}
