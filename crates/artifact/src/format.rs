@@ -192,33 +192,70 @@ pub fn align_up(offset: usize) -> usize {
     offset.div_ceil(SECTION_ALIGN) * SECTION_ALIGN
 }
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// The IEEE CRC-32 polynomial, bit-reversed (the zlib/PNG form).
+const CRC_POLY: u32 = 0xEDB8_8320;
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 tables. `CRC_TABLES[0][b]` is the CRC register after
+/// feeding byte `b` into a zero register — the classic byte-at-a-time
+/// table — and `CRC_TABLES[k][b]` is that register after `k` more zero
+/// bytes, so one 16-byte step is sixteen independent lookups XORed
+/// together. 16 KiB of read-only data.
+const CRC_TABLES: [[u32; 256]; 16] = build_crc_tables();
+
+const fn build_crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ CRC_POLY
             } else {
                 crc >> 1
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// IEEE CRC-32 (the zlib/PNG polynomial), table-driven.
+/// IEEE CRC-32 (the zlib/PNG polynomial), slicing-by-16: sixteen bytes per
+/// step through [`CRC_TABLES`], then the tail byte by byte. The same
+/// function as the byte-at-a-time table CRC, so every stored checksum
+/// still verifies.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut crc = !0u32;
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let (head, data) = block.split_at(4);
+        // Bytes 4..16 do not depend on the register, so their twelve
+        // lookups run ahead while the register's four are in flight.
+        let ahead = data
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (j, &b)| acc ^ CRC_TABLES[11 - j][usize::from(b)]);
+        let r = (crc ^ u32::from_le_bytes(head.try_into().expect("4-byte head"))).to_le_bytes();
+        crc = ahead
+            ^ CRC_TABLES[15][usize::from(r[0])]
+            ^ CRC_TABLES[14][usize::from(r[1])]
+            ^ CRC_TABLES[13][usize::from(r[2])]
+            ^ CRC_TABLES[12][usize::from(r[3])];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ CRC_TABLES[0][usize::from((crc as u8) ^ b)];
     }
     !crc
 }
@@ -226,6 +263,57 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// CRC-32 straight from its definition: one bit at a time, shifting
+    /// the reflected polynomial in whenever the low bit is set.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_definition_at_every_length_and_offset() {
+        // Every length across the 16-byte step and its tail, at every
+        // alignment of the start.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let buf: Vec<u8> = (0..16 + 256)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for start in 0..16 {
+            for len in 0..=256 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32(&[0u8; 4096]), crc32_bitwise(&[0u8; 4096]));
+        assert_eq!(crc32(&[0xFFu8; 4096]), crc32_bitwise(&[0xFFu8; 4096]));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn crc32_equals_the_bitwise_definition_on_random_buffers(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..3000)
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
+    }
 
     #[test]
     fn crc32_known_vectors() {

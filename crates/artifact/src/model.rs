@@ -9,7 +9,8 @@ use bolt_core::{
     BatchScratch, BloomView, BoltScratch, DictView, EntryIndex, ForestView, Head, TableView,
     EMPTY_SLOT_ENTRY,
 };
-use bolt_forest::PredicateUniverse;
+use bolt_forest::{Predicate, PredicateUniverse};
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::path::Path;
 
@@ -62,9 +63,12 @@ fn parse_meta(artifact: &Artifact) -> Result<ModelMeta, ArtifactError> {
     })
 }
 
-/// Reconstructs the predicate universe from the `PRED` section and proves
-/// the round-trip preserves predicate ids (the encoding the dictionary's
-/// masks were built against).
+/// Reconstructs the predicate universe from the `PRED` section in one pass.
+/// Every predicate must have a finite threshold and a feature in range,
+/// and each must sort strictly after the one before it in the canonical
+/// order ([`Predicate::canonical_cmp`]); so the universe built from that
+/// order gives every predicate the id the file gives it (the encoding the
+/// dictionary's masks were built against), and no two are the same.
 fn rebuild_universe(
     artifact: &Artifact,
     meta: &ModelMeta,
@@ -78,8 +82,9 @@ fn rebuild_universe(
             2 * width
         )));
     }
-    let pairs = || pred.chunks_exact(2).map(|p| (p[0], f32::from_bits(p[1])));
-    for (feature, threshold) in pairs() {
+    let mut preds: Vec<Predicate> = Vec::with_capacity(width);
+    for pair in pred.chunks_exact(2) {
+        let (feature, threshold) = (pair[0], f32::from_bits(pair[1]));
         if !threshold.is_finite() {
             return Err(invalid("PRED threshold is not finite"));
         }
@@ -89,22 +94,39 @@ fn rebuild_universe(
                 meta.n_features
             )));
         }
-    }
-    let universe = PredicateUniverse::from_splits(pairs(), meta.n_features as usize);
-    if universe.len() != width {
-        return Err(invalid("PRED contains duplicate predicates"));
-    }
-    // Ids must land exactly where the file says: the dictionary's mask/key
-    // bits index this ordering.
-    for (id, (feature, threshold)) in pairs().enumerate() {
-        let p = universe.predicate(id as u32);
-        if p.feature != feature || p.threshold.to_bits() != threshold.to_bits() {
-            return Err(invalid(
-                "PRED is not in canonical (feature, threshold) order",
-            ));
+        let p = Predicate { feature, threshold };
+        match preds
+            .last()
+            .map_or(Ordering::Less, |prev| prev.canonical_cmp(&p))
+        {
+            Ordering::Less => preds.push(p),
+            Ordering::Equal => return Err(invalid("PRED contains duplicate predicates")),
+            Ordering::Greater => {
+                return Err(invalid(
+                    "PRED is not in canonical (feature, threshold) order",
+                ))
+            }
         }
     }
-    Ok(universe)
+    Ok(PredicateUniverse::from_canonical(
+        preds,
+        meta.n_features as usize,
+    ))
+}
+
+/// Whether `bad` holds for any element: a fold over the whole column with
+/// no early exit, so the compiler can vectorise it.
+fn any_of<T: Copy>(column: &[T], bad: impl Fn(T) -> bool) -> bool {
+    column.iter().fold(false, |acc, &x| acc | bad(x))
+}
+
+/// Whether `bad` holds for any adjacent pair `(column[i], column[i + 1])`,
+/// folded like [`any_of`].
+fn any_pair<T: Copy>(column: &[T], bad: impl Fn(T, T) -> bool) -> bool {
+    column
+        .iter()
+        .zip(column.iter().skip(1))
+        .fold(false, |acc, (&a, &b)| acc | bad(a, b))
 }
 
 /// Typed borrows of every kernel section; [`validate`] proves their
@@ -214,20 +236,18 @@ fn validate(raw: &RawSections<'_>, meta: &ModelMeta, head: Head) -> Result<(), A
     if offs[0] != 0 {
         return Err(invalid("DICT_OFFSETS must start at 0"));
     }
-    for w in offs.windows(2) {
-        if w[1] < w[0] {
-            return Err(invalid("DICT_OFFSETS is not monotone"));
-        }
-        if w[1] - w[0] > 64 {
-            return Err(invalid(
-                "dictionary entry has more than 64 uncommon predicates",
-            ));
-        }
+    if any_pair(offs, |a, b| b < a) {
+        return Err(invalid("DICT_OFFSETS is not monotone"));
+    }
+    if any_pair(offs, |a, b| b - a > 64) {
+        return Err(invalid(
+            "dictionary entry has more than 64 uncommon predicates",
+        ));
     }
     if *offs.last().unwrap() as usize != raw.uncommon_flat.len() {
         return Err(invalid("DICT_OFFSETS does not cover DICT_UNCOMMON"));
     }
-    if raw.uncommon_flat.iter().any(|&id| id as usize >= width) {
+    if any_of(raw.uncommon_flat, |id| id as usize >= width) {
         return Err(invalid("DICT_UNCOMMON predicate id out of range"));
     }
     if raw.mask_words.len() != n_entries * stride || raw.key_words.len() != n_entries * stride {
@@ -259,7 +279,7 @@ fn validate(raw: &RawSections<'_>, meta: &ModelMeta, head: Head) -> Result<(), A
     if raw.vote_offsets[0] != 0 {
         return Err(invalid("TBL_VOTE_OFF must start at 0"));
     }
-    if raw.vote_offsets.windows(2).any(|w| w[1] < w[0]) {
+    if any_pair(raw.vote_offsets, |a, b| b < a) {
         return Err(invalid("TBL_VOTE_OFF is not monotone"));
     }
     if *raw.vote_offsets.last().unwrap() as usize != raw.vote_classes.len() {
@@ -268,24 +288,22 @@ fn validate(raw: &RawSections<'_>, meta: &ModelMeta, head: Head) -> Result<(), A
     if raw.vote_weights.len() != raw.vote_classes.len() {
         return Err(invalid("vote class/weight columns differ in length"));
     }
-    let mut has_empty = false;
-    for &entry in raw.slot_entries {
-        if entry == EMPTY_SLOT_ENTRY {
-            has_empty = true;
-        } else if entry as usize >= n_entries {
-            return Err(invalid(
-                "table slot references a nonexistent dictionary entry",
-            ));
-        }
+    if any_of(raw.slot_entries, |e| {
+        (e != EMPTY_SLOT_ENTRY) & (e as usize >= n_entries)
+    }) {
+        return Err(invalid(
+            "table slot references a nonexistent dictionary entry",
+        ));
     }
-    if !has_empty {
+    if !any_of(raw.slot_entries, |e| e == EMPTY_SLOT_ENTRY) {
         return Err(invalid(
             "table has no empty slot; probing would not terminate",
         ));
     }
     // Every vote adds into the accumulator slot its class names; a
     // regression head has one slot, so its classes must all be 0.
-    if raw.vote_classes.iter().any(|&c| c as usize >= head.slots()) {
+    let slots = head.slots();
+    if any_of(raw.vote_classes, |c| c as usize >= slots) {
         return Err(invalid("vote class out of range"));
     }
 

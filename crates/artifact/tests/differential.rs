@@ -239,3 +239,66 @@ fn assert_short_sample_panics<T: std::fmt::Debug>(what: &str, run: impl FnOnce()
     let message = err.downcast_ref::<String>().map_or("", String::as_str);
     assert!(message.contains("universe expects"), "{what}: {message}");
 }
+
+/// One feature split at both `-0.0` and `0.0` (and at ±1): the two zero
+/// predicates compare equal as floats but are distinct predicates, so the
+/// canonical order must still place them one way only (`-0.0` first).
+/// Every compile of such a forest writes the same bytes, and every open
+/// of the file passes the loader's order check and classifies as the
+/// forest does.
+#[test]
+fn signed_zero_thresholds_compile_and_open_the_same_way_every_time() {
+    use bolt_forest::{DecisionTree, NodeKind, RandomForest};
+    // x <= t ? class 0 : class 1 per tree; two trees, so the -0.0 tree and
+    // the 0.0 tree vote together.
+    let stump = |threshold: f32, low: u32| {
+        DecisionTree::from_nodes(
+            vec![
+                NodeKind::Split {
+                    feature: 0,
+                    threshold,
+                    left: 1,
+                    right: 2,
+                },
+                NodeKind::Leaf { class: low },
+                NodeKind::Leaf { class: 2 - low },
+            ],
+            1,
+            3,
+        )
+    };
+    let forest = RandomForest::from_trees(vec![
+        stump(-0.0, 0),
+        stump(0.0, 1),
+        stump(1.0, 0),
+        stump(-1.0, 1),
+    ])
+    .expect("forest");
+    let samples: Vec<[f32; 1]> = [-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, f32::NAN]
+        .map(|x| [x])
+        .to_vec();
+    let path = temp_blt("signed-zero");
+    let mut first: Option<Vec<u8>> = None;
+    for _ in 0..20 {
+        let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compile");
+        let thresholds: Vec<u32> = (0..bolt.universe().len() as u32)
+            .map(|id| bolt.universe().predicate(id).threshold.to_bits())
+            .collect();
+        assert_eq!(
+            thresholds,
+            [-1.0f32, -0.0, 0.0, 1.0].map(f32::to_bits),
+            "canonical order: -0.0 before 0.0"
+        );
+        let bytes = ArtifactWriter::serialize_forest(&bolt);
+        match &first {
+            None => first = Some(bytes),
+            Some(first) => assert_eq!(&bytes, first, "every compile writes the same bytes"),
+        }
+        ArtifactWriter::write_forest(&bolt, &path).expect("write");
+        let mapped = MappedForest::open(&path).expect("every open passes the order check");
+        for sample in &samples {
+            assert_eq!(mapped.classify(sample), forest.predict(sample), "{sample:?}");
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}

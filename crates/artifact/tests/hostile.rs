@@ -243,10 +243,16 @@ fn swapped_predicates_are_refused_as_not_canonical() {
         let i = same_feature_neighbours(w);
         w.swap(2 * i + 1, 2 * i + 3);
     });
-    assert_refused(&bytes, "PRED is not in canonical (feature, threshold) order");
+    assert_refused(
+        &bytes,
+        "PRED is not in canonical (feature, threshold) order",
+    );
     // Across features too: the last predicate moved to the front.
     let bytes = with_words(section::PRED, |w| w.rotate_right(2));
-    assert_refused(&bytes, "PRED is not in canonical (feature, threshold) order");
+    assert_refused(
+        &bytes,
+        "PRED is not in canonical (feature, threshold) order",
+    );
 }
 
 #[test]
@@ -300,7 +306,10 @@ fn a_slot_naming_a_missing_entry_is_refused() {
             .expect("an occupied slot");
         w[slot] = n_entries;
     });
-    assert_refused(&bytes, "table slot references a nonexistent dictionary entry");
+    assert_refused(
+        &bytes,
+        "table slot references a nonexistent dictionary entry",
+    );
 }
 
 #[test]
@@ -310,7 +319,10 @@ fn a_table_without_an_empty_slot_is_refused() {
             *e = 0;
         }
     });
-    assert_refused(&bytes, "table has no empty slot; probing would not terminate");
+    assert_refused(
+        &bytes,
+        "table has no empty slot; probing would not terminate",
+    );
 }
 
 #[test]

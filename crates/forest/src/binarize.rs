@@ -9,7 +9,7 @@
 use crate::{BoostedForest, DecisionTree, RandomForest};
 use bolt_bitpack::Mask;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 /// Identifier of a binary predicate within a [`PredicateUniverse`].
 pub type PredId = u32;
@@ -23,8 +23,22 @@ pub struct Predicate {
     pub threshold: f32,
 }
 
-/// The set of all distinct predicates used by a forest, in a canonical order
-/// (by feature index, then threshold).
+impl Predicate {
+    /// The canonical order of a [`PredicateUniverse`]: by feature, then by
+    /// threshold under [`f32::total_cmp`]. It is total, so `-0.0` sorts
+    /// strictly before `0.0`, and two predicates are equal under it
+    /// exactly when their feature and threshold bits are.
+    #[must_use]
+    pub fn canonical_cmp(&self, other: &Self) -> Ordering {
+        self.feature
+            .cmp(&other.feature)
+            .then(self.threshold.total_cmp(&other.threshold))
+    }
+}
+
+/// The set of all distinct predicates used by a forest, in the canonical
+/// order [`Predicate::canonical_cmp`] (by feature index, then threshold);
+/// a predicate's ID is its position in that order.
 ///
 /// # Examples
 ///
@@ -43,8 +57,6 @@ pub struct Predicate {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PredicateUniverse {
     preds: Vec<Predicate>,
-    #[serde(skip)]
-    index: HashMap<(u32, u32), PredId>,
     /// Per-feature contiguous runs of predicates (the canonical order sorts
     /// by feature then threshold), enabling the monotone fast paths of
     /// [`PredicateUniverse::evaluate_into`] and
@@ -101,31 +113,43 @@ fn set_bit_run(words: &mut [u64], start: usize, end: usize) {
 impl PredicateUniverse {
     /// Builds a universe from raw `(feature, threshold)` split pairs
     /// (deduplicated), for tree representations beyond [`DecisionTree`]
-    /// such as regression trees.
+    /// such as regression trees. The order, and so every predicate ID,
+    /// depends only on the set of splits, not on the order they come in.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a NaN threshold: no sample satisfies it, so it has no
+    /// place in the ascending run of its feature's group.
     #[must_use]
     pub fn from_splits(splits: impl IntoIterator<Item = (u32, f32)>, n_features: usize) -> Self {
-        let mut seen: HashMap<(u32, u32), Predicate> = HashMap::new();
-        for (feature, threshold) in splits {
-            seen.entry((feature, threshold.to_bits()))
-                .or_insert(Predicate { feature, threshold });
-        }
-        let mut preds: Vec<Predicate> = seen.into_values().collect();
-        preds.sort_by(|a, b| {
-            a.feature.cmp(&b.feature).then(
-                a.threshold
-                    .partial_cmp(&b.threshold)
-                    .expect("finite thresholds"),
-            )
-        });
-        let index = preds
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ((p.feature, p.threshold.to_bits()), i as PredId))
+        let mut preds: Vec<Predicate> = splits
+            .into_iter()
+            .map(|(feature, threshold)| {
+                assert!(
+                    !threshold.is_nan(),
+                    "NaN split threshold on feature {feature}"
+                );
+                Predicate { feature, threshold }
+            })
             .collect();
+        preds.sort_unstable_by(Predicate::canonical_cmp);
+        preds.dedup_by(|a, b| a.canonical_cmp(b).is_eq());
+        Self::from_canonical(preds, n_features)
+    }
+
+    /// Builds a universe from predicates already in canonical order:
+    /// strictly ascending under [`Predicate::canonical_cmp`] (so distinct),
+    /// with no NaN threshold. The caller guarantees the order — a loader
+    /// checks it once while reading — and predicate `i` gets ID `i`.
+    #[must_use]
+    pub fn from_canonical(preds: Vec<Predicate>, n_features: usize) -> Self {
+        debug_assert!(
+            preds.windows(2).all(|w| w[0].canonical_cmp(&w[1]).is_lt()),
+            "predicates not strictly ascending in canonical order"
+        );
         let groups = build_groups(&preds);
         Self {
             preds,
-            index,
             groups,
             n_features,
         }
@@ -183,10 +207,16 @@ impl PredicateUniverse {
         self.preds[id as usize]
     }
 
-    /// Looks up the ID of a `(feature, threshold)` predicate.
+    /// Looks up the ID of a `(feature, threshold)` predicate: a binary
+    /// search of the canonical order, so it finds the predicate with these
+    /// exact threshold bits (`-0.0` and `0.0` are two predicates).
     #[must_use]
     pub fn id_of(&self, feature: u32, threshold: f32) -> Option<PredId> {
-        self.index.get(&(feature, threshold.to_bits())).copied()
+        let key = Predicate { feature, threshold };
+        self.preds
+            .binary_search_by(|p| p.canonical_cmp(&key))
+            .ok()
+            .map(|i| i as PredId)
     }
 
     /// Evaluates every predicate against a sample, producing one bit per
@@ -325,15 +355,9 @@ impl PredicateUniverse {
         &self.groups.offsets
     }
 
-    /// Rebuilds the internal lookup index and feature groups (needed after
-    /// deserialization, which skips the derived structures).
+    /// Rebuilds the feature groups (needed after deserialization, which
+    /// skips the derived structure).
     pub fn rebuild_index(&mut self) {
-        self.index = self
-            .preds
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ((p.feature, p.threshold.to_bits()), i as PredId))
-            .collect();
         self.groups = build_groups(&self.preds);
     }
 }
@@ -768,6 +792,38 @@ mod tests {
         let tree_weights: Vec<f64> = boosted.iter().map(|(_, w)| w).collect();
         for path in &paths {
             assert_eq!(path.weight, tree_weights[path.tree as usize]);
+        }
+    }
+
+    #[test]
+    fn canonical_order_ignores_split_order_and_separates_signed_zeros() {
+        let splits = [
+            (0, -0.0f32),
+            (0, 0.0),
+            (0, 1.0),
+            (0, -1.0),
+            (1, 0.0),
+            (0, 0.0),
+        ];
+        let want = [(0, -1.0f32), (0, -0.0), (0, 0.0), (0, 1.0), (1, 0.0)]
+            .map(|(f, t)| (f, t.to_bits()))
+            .to_vec();
+        // Every rotation, forwards and backwards.
+        for r in 0..splits.len() {
+            let mut order = splits.to_vec();
+            order.rotate_left(r);
+            for order in [order.clone(), order.into_iter().rev().collect()] {
+                let universe = PredicateUniverse::from_splits(order, 2);
+                let got: Vec<(u32, u32)> = (0..universe.len() as u32)
+                    .map(|id| universe.predicate(id))
+                    .map(|p| (p.feature, p.threshold.to_bits()))
+                    .collect();
+                assert_eq!(got, want);
+                assert_eq!(universe.id_of(0, -0.0), Some(1));
+                assert_eq!(universe.id_of(0, 0.0), Some(2));
+                assert_eq!(universe.id_of(1, -0.0), None, "bits, not float equality");
+                assert_eq!(universe.id_of(2, 0.0), None);
+            }
         }
     }
 

@@ -42,6 +42,13 @@ if grep -qE 'DICT_(MASK|KEY)_BLK' <<<"$INSPECT"; then
     echo "fresh artifact lists a retired DICT_*_BLK section" >&2
     exit 1
 fi
+# A reader that stops early closes the pipe under boltc: a quiet exit 0,
+# never a panic (pipefail fails this step if boltc does not exit 0).
+"$BOLTC" inspect --blt "$MODEL" 2>"$WORKDIR/inspect.err" | head -1
+if grep -q panicked "$WORKDIR/inspect.err"; then
+    cat "$WORKDIR/inspect.err" >&2
+    exit 1
+fi
 
 echo "== verify (checksums + bit-identical vs forest) =="
 "$BOLTC" verify --blt "$MODEL" --forest "$FOREST" --workload lstw \

@@ -34,8 +34,29 @@ use bolt_repro::forest::{
     RegressionConfig, RegressionDataset, RegressionForest,
 };
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind, Write};
 use std::process::ExitCode;
+
+/// `println!` for command output. A reader that closes the pipe early
+/// (`boltc inspect --blt m.blt | head -1`) already has all it wanted, so a
+/// broken pipe ends the process quietly with success; any other write
+/// error ends it with a message and failure.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say_line(format_args!($($arg)*))
+    };
+}
+
+fn say_line(line: std::fmt::Arguments<'_>) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(line).and_then(|()| out.write_all(b"\n")) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -151,7 +172,7 @@ fn train(flags: &HashMap<String, String>) -> Result<(), String> {
     let forest = RandomForest::train(&data, &config);
     let json = serde_json::to_string(&forest).map_err(|e| e.to_string())?;
     std::fs::write(out, json).map_err(|e| format!("write {out}: {e}"))?;
-    println!(
+    say!(
         "trained {} trees (height {}) on {} samples x {} features -> {out} (train accuracy {:.1}%)",
         forest.n_trees(),
         forest.height(),
@@ -235,7 +256,7 @@ fn compile(flags: &HashMap<String, String>) -> Result<(), String> {
         let n = bolt
             .verify_against(forest, samples.iter().copied())
             .map_err(|e| e.to_string())?;
-        println!("verified safety property on {n} samples");
+        say!("verified safety property on {n} samples");
     }
     let model_version = numeric(flags, "model-version", 0u32)?;
     if out.ends_with(".blt") {
@@ -250,7 +271,7 @@ fn compile(flags: &HashMap<String, String>) -> Result<(), String> {
         let json = serde_json::to_string(&bolt).map_err(|e| e.to_string())?;
         std::fs::write(out, json).map_err(|e| format!("write {out}: {e}"))?;
     }
-    println!(
+    say!(
         "compiled ({}): {} predicates, {} dictionary entries, {} table cells -> {out}",
         head_name(bolt.head()),
         bolt.universe().len(),
@@ -282,7 +303,7 @@ fn score(
             .iter()
             .filter(|(sample, label)| predict(sample) as u32 == *label)
             .count();
-        println!(
+        say!(
             "{what} accuracy on {} samples: {:.1}%",
             data.len(),
             100.0 * correct as f64 / data.len().max(1) as f64
@@ -296,7 +317,7 @@ fn score(
                 err * err
             })
             .sum();
-        println!(
+        say!(
             "{what} RMSE on {} samples: {:.3}",
             data.len(),
             (sse / data.len().max(1) as f64).sqrt()
@@ -377,7 +398,7 @@ fn train_reg(flags: &HashMap<String, String>) -> Result<(), String> {
     let forest = RegressionForest::train(&data, &config);
     let json = serde_json::to_string(&forest).map_err(|e| e.to_string())?;
     std::fs::write(out, json).map_err(|e| format!("write {out}: {e}"))?;
-    println!(
+    say!(
         "trained {} regression trees on {} samples -> {out} (train RMSE {:.3})",
         forest.n_trees(),
         data.len(),
@@ -397,7 +418,7 @@ fn inspect(flags: &HashMap<String, String>) -> Result<(), String> {
         2 => "regressor",
         _ => "unknown",
     };
-    println!(
+    say!(
         "{path}: BLT1 v{} {kind}, model version {}, {} bytes, {} sections, {}",
         header.version,
         header.model_version,
@@ -411,7 +432,7 @@ fn inspect(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     let model = MappedForest::from_artifact(artifact).map_err(|e| e.to_string())?;
     let meta = model.meta();
-    println!(
+    say!(
         "  model: {}, {} predicates ({} features), {} dictionary entries, \
          {} table slots, {} trees, bloom hashes {}",
         head_name(model.head()),
@@ -422,12 +443,14 @@ fn inspect(flags: &HashMap<String, String>) -> Result<(), String> {
         meta.n_trees,
         meta.bloom_n_hashes,
     );
-    println!(
+    say!(
         "  {:<16} {:>10} {:>10}  crc32",
-        "section", "offset", "bytes"
+        "section",
+        "offset",
+        "bytes"
     );
     for s in model.artifact().sections() {
-        println!(
+        say!(
             "  {:<16} {:>10} {:>10}  {:08x}",
             section_name(s.id),
             s.offset,
@@ -446,7 +469,7 @@ fn verify(flags: &HashMap<String, String>) -> Result<(), String> {
     let path = flags.get("blt").ok_or("need --blt MODEL.blt")?;
     let model = MappedForest::open(path).map_err(|e| format!("verify {path}: {e}"))?;
     let meta = model.meta();
-    println!(
+    say!(
         "{path}: checksums and structure OK ({} sections, {} dictionary entries)",
         model.artifact().header().section_count,
         meta.n_entries
@@ -471,7 +494,7 @@ fn verify(flags: &HashMap<String, String>) -> Result<(), String> {
             ));
         }
     }
-    println!(
+    say!(
         "verified bit-identical classification on {} samples",
         check.len()
     );

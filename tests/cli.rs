@@ -1,8 +1,9 @@
 //! End-to-end test of the `boltc` CLI: train → compile → eval on disk
 //! artifacts, plus CSV ingestion and error reporting.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn boltc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_boltc"))
@@ -227,4 +228,67 @@ fn boosted_artifact_verifies_against_its_weighted_forest() {
     );
     let _ = std::fs::remove_file(forest_path);
     let _ = std::fs::remove_file(blt_path);
+}
+
+/// A reader that stops early (`boltc inspect --blt m.blt | head -1`) closes
+/// boltc's stdout under it. That ends boltc quietly and successfully, with
+/// no panic: once when the pipe closes before boltc writes anything, and
+/// once after the reader has taken the first line.
+#[test]
+fn closed_stdout_ends_boltc_quietly() {
+    let forest_path = temp_path("pipe-forest.json");
+    let model_path = temp_path("pipe-model.blt");
+    let out = boltc()
+        .args(["train", "--workload", "lstw", "--samples", "300"])
+        .args(["--trees", "3", "--height", "3", "--seed", "5"])
+        .args(["--out", forest_path.to_str().expect("utf8")])
+        .output()
+        .expect("boltc train runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = boltc()
+        .args(["compile", "--forest", forest_path.to_str().expect("utf8")])
+        .args(["--out", model_path.to_str().expect("utf8")])
+        .output()
+        .expect("boltc compile runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    for lines_read in [0, 1] {
+        let mut child = boltc()
+            .args(["inspect", "--blt", model_path.to_str().expect("utf8")])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("boltc inspect starts");
+        let stdout = child.stdout.take().expect("piped stdout");
+        if lines_read == 1 {
+            let mut line = String::new();
+            BufReader::new(stdout)
+                .read_line(&mut line)
+                .expect("first line");
+            assert!(line.contains("BLT1"), "{line}");
+        } else {
+            drop(stdout);
+        }
+        let out = child.wait_with_output().expect("boltc inspect exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !stderr.contains("panicked"),
+            "after {lines_read} line(s): {stderr}"
+        );
+        assert!(
+            out.status.success(),
+            "after {lines_read} line(s): {:?}: {stderr}",
+            out.status
+        );
+    }
+    std::fs::remove_file(&forest_path).ok();
+    std::fs::remove_file(&model_path).ok();
 }
