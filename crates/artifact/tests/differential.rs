@@ -297,7 +297,11 @@ fn signed_zero_thresholds_compile_and_open_the_same_way_every_time() {
         ArtifactWriter::write_forest(&bolt, &path).expect("write");
         let mapped = MappedForest::open(&path).expect("every open passes the order check");
         for sample in &samples {
-            assert_eq!(mapped.classify(sample), forest.predict(sample), "{sample:?}");
+            assert_eq!(
+                mapped.classify(sample),
+                forest.predict(sample),
+                "{sample:?}"
+            );
         }
     }
     std::fs::remove_file(&path).ok();

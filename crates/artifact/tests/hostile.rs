@@ -147,34 +147,19 @@ fn regressor_vote_class_beyond_its_one_slot_is_rejected() {
     let data = RegressionDataset::from_rows(rows, targets).expect("dataset");
     let forest = RegressionForest::train(&data, &RegressionConfig::new(3).with_seed(2));
     let bolt = BoltForest::compile(&forest, &BoltConfig::default()).expect("compile");
-    let mut bytes = ArtifactWriter::serialize_forest(&bolt);
+    let bytes = ArtifactWriter::serialize_forest(&bolt);
     let artifact = Artifact::from_bytes(&bytes).expect("valid artifact");
-    let (i, desc) = artifact
-        .sections()
-        .iter()
-        .enumerate()
-        .find(|(_, d)| d.id == section::TBL_VOTE_CLASS)
-        .map(|(i, d)| (i, *d))
-        .expect("vote class section");
     MappedForest::from_artifact(artifact).expect("the untouched file loads");
 
-    let payload = desc.offset as usize..(desc.offset + desc.len) as usize;
-    bytes[payload.start..payload.start + 4].copy_from_slice(&1u32.to_le_bytes());
-    let crc = crc32(&bytes[payload]);
-    let crc_at = HEADER_LEN + i * SECTION_ENTRY_LEN + 24;
-    bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
-    let artifact = Artifact::from_bytes(&bytes).expect("checksums restamped");
-    match MappedForest::from_artifact(artifact) {
-        Err(e) => assert!(e.to_string().contains("vote class out of range"), "{e}"),
-        Ok(_) => panic!("regressor with vote class 1 accepted"),
-    }
+    let bytes = with_words(&bytes, section::TBL_VOTE_CLASS, |w| w[0] = 1);
+    assert_refused(&bytes, "vote class out of range");
 }
 
-/// The reference file with `edit` applied to the payload of section `id`
-/// (as little-endian `u32` words) and that section's CRC restamped, so the
+/// `bytes` with `edit` applied to the payload of section `id` (as
+/// little-endian `u32` words) and that section's CRC restamped, so the
 /// checksum passes and only the loader's structural checks can object.
-fn with_words(id: u32, edit: impl FnOnce(&mut Vec<u32>)) -> Vec<u8> {
-    let mut bytes = reference().bytes.clone();
+fn with_words(bytes: &[u8], id: u32, edit: impl FnOnce(&mut Vec<u32>)) -> Vec<u8> {
+    let mut bytes = bytes.to_vec();
     let artifact = Artifact::from_bytes(&bytes).expect("valid artifact");
     let (i, desc) = artifact
         .sections()
@@ -239,7 +224,7 @@ fn same_feature_neighbours(words: &[u32]) -> usize {
 
 #[test]
 fn swapped_predicates_are_refused_as_not_canonical() {
-    let bytes = with_words(section::PRED, |w| {
+    let bytes = with_words(&reference().bytes, section::PRED, |w| {
         let i = same_feature_neighbours(w);
         w.swap(2 * i + 1, 2 * i + 3);
     });
@@ -248,7 +233,7 @@ fn swapped_predicates_are_refused_as_not_canonical() {
         "PRED is not in canonical (feature, threshold) order",
     );
     // Across features too: the last predicate moved to the front.
-    let bytes = with_words(section::PRED, |w| w.rotate_right(2));
+    let bytes = with_words(&reference().bytes, section::PRED, |w| w.rotate_right(2));
     assert_refused(
         &bytes,
         "PRED is not in canonical (feature, threshold) order",
@@ -257,7 +242,7 @@ fn swapped_predicates_are_refused_as_not_canonical() {
 
 #[test]
 fn a_duplicated_predicate_is_refused() {
-    let bytes = with_words(section::PRED, |w| {
+    let bytes = with_words(&reference().bytes, section::PRED, |w| {
         let i = same_feature_neighbours(w);
         w[2 * i + 3] = w[2 * i + 1];
     });
@@ -268,7 +253,7 @@ fn a_duplicated_predicate_is_refused() {
 fn non_finite_thresholds_are_refused() {
     for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
         // The last predicate, so the order is not what breaks first.
-        let bytes = with_words(section::PRED, |w| {
+        let bytes = with_words(&reference().bytes, section::PRED, |w| {
             let last = w.len() - 1;
             w[last] = bad.to_bits();
         });
@@ -279,7 +264,7 @@ fn non_finite_thresholds_are_refused() {
 #[test]
 fn a_feature_beyond_n_features_is_refused() {
     let n_features = reference_meta().n_features;
-    let bytes = with_words(section::PRED, |w| {
+    let bytes = with_words(&reference().bytes, section::PRED, |w| {
         let last = w.len() - 2;
         w[last] = n_features;
     });
@@ -288,7 +273,7 @@ fn a_feature_beyond_n_features_is_refused() {
 
 #[test]
 fn non_monotone_dict_offsets_are_refused() {
-    let bytes = with_words(section::DICT_OFFSETS, |w| {
+    let bytes = with_words(&reference().bytes, section::DICT_OFFSETS, |w| {
         // An entry boundary that steps back by one below its predecessor.
         let k = (1..w.len()).find(|&k| w[k - 1] > 0).expect("some uncommon");
         w[k] = w[k - 1] - 1;
@@ -299,7 +284,7 @@ fn non_monotone_dict_offsets_are_refused() {
 #[test]
 fn a_slot_naming_a_missing_entry_is_refused() {
     let n_entries = reference_meta().n_entries;
-    let bytes = with_words(section::TBL_SLOT_ENTRY, |w| {
+    let bytes = with_words(&reference().bytes, section::TBL_SLOT_ENTRY, |w| {
         let slot = w
             .iter()
             .position(|&e| e != bolt_core::EMPTY_SLOT_ENTRY)
@@ -314,7 +299,7 @@ fn a_slot_naming_a_missing_entry_is_refused() {
 
 #[test]
 fn a_table_without_an_empty_slot_is_refused() {
-    let bytes = with_words(section::TBL_SLOT_ENTRY, |w| {
+    let bytes = with_words(&reference().bytes, section::TBL_SLOT_ENTRY, |w| {
         for e in w.iter_mut().filter(|e| **e == bolt_core::EMPTY_SLOT_ENTRY) {
             *e = 0;
         }
@@ -328,7 +313,7 @@ fn a_table_without_an_empty_slot_is_refused() {
 #[test]
 fn a_vote_class_beyond_the_heads_slots_is_refused() {
     let n_classes = reference_meta().n_classes;
-    let bytes = with_words(section::TBL_VOTE_CLASS, |w| {
+    let bytes = with_words(&reference().bytes, section::TBL_VOTE_CLASS, |w| {
         let last = w.len() - 1;
         w[last] = n_classes;
     });
